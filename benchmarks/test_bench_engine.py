@@ -1,14 +1,16 @@
 """Engine benchmark — serial vs. parallel wall time on the E1 small grid.
 
 Runs the same E1 (Theorem 1.1) small-scale grid twice — once on
-``SerialBackend``, once on the shared-memory fork pool at 4 workers
-(pre-warmed, auto-tiled) — asserts the measured ``q_star`` rows are
-bit-identical, and records wall times, the speedup and full execution
-provenance in ``BENCH_engine.json`` at the repo root.
+``SerialBackend``, once on the shared-memory fork pool at up to 4 workers
+capped at the machine's CPU count (pre-warmed, auto-tiled) — asserts the
+measured ``q_star`` rows are bit-identical, and records wall times, the
+speedup and full execution provenance in ``BENCH_engine.json`` at the
+repo root.
 
-The ≥2× speedup criterion is only asserted on machines with at least 4
-CPU cores; a process pool cannot beat serial execution on fewer, so
-constrained runners record the numbers without failing the suite.
+The ≥2× speedup criterion is only asserted on machines with at least
+twice as many CPU cores as workers, and ≥1.2× on machines with at least
+two; a one-worker pool cannot beat serial execution, so single-core
+runners record the numbers without failing the suite.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from repro.engine import SerialBackend, collect_metrics, engine_context, make_ba
 from repro.experiments import run_experiment
 
 BENCH_PATH = os.path.join(os.path.dirname(__file__), "..", "BENCH_engine.json")
-WORKERS = 4
+WORKERS = min(4, os.cpu_count() or 1)
 
 
 def _timed_run(backend):
@@ -77,5 +79,5 @@ def test_bench_engine_serial_vs_parallel():
     # The speedup target needs real cores behind the pool.
     if (os.cpu_count() or 1) >= 2 * WORKERS:
         assert speedup >= 2.0, payload
-    elif (os.cpu_count() or 1) >= WORKERS:
+    elif WORKERS >= 2:
         assert speedup >= 1.2, payload

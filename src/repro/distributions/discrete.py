@@ -51,7 +51,7 @@ class DiscreteDistribution:
     0.5
     """
 
-    __slots__ = ("_pmf", "_cumulative")
+    __slots__ = ("_pmf", "_cumulative", "_guide")
 
     def __init__(self, pmf: Union[Sequence[float], np.ndarray], *, normalize: bool = False):
         array = np.asarray(pmf, dtype=np.float64)
@@ -80,6 +80,7 @@ class DiscreteDistribution:
         array.setflags(write=False)
         self._pmf = array
         self._cumulative: Optional[np.ndarray] = None
+        self._guide: Optional[np.ndarray] = None
 
     @classmethod
     def from_samples(
@@ -183,24 +184,48 @@ class DiscreteDistribution:
     def sample(self, size: int, rng: RngLike = None) -> np.ndarray:
         """Draw ``size`` iid samples as an int64 array.
 
-        Uses inverse-CDF sampling on a cached cumulative vector, which is the
-        fastest pure-numpy strategy for repeated draws from one distribution.
+        Inverse-CDF sampling: each sample is
+        ``searchsorted(cdf, u, side="right")`` for one uniform ``u``.  A
+        guide table (Chen–Asau indexed search) answers most draws without
+        the binary search: ``[0, 1)`` is cut into ``m`` equal buckets
+        (``m`` the smallest power of two ``>= 4n``), and a bucket with no
+        cdf point strictly inside it maps every ``u`` it holds to one
+        stored answer.  Only draws landing in the at most ``n - 1``
+        straddling buckets reach ``searchsorted``, so the result is
+        bit-identical to a plain binary search over the same uniforms.
         """
         if size < 0:
             raise InvalidParameterError(f"size must be >= 0, got {size}")
         generator = ensure_rng(rng)
         if size == 0:
             return np.empty(0, dtype=np.int64)
-        if self._cumulative is None:
+        cumulative, guide = self._cumulative, self._guide
+        if cumulative is None or guide is None:
             cumulative = np.cumsum(self._pmf)
             cumulative[-1] = 1.0
             cumulative.setflags(write=False)
-            self._cumulative = cumulative
+            buckets = 1 << (4 * self.n - 1).bit_length()
+            edges = np.arange(buckets + 1) / buckets  # exact: buckets is 2**k
+            low = np.searchsorted(cumulative, edges[:-1], side="right")
+            high = np.searchsorted(cumulative, edges[1:], side="left")
+            guide = np.where(low == high, low, -1).astype(np.int64)
+            guide.setflags(write=False)
+            self._cumulative, self._guide = cumulative, guide
         uniforms = generator.random(size)
-        return np.searchsorted(self._cumulative, uniforms, side="right").astype(np.int64)
+        draws = guide[(uniforms * guide.size).astype(np.int64)]
+        straddle = np.flatnonzero(draws < 0)
+        if straddle.size:
+            draws[straddle] = np.searchsorted(
+                cumulative, uniforms[straddle], side="right"
+            )
+        return draws
 
     def sample_matrix(self, rows: int, cols: int, rng: RngLike = None) -> np.ndarray:
         """Draw a ``rows x cols`` matrix of iid samples (players x queries)."""
+        if rows < 0 or cols < 0:
+            raise InvalidParameterError(
+                f"rows and cols must be >= 0, got {rows} x {cols}"
+            )
         flat = self.sample(rows * cols, rng)
         return flat.reshape(rows, cols)
 

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -124,6 +126,13 @@ class TestSampling:
         matrix = uniform(8).sample_matrix(10, 7, rng)
         assert matrix.shape == (10, 7)
 
+    @pytest.mark.parametrize("rows, cols", [(-2, -3), (-1, 4), (4, -1)])
+    def test_sample_matrix_negative_rejected_before_drawing(self, rows, cols):
+        generator = np.random.default_rng(3)
+        with pytest.raises(InvalidParameterError):
+            uniform(8).sample_matrix(rows, cols, generator)
+        assert generator.random() == np.random.default_rng(3).random()
+
     def test_sampling_is_deterministic_given_seed(self):
         a = uniform(32).sample(20, 7)
         b = uniform(32).sample(20, 7)
@@ -218,3 +227,79 @@ def test_tensor_power_preserves_l2_structure(weights, q):
     assert power.l2_norm_squared() == pytest.approx(
         dist.l2_norm_squared() ** q, rel=1e-9
     )
+
+
+def _binary_search_draws(dist, size, seed):
+    """The plain inverse-CDF draws the guide-table sampler must reproduce."""
+    cdf = np.cumsum(dist.pmf)
+    cdf[-1] = 1.0
+    uniforms = np.random.default_rng(seed).random(size)
+    return np.searchsorted(cdf, uniforms, side="right")
+
+
+def _zero_runs(draw, weights):
+    """Zero out one run of ``weights`` at its start, middle or end."""
+    n = len(weights)
+    length = draw(st.integers(min_value=1, max_value=max(1, n - 1)))
+    start = draw(st.sampled_from([0, (n - length) // 2, n - length]))
+    weights[start : start + length] = [0.0] * length
+    if not any(weights):
+        weights[-1 if start == 0 else 0] = 1.0
+    return weights
+
+
+@st.composite
+def _pmfs(draw):
+    kind = draw(
+        st.sampled_from(
+            ["weights", "zero_runs", "point_mass", "padded", "power_law", "single"]
+        )
+    )
+    if kind == "single":
+        return DiscreteDistribution([1.0])
+    if kind == "point_mass":
+        n = draw(st.integers(min_value=1, max_value=300))
+        return point_mass(n, draw(st.integers(min_value=0, max_value=n - 1)))
+    if kind == "padded":
+        n = draw(st.integers(min_value=1, max_value=200))
+        extra = draw(st.integers(min_value=0, max_value=40))
+        return uniform(n).padded_to(n + extra + (n + extra + 1) % 2)
+    if kind == "power_law":
+        n = draw(st.integers(min_value=1, max_value=2000))
+        alpha = draw(st.floats(min_value=0.0, max_value=3.0))
+        return DiscreteDistribution(1.0 / np.arange(1, n + 1) ** alpha, normalize=True)
+    weights = draw(
+        st.lists(st.floats(min_value=1e-6, max_value=10.0), min_size=1, max_size=64)
+    )
+    if kind == "zero_runs":
+        weights = _zero_runs(draw, weights)
+    return DiscreteDistribution(weights, normalize=True)
+
+
+@given(
+    dist=_pmfs(),
+    size=st.integers(min_value=1, max_value=3000),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+@settings(max_examples=200, deadline=None)
+def test_sample_is_bit_identical_to_binary_search(dist, size, seed):
+    """The guide table changes the cost of a draw, never its value."""
+    draws = dist.sample(size, seed)
+    assert draws.dtype == np.int64
+    assert np.array_equal(draws, _binary_search_draws(dist, size, seed))
+
+
+def test_sample_matches_binary_search_when_cumsum_drifts_above_one():
+    dist = uniform(9).padded_to(10)
+    assert np.cumsum(dist.pmf)[-2] > 1.0  # the forced cdf[-1] = 1.0 is not the max
+    assert np.array_equal(dist.sample(50_000, 11), _binary_search_draws(dist, 50_000, 11))
+
+
+def test_pickled_distribution_keeps_its_draws():
+    """The process and shm backends ship distributions after sampling from them."""
+    dist = DiscreteDistribution(1.0 / np.arange(1, 301), normalize=True)
+    first = dist.sample(5000, 1)
+    clone = pickle.loads(pickle.dumps(dist))
+    assert clone == dist
+    assert np.array_equal(clone.sample(5000, 1), first)
+    assert np.array_equal(clone.sample(7000, 2), _binary_search_draws(dist, 7000, 2))
