@@ -73,32 +73,77 @@ def _validate_sample_matrix(samples: np.ndarray) -> np.ndarray:
     return matrix
 
 
+#: Elements per row block of the histogram method: its index buffer
+#: (512 KiB) is reused and stays cache-resident, where one index array
+#: for the whole matrix would be fresh memory on every call.
+_HISTOGRAM_BLOCK = 1 << 16
+
+
 def collision_counts(samples: np.ndarray) -> np.ndarray:
     """Pairwise collision count per row of a (rows × q) sample matrix.
 
     For a row with value counts ``c_v`` the count is ``Σ_v C(c_v, 2)`` — the
-    number of unordered sample pairs that coincide.  Pure NumPy: rows are
-    sorted, run boundaries located on the flattened matrix (every row
-    start forced to be a boundary), and ``C(run_len, 2)`` accumulated back
-    to rows with ``add.reduceat`` — no per-column Python loop.
+    number of unordered sample pairs that coincide.  Pure NumPy, with the
+    method picked from the value span ``max − min + 1`` of the matrix:
+
+    * ``span <= q`` — per-row histograms by an offset ``bincount``, then
+      ``Σ C(c, 2)`` per row.  The histograms have ``rows × span <= rows ×
+      q`` cells, never more than the input.
+    * ``span > q`` — rows are sorted and only the equal-neighbour
+      positions ("hits") are visited: a hit at 1-based position ``j`` of
+      its run adds ``j`` pairs, and per-row sums are one ``cumsum`` read
+      at the row edges.  Collisions are rare when values spread wider
+      than the row, so this is O(hits) work after the sort.
     """
     matrix = _validate_sample_matrix(samples)
     rows, q = matrix.shape
-    if q < 2:
+    if rows == 0 or q < 2:
         return np.zeros(rows, dtype=np.int64)
-    ordered = np.sort(matrix, axis=1)
-    flat = ordered.ravel()
-    boundary = np.empty(flat.size, dtype=bool)
-    boundary[0] = True
-    boundary[1:] = flat[1:] != flat[:-1]
-    boundary[::q] = True  # a run never crosses a row edge
-    starts = np.flatnonzero(boundary)
-    run_lengths = np.diff(np.append(starts, flat.size))
-    pairs = run_lengths * (run_lengths - 1) // 2
-    # First run of each row: row starts are always boundaries, so the
-    # search hits them exactly.
-    first_run = np.searchsorted(starts, np.arange(rows, dtype=np.int64) * q)
-    return np.add.reduceat(pairs, first_run).astype(np.int64)
+    low = int(matrix.min())
+    span = int(matrix.max()) - low + 1
+    if span <= q:
+        return _histogram_collision_counts(matrix, low, span)
+    return _sorted_collision_counts(matrix)
+
+
+def _histogram_collision_counts(matrix: np.ndarray, low: int, span: int) -> np.ndarray:
+    """``span <= q`` method of :func:`collision_counts`, in row blocks."""
+    rows, q = matrix.shape
+    step = min(rows, max(1, _HISTOGRAM_BLOCK // q))
+    offsets = np.arange(step, dtype=np.int64)[:, np.newaxis] * span
+    buffer = np.empty((step, q), dtype=np.int64)
+    counts = np.empty(rows, dtype=np.int64)
+    for start in range(0, rows, step):
+        part = matrix[start : start + step]
+        height = part.shape[0]
+        # (value − low) < span and row·span < rows·q: no int64 overflow.
+        index = buffer[:height]
+        np.subtract(part, low, out=index)
+        index += offsets[:height]
+        histogram = np.bincount(index.ravel(), minlength=height * span)
+        histogram = histogram.reshape(height, span)
+        # Σ C(c, 2) = (Σ c² − Σ c) / 2, and Σ c = q in every row.
+        counts[start : start + height] = ((histogram * histogram).sum(axis=1) - q) // 2
+    return counts
+
+
+def _sorted_collision_counts(matrix: np.ndarray) -> np.ndarray:
+    """``span > q`` method of :func:`collision_counts`: sparse run walk."""
+    rows, q = matrix.shape
+    flat = np.sort(matrix, axis=1).ravel()
+    equal_next = flat[1:] == flat[:-1]
+    equal_next[q - 1 :: q] = False  # a pair never straddles a row edge
+    hits = np.flatnonzero(equal_next)
+    # A hit starts a new run unless it directly follows the previous hit;
+    # the cleared row-edge slots keep runs inside their row.
+    index = np.arange(hits.size, dtype=np.int64)
+    fresh = np.ones(hits.size, dtype=bool)
+    fresh[1:] = hits[1:] != hits[:-1] + 1
+    run_start = np.maximum.accumulate(np.where(fresh, index, 0))
+    totals = np.zeros(hits.size + 1, dtype=np.int64)
+    np.cumsum(index - run_start + 1, out=totals[1:])
+    edges = np.searchsorted(hits, np.arange(rows + 1, dtype=np.int64) * q)
+    return totals[edges[1:]] - totals[edges[:-1]]
 
 
 def collision_counts_reference(samples: np.ndarray) -> np.ndarray:

@@ -118,6 +118,35 @@ def _as_block(sample_block: np.ndarray) -> np.ndarray:
     return block
 
 
+def _bucket_table(n: int, num_buckets: Optional[int]) -> Optional[np.ndarray]:
+    """:func:`sketch_buckets` evaluated on the whole domain ``[0, n)``.
+
+    Indexing this table maps a block to exactly the buckets
+    ``sketch_buckets`` would compute, at one gather per sample instead
+    of the full hash.  ``None`` for exact (unsketched) testers.
+    """
+    if num_buckets is None:
+        return None
+    return sketch_buckets(np.arange(n, dtype=np.int64), num_buckets)
+
+
+def _bucketed(
+    sample_block: np.ndarray, n: int, table: Optional[np.ndarray]
+) -> np.ndarray:
+    """A block's values, checked to lie in ``[0, n)``, mapped through ``table``.
+
+    Without the check an out-of-domain value would land silently in
+    another row's histogram (row offsets) or wrap around the table.
+    """
+    block = _as_block(sample_block)
+    if block.size and (block.min() < 0 or block.max() >= n):
+        raise InvalidParameterError(
+            f"sample values must lie in [0, {n}), got range "
+            f"[{block.min()}, {block.max()}]"
+        )
+    return block if table is None else table[block]
+
+
 def _bucket_histogram(values: np.ndarray, num_buckets: int) -> np.ndarray:
     """Per-row bincount of a ``(trials × w)`` int block, values in [0, B)."""
     trials = values.shape[0]
@@ -325,6 +354,8 @@ class StreamingCollisionTester(StreamingTester):
             )
         self.num_buckets = None if num_buckets is None else int(num_buckets)
         self._buckets = self.n if self.num_buckets is None else self.num_buckets
+        # Shared by every trial, so not per-trial state (state_bytes).
+        self._table = _bucket_table(self.n, self.num_buckets)
         if threshold is not None:
             self.statistic_threshold = float(threshold)
         elif self.num_buckets is None:
@@ -350,12 +381,7 @@ class StreamingCollisionTester(StreamingTester):
         }
 
     def update(self, state: Dict[str, np.ndarray], sample_block: np.ndarray) -> None:
-        block = _as_block(sample_block)
-        values = (
-            block
-            if self.num_buckets is None
-            else sketch_buckets(block, self._buckets)
-        )
+        values = _bucketed(sample_block, self.n, self._table)
         histogram = state["histogram"]
         cross = np.take_along_axis(histogram, values, axis=1).sum(axis=1)
         state["pair_count"] += collision_counts(values) + cross
@@ -365,10 +391,7 @@ class StreamingCollisionTester(StreamingTester):
         return state["pair_count"] <= self.statistic_threshold
 
     def batch_statistic(self, matrix: np.ndarray) -> np.ndarray:
-        block = _as_block(matrix)
-        if self.num_buckets is None:
-            return collision_counts(block)
-        return collision_counts(sketch_buckets(block, self._buckets))
+        return collision_counts(_bucketed(matrix, self.n, self._table))
 
     def batch_verdicts(self, matrix: np.ndarray) -> np.ndarray:
         return self.batch_statistic(matrix) <= self.statistic_threshold
@@ -422,6 +445,8 @@ class StreamingDistinctTester(StreamingTester):
             )
         self.num_buckets = None if num_buckets is None else int(num_buckets)
         self._buckets = self.n if self.num_buckets is None else self.num_buckets
+        # Shared by every trial, so not per-trial state (state_bytes).
+        self._table = _bucket_table(self.n, self.num_buckets)
         if threshold is not None:
             self.statistic_threshold = float(threshold)
         elif self.num_buckets is None:
@@ -448,12 +473,7 @@ class StreamingDistinctTester(StreamingTester):
         }
 
     def update(self, state: Dict[str, np.ndarray], sample_block: np.ndarray) -> None:
-        block = _as_block(sample_block)
-        values = (
-            block
-            if self.num_buckets is None
-            else sketch_buckets(block, self._buckets)
-        )
+        values = _bucketed(sample_block, self.n, self._table)
         state["histogram"] += _bucket_histogram(values, self._buckets)
 
     def finalize(self, state: Dict[str, np.ndarray]) -> np.ndarray:
@@ -461,10 +481,7 @@ class StreamingDistinctTester(StreamingTester):
         return distinct >= self.statistic_threshold
 
     def batch_statistic(self, matrix: np.ndarray) -> np.ndarray:
-        block = _as_block(matrix)
-        if self.num_buckets is None:
-            return unique_counts(block)
-        return unique_counts(sketch_buckets(block, self._buckets))
+        return unique_counts(_bucketed(matrix, self.n, self._table))
 
     def batch_verdicts(self, matrix: np.ndarray) -> np.ndarray:
         return self.batch_statistic(matrix) >= self.statistic_threshold

@@ -7,6 +7,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.players import (
     birthday_no_collision_probability,
@@ -78,6 +80,47 @@ class TestCollisionCountsVectorised:
     def test_dtype_is_int64(self):
         matrix = np.random.default_rng(1).integers(0, 4, size=(5, 8))
         assert collision_counts(matrix).dtype == np.int64
+
+    def test_empty_batch(self):
+        counts = collision_counts(np.zeros((0, 5), dtype=np.int64))
+        assert counts.shape == (0,)
+        assert counts.dtype == np.int64
+
+    def test_both_methods_at_the_span_boundary(self):
+        """span == q takes the histogram, span == q + 1 the sorted walk."""
+        for span in (6, 7):
+            matrix = np.array([[0, 0, 0, 3, 3, span - 1], [span - 1] * 6])
+            assert np.array_equal(collision_counts(matrix), [4, 15])
+
+    def test_span_wider_than_int64(self):
+        low, high = np.iinfo(np.int64).min, np.iinfo(np.int64).max
+        matrix = np.array([[low, high, low, high, 0], [high, high, high, low, low]])
+        assert np.array_equal(collision_counts(matrix), [2, 4])
+
+
+_INT64 = np.iinfo(np.int64)
+
+
+@given(
+    rows=st.integers(min_value=0, max_value=6),
+    q=st.one_of(st.integers(min_value=0, max_value=2), st.integers(3, 40)),
+    span=st.integers(min_value=1, max_value=120),
+    low=st.one_of(
+        st.integers(min_value=-50, max_value=50),
+        st.sampled_from([_INT64.min, _INT64.max - 119]),
+    ),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+@settings(max_examples=300, deadline=None)
+def test_collision_counts_matches_reference(rows, q, span, low, seed):
+    """Both methods (span <= q histogram, span > q sorted walk) equal the
+    per-column oracle, including empty batches, negative values and
+    values at the int64 extremes."""
+    offsets = np.random.default_rng(seed).integers(0, span, size=(rows, q))
+    matrix = offsets + np.int64(low)
+    fast = collision_counts(matrix)
+    assert fast.dtype == np.int64
+    assert np.array_equal(fast, collision_counts_reference(matrix))
 
 
 class TestBirthdayLogSpace:

@@ -15,6 +15,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.baselines import UniqueElementsTester
 from repro.core.graphs import (
@@ -281,7 +283,64 @@ class TestValidation:
         with pytest.raises(InvalidParameterError):
             tester.update(tester.init_state(4), np.zeros(3, dtype=np.int64))
 
+    def test_out_of_domain_values_are_rejected_not_misbinned(self):
+        """A -1 in row 1 used to be counted in row 0's last bucket, so the
+        verdicts depended on the chunk width."""
+        tester = StreamingCollisionTester(8, 0.5, q=4, threshold=0.5)
+        matrix = np.array([[0, 1, 2, 7], [-1, 3, 5, 6]])
+        with pytest.raises(InvalidParameterError):
+            tester.batch_verdicts(matrix)
+        for chunk in (None, 1, 2):
+            with pytest.raises(InvalidParameterError):
+                run_streaming(tester, matrix, chunk)
+
+    @pytest.mark.parametrize("cls", [StreamingCollisionTester, StreamingDistinctTester])
+    @pytest.mark.parametrize("num_buckets", [None, 4])
+    @pytest.mark.parametrize("bad", [-1, 8, 2**40])
+    def test_update_and_batch_reject_values_outside_domain(
+        self, cls, num_buckets, bad
+    ):
+        tester = cls(8, 0.5, q=4, num_buckets=num_buckets, threshold=1.0)
+        matrix = np.array([[0, 1, 2, 3], [4, 5, bad, 7]])
+        with pytest.raises(InvalidParameterError):
+            tester.update(tester.init_state(2), matrix)
+        with pytest.raises(InvalidParameterError):
+            tester.batch_statistic(matrix)
+        good = np.array([[0, 1, 2, 3], [4, 5, 6, 7]])
+        assert tester.batch_statistic(good).shape == (2,)
+
     def test_streaming_tester_is_not_a_uniformity_tester(self):
         from repro.core.testers import UniformityTester
 
         assert not issubclass(StreamingTester, UniformityTester)
+
+
+@given(
+    n=st.sampled_from([2, 3, 17, 64, 255, 1024]),
+    num_buckets=st.sampled_from([2, 5, 16, 64, 1000]),
+    rows=st.integers(min_value=1, max_value=5),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+@settings(max_examples=60, deadline=None)
+def test_sketched_statistics_equal_pinned_oracles(n, num_buckets, rows, seed):
+    """The bucket table reproduces sketch_buckets on every domain value."""
+    rng = np.random.default_rng(seed)
+    q = -(-n // rows) + int(rng.integers(0, 8))
+    # Every value of [0, n) appears somewhere in the matrix.
+    values = np.concatenate(
+        [np.arange(n), rng.integers(0, n, size=rows * q - n)]
+    )
+    matrix = rng.permutation(values).reshape(rows, q)
+    buckets = sketch_buckets(matrix, num_buckets)
+    collision = StreamingCollisionTester(
+        n, EPS, q=q, num_buckets=num_buckets, threshold=1.0
+    )
+    distinct = StreamingDistinctTester(
+        n, EPS, q=q, num_buckets=num_buckets, threshold=1.0
+    )
+    np.testing.assert_array_equal(
+        collision.batch_statistic(matrix), collision_counts(buckets)
+    )
+    np.testing.assert_array_equal(
+        distinct.batch_statistic(matrix), unique_counts(buckets)
+    )
