@@ -108,11 +108,6 @@ def _add_engine_options(parser: argparse.ArgumentParser) -> None:
         ),
     )
     group.add_argument(
-        "--no-auto-tile",
-        action="store_true",
-        help="disable cost-model tile auto-sizing for parallel dispatch",
-    )
-    group.add_argument(
         "--cache-dir",
         default=None,
         help="directory for the on-disk acceptance-curve cache",
@@ -162,7 +157,6 @@ def _apply_engine_options(args: argparse.Namespace):
         max_elements=getattr(args, "chunk_elements", None),
         cache_dir=cache_dir,
         backend=getattr(args, "backend", None),
-        auto_tile=not getattr(args, "no_auto_tile", False),
     )
 
 

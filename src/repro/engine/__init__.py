@@ -40,7 +40,6 @@ from .config import (
 from .estimate import AcceptanceEstimate, SprtSpec, estimate_acceptance
 from .executor import (
     block_seed,
-    cached_acceptance_rate,
     chunked_accepts,
     derive_root_entropy,
     monte_carlo_bits,
@@ -101,7 +100,6 @@ __all__ = [
     "set_engine",
     "monte_carlo_bits",
     "chunked_accepts",
-    "cached_acceptance_rate",
     "block_seed",
     "derive_root_entropy",
     "EngineMetrics",

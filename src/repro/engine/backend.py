@@ -10,20 +10,25 @@ of how tasks are interleaved.
 over a lazily created :class:`concurrent.futures.ProcessPoolExecutor`;
 ``SharedMemoryBackend`` adds one-shot kernel shipping over
 :mod:`multiprocessing.shared_memory` plus bit-packed result transport
-(see :mod:`repro.engine.shm`).  Worker processes import the library fresh
-and therefore see the *default* engine configuration (serial, no cache) —
-nested engine calls inside a worker never spawn a second pool.
+(see :mod:`repro.engine.shm`).  Every pool worker starts by installing a
+:class:`SerialBackend` as its active backend, keeping the rest of the
+engine configuration it starts with (under ``fork``, the parent's cache
+and ``max_elements``; otherwise the defaults) — so a nested engine call
+inside a worker, such as the estimates of a sweep point, runs inline and
+never submits to a pool.
 
 Beyond ``map_tasks`` every backend offers:
 
-* :meth:`~ExecutionBackend.map_accept_tiles` — the accept-kernel dispatch
-  hook.  The default delegates to ``map_tasks``; pool backends can
-  override it to avoid re-pickling the kernel per tile.
+* :meth:`~ExecutionBackend.map_accept_tiles` — the accept-kernel hook
+  called by the executor's one accept-tile loop
+  (:func:`~repro.engine.executor._dispatch`).  The default delegates to
+  ``map_tasks``; the shared-memory pool overrides it to avoid re-pickling
+  the kernel per tile.
 * :meth:`~ExecutionBackend.warmup` — start any lazy workers now, so
   benchmarks can exclude pool start-up from measured wall time.
 * :meth:`~ExecutionBackend.dispatch_overhead_s` — the measured round-trip
-  cost of one trivial dispatch, cached per backend.  The cost-model tile
-  auto-sizer uses it to pick tile sizes that amortise dispatch.
+  cost of one trivial dispatch, cached per backend.  The executor uses it
+  to pick tile sizes that amortise dispatch.
 """
 
 from __future__ import annotations
@@ -134,6 +139,27 @@ class SerialBackend(ExecutionBackend):
         return [fn(*args) for args in tasks]
 
 
+def _serial_worker() -> None:
+    """Pool initializer: run the worker's own engine calls inline.
+
+    A forked worker inherits the parent's active configuration, whose
+    backend is this very pool; submitting to that copy would hang.  The
+    replaced configuration stays referenced from the worker's module
+    state, so its forked backend is never finalised (and never unlinks
+    the parent's shared-memory segments).
+    """
+    from dataclasses import replace
+
+    from .config import get_engine, set_engine
+
+    global _PARENT_ENGINE
+    _PARENT_ENGINE = set_engine(replace(get_engine(), backend=SerialBackend()))
+
+
+#: The configuration a pool worker started with (see :func:`_serial_worker`).
+_PARENT_ENGINE: Any = None
+
+
 class ProcessPoolBackend(ExecutionBackend):
     """Fan tasks out over a process pool (stdlib ``concurrent.futures``).
 
@@ -167,7 +193,9 @@ class ProcessPoolBackend(ExecutionBackend):
             from concurrent.futures import ProcessPoolExecutor
 
             self._executor = ProcessPoolExecutor(
-                max_workers=self.max_workers, mp_context=self._mp_context()
+                max_workers=self.max_workers,
+                mp_context=self._mp_context(),
+                initializer=_serial_worker,
             )
         return self._executor
 
@@ -218,8 +246,7 @@ class _Shipment:
     """Parent-side record of one shared (kernel, distribution) blob.
 
     Holding strong references to the shipped objects keeps their ``id``
-    values — which key the shipment table — stable for the backend's
-    lifetime.
+    values — which key the shipment table — stable while it is live.
     """
 
     __slots__ = ("token", "segment", "blob_size", "kernel", "distribution")
@@ -244,7 +271,11 @@ class SharedMemoryBackend(ProcessPoolBackend):
     ``(token, segment, tile, root_entropy)`` tuples; each worker
     rehydrates on first sight (or inherits the registry outright when
     forked after the shipment) and returns its accept vector as packed
-    bits.  ``close()`` unlinks every segment and shuts the pool down.
+    bits.  Only the live shipment is kept: shipping a new pair unlinks
+    the previous segment (every call waits for its tiles, so no task can
+    still need it), and workers drop older pairs as they rehydrate, so a
+    long search over fresh kernels holds one segment, not one per
+    estimate.  ``close()`` unlinks it and shuts the pool down.
 
     On POSIX the pool uses the ``fork`` start method so freshly forked
     workers inherit already-registered shipments for free; elsewhere the
@@ -256,6 +287,7 @@ class SharedMemoryBackend(ProcessPoolBackend):
     def __init__(self, max_workers: Optional[int] = None):
         super().__init__(max_workers)
         self._shipments: Dict[Tuple[int, int], _Shipment] = {}
+        self._shipped = 0
 
     def _mp_context(self) -> Optional[Any]:
         import multiprocessing
@@ -272,7 +304,11 @@ class SharedMemoryBackend(ProcessPoolBackend):
         if shipment is None:
             from multiprocessing import shared_memory
 
-            token = f"{os.getpid()}-{id(self):x}-{len(self._shipments)}"
+            self._release_shipments()
+            # A fresh token per shipment: workers may still hold a
+            # retired pair under an older one.
+            self._shipped += 1
+            token = f"{os.getpid()}-{id(self):x}-{self._shipped}"
             blob = shm.serialize_shipment(kernel, distribution)
             segment = shared_memory.SharedMemory(
                 create=True, size=max(1, len(blob))
@@ -301,14 +337,6 @@ class SharedMemoryBackend(ProcessPoolBackend):
         tiles: Sequence[Sequence[Any]],
         root_entropy: int,
     ) -> List[Any]:
-        if len(tiles) <= 1:
-            # Mirror the single-task inline shortcut of map_tasks.
-            from .executor import _accepts_tile
-
-            return [
-                _accepts_tile(kernel, distribution, tile, root_entropy)
-                for tile in tiles
-            ]
         shipment = self._ship(kernel, distribution)
         pool = self._pool()
         futures = [
@@ -328,7 +356,8 @@ class SharedMemoryBackend(ProcessPoolBackend):
             results.append(shm.unpack_accepts(trials, packed))
         return results
 
-    def close(self) -> None:
+    def _release_shipments(self) -> None:
+        """Unlink every held segment and forget its registry entry."""
         shipments = getattr(self, "_shipments", None)
         if shipments:
             for shipment in shipments.values():
@@ -339,6 +368,9 @@ class SharedMemoryBackend(ProcessPoolBackend):
                 except (FileNotFoundError, OSError):
                     pass
             shipments.clear()
+
+    def close(self) -> None:
+        self._release_shipments()
         super().close()
 
 

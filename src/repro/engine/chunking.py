@@ -15,6 +15,7 @@ without changing a single random draw.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import List, Sequence
 
@@ -62,53 +63,18 @@ def plan_tiles(
     blocks: Sequence[Block],
     elements_per_trial: int,
     max_elements: int,
+    target_trials: float = math.inf,
 ) -> List[List[Block]]:
     """Group consecutive blocks into tiles of bounded sample-tensor size.
 
-    A tile always holds at least one block (a single block larger than
-    ``max_elements`` still executes — the bound is a target, not a hard
-    cap), and blocks are never split, which preserves RNG-block
-    boundaries.
-    """
-    if elements_per_trial < 0:
-        raise InvalidParameterError(
-            f"elements_per_trial must be >= 0, got {elements_per_trial}"
-        )
-    if max_elements < 1:
-        raise InvalidParameterError(
-            f"max_elements must be >= 1, got {max_elements}"
-        )
-    per_trial = max(1, elements_per_trial)
-    tiles: List[List[Block]] = []
-    current: List[Block] = []
-    current_elements = 0
-    for block in blocks:
-        block_elements = block.trials * per_trial
-        if current and current_elements + block_elements > max_elements:
-            tiles.append(current)
-            current = []
-            current_elements = 0
-        current.append(block)
-        current_elements += block_elements
-    if current:
-        tiles.append(current)
-    return tiles
-
-
-def plan_cost_tiles(
-    blocks: Sequence[Block],
-    elements_per_trial: int,
-    max_elements: int,
-    target_trials: float,
-) -> List[List[Block]]:
-    """Group blocks into tiles of roughly ``target_trials`` trials each.
-
-    The cost-model companion to :func:`plan_tiles`: ``target_trials``
-    comes from the dispatch-overhead model (tiles big enough that
-    per-tile dispatch cost is an acceptable fraction of compute), while
-    ``max_elements`` stays the hard memory grouping bound.  Blocks are
-    never split, so the RNG-block invariant — and therefore bit-identical
-    results under any regrouping — is preserved by construction.
+    ``max_elements`` bounds each tile's sample tensor; ``target_trials``
+    (unbounded by default) additionally closes a tile once it holds that
+    many trials, which is how the engine's dispatch-overhead cost model
+    regroups work.  A tile always holds at least one block (a single
+    block larger than ``max_elements`` still executes — the bound is a
+    target, not a hard cap), and blocks are never split, which preserves
+    RNG-block boundaries and therefore bit-identical results under any
+    grouping.
     """
     if elements_per_trial < 0:
         raise InvalidParameterError(
@@ -140,6 +106,10 @@ def plan_cost_tiles(
     if current:
         tiles.append(current)
     return tiles
+
+
+#: The cost-model name of :func:`plan_tiles` (same planner, explicit target).
+plan_cost_tiles = plan_tiles
 
 
 def tile_trials(tile: Sequence[Block]) -> int:

@@ -2,11 +2,10 @@
 
 One process-global :class:`EngineConfig` tells every Monte Carlo call
 which backend to dispatch tiles on, how large a tile may grow, whether an
-acceptance cache is attached, where counters accumulate, and how the
-cost-model tile auto-sizer behaves.  The default — serial backend,
-4M-element tiles, no cache, auto-tiling armed (it only engages on
-parallel backends) — reproduces the library's historical single-process
-behaviour.
+acceptance cache is attached, where counters accumulate, and which
+clock times the first tile of a parallel batch.  The default — serial
+backend, 4M-element tiles, no cache — reproduces the library's
+historical single-process behaviour.
 
 Use :func:`configure_engine` (or the CLI flags it backs) to install a
 different configuration, and :func:`engine_context` to scope one to a
@@ -28,41 +27,29 @@ from .metrics import EngineMetrics, monotonic_clock
 #: Default per-tile sample-tensor budget (int64 elements → 32 MiB).
 DEFAULT_MAX_ELEMENTS = 4_194_304
 
-#: Default ceiling on dispatch overhead as a fraction of tile compute.
-DEFAULT_DISPATCH_OVERHEAD_TARGET = 0.05
-
 
 @dataclass
 class EngineConfig:
     """Everything the executor needs to run one Monte Carlo batch.
 
-    ``auto_tile`` arms the cost-model tile auto-sizer: on parallel
-    backends the first tile of a batch runs inline under ``clock`` to
-    measure per-trial cost, and the remaining RNG blocks are regrouped so
-    per-tile dispatch overhead stays below
-    ``dispatch_overhead_target`` (memory bound permitting).  Because
-    regrouping never splits RNG blocks, results stay bit-identical to any
-    other tiling.  ``clock`` is injectable so tests can drive the sizer
-    deterministically.
+    On parallel backends the first tile of a multi-tile batch runs inline
+    under ``clock`` to measure per-trial cost, and the remaining RNG
+    blocks are regrouped to amortise dispatch (see
+    :func:`~repro.engine.executor._dispatch`).  Because regrouping never
+    splits RNG blocks, results stay bit-identical to any other tiling.
+    ``clock`` is injectable so tests can drive the sizer deterministically.
     """
 
     backend: ExecutionBackend = field(default_factory=SerialBackend)
     max_elements: int = DEFAULT_MAX_ELEMENTS
     cache: Optional[AcceptanceCache] = None
     metrics: EngineMetrics = field(default_factory=EngineMetrics)
-    auto_tile: bool = True
-    dispatch_overhead_target: float = DEFAULT_DISPATCH_OVERHEAD_TARGET
     clock: Callable[[], float] = field(default=monotonic_clock)
 
     def __post_init__(self) -> None:
         if self.max_elements < 1:
             raise InvalidParameterError(
                 f"max_elements must be >= 1, got {self.max_elements}"
-            )
-        if not 0.0 < self.dispatch_overhead_target < 1.0:
-            raise InvalidParameterError(
-                "dispatch_overhead_target must be in (0,1), got "
-                f"{self.dispatch_overhead_target}"
             )
 
 
@@ -86,7 +73,6 @@ def configure_engine(
     max_elements: Optional[int] = None,
     cache_dir: Optional[str] = None,
     backend: Optional[str] = None,
-    auto_tile: bool = True,
 ) -> EngineConfig:
     """Build and install a configuration from CLI-style scalars.
 
@@ -94,13 +80,11 @@ def configure_engine(
     shared-memory backend unless ``backend`` names another kind).
     ``backend``: force a backend family: "serial", "process" or "shm".
     ``cache_dir``: ``None`` disables the acceptance cache.
-    ``auto_tile``: disarm the cost-model tile auto-sizer when ``False``.
     """
     config = EngineConfig(
         backend=make_backend(workers, kind=backend),
         max_elements=max_elements or DEFAULT_MAX_ELEMENTS,
         cache=AcceptanceCache(cache_dir) if cache_dir else None,
-        auto_tile=auto_tile,
     )
     set_engine(config)
     return config
@@ -111,8 +95,6 @@ def engine_context(
     backend: Optional[ExecutionBackend] = None,
     max_elements: Optional[int] = None,
     cache: Optional[AcceptanceCache] = None,
-    auto_tile: Optional[bool] = None,
-    dispatch_overhead_target: Optional[float] = None,
     clock: Optional[Callable[[], float]] = None,
 ) -> Iterator[EngineConfig]:
     """Scope an engine configuration to a ``with`` block.
@@ -129,12 +111,6 @@ def engine_context(
         ),
         cache=cache if cache is not None else current.cache,
         metrics=current.metrics,
-        auto_tile=auto_tile if auto_tile is not None else current.auto_tile,
-        dispatch_overhead_target=(
-            dispatch_overhead_target
-            if dispatch_overhead_target is not None
-            else current.dispatch_overhead_target
-        ),
         clock=clock if clock is not None else current.clock,
     )
     previous = set_engine(scoped)

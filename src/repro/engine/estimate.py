@@ -12,16 +12,20 @@ estimate in the library runs.  It layers, around any
 * Wald's sequential probability-ratio test, **evaluated only at RNG-block
   boundaries**.
 
+Both modes run the executor's one accept-tile loop
+(:func:`~repro.engine.executor._dispatch`): a fixed budget sums the
+accept vector it returns; SPRT passes a ``consume`` callback.
+
 Block-granular early stopping
 -----------------------------
-In sequential mode the engine dispatches blocks in waves (wave width =
-backend worker count) but *consumes* them strictly in block-index order:
-the log-likelihood ratio is updated one block at a time, and the first
-block whose update crosses a Wald boundary fixes both the verdict and
-``trials_used``.  Blocks executed beyond the crossing are discarded.
-Because the scan order and the per-block results depend only on the root
-entropy — never on scheduling — ``(verdict, trials_used)`` is
-bit-deterministic across backends, worker counts and tile sizes; the
+In sequential mode the loop dispatches tiles in waves (one tile per
+backend worker) but *consumes* blocks strictly in block-index order:
+the callback updates the log-likelihood ratio one block at a time, and
+the first block whose update crosses a Wald boundary fixes both the
+verdict and ``trials_used``.  Blocks executed beyond the crossing are
+discarded.  Because the scan order and the per-block results depend only
+on the root entropy — never on scheduling — ``(verdict, trials_used)``
+is bit-deterministic across backends, worker counts and tile sizes; the
 wave width only changes how much speculative work is thrown away.
 """
 
@@ -29,22 +33,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Optional
 
 import numpy as np
 
 from ..exceptions import InvalidParameterError
 from ..rng import RngLike
 from .cache import kernel_probe_key
-from .chunking import Block, plan_blocks, plan_tiles
+from .chunking import Block
 from .config import get_engine
-from .executor import (
-    _accepts_tile,
-    _dispatch,
-    _use_auto_tiling,
-    autosize_tiles,
-    derive_root_entropy,
-)
+from .executor import _dispatch, derive_root_entropy
 from .kernels import AcceptKernel, as_kernel, kernel_label
 
 
@@ -127,15 +125,6 @@ class AcceptanceEstimate:
     from_cache: bool = False
 
 
-def _wave_width(backend: Any) -> int:
-    """Tiles dispatched per sequential wave (worker count, min 1).
-
-    Only wasted speculative work depends on this: verdicts and
-    ``trials_used`` are fixed by the in-order block scan.
-    """
-    return max(1, int(getattr(backend, "max_workers", 1)))
-
-
 def _cacheable_seed(rng: RngLike) -> bool:
     """Whether ``rng`` names a reusable seed identity worth caching.
 
@@ -148,120 +137,42 @@ def _cacheable_seed(rng: RngLike) -> bool:
     return isinstance(rng, (int, np.integer, np.random.SeedSequence))
 
 
-def _estimate_fixed(
-    kernel: AcceptKernel, distribution: Any, trials: int, root_entropy: int
-) -> AcceptanceEstimate:
-    accepts = _dispatch(
-        _accepts_tile,
-        kernel,
-        distribution,
-        trials,
-        root_entropy,
-        kernel.elements_per_trial,
-    )
-    successes = int(np.asarray(accepts, dtype=bool).sum())
-    return AcceptanceEstimate(
-        rate=successes / trials, trials_used=trials, successes=successes
-    )
-
-
-def _scan_blocks(
-    tile: Sequence[Block], accepts: np.ndarray
-) -> List[Tuple[Block, np.ndarray]]:
-    """Split one tile's concatenated accept vector back into its blocks."""
-    pieces: List[Tuple[Block, np.ndarray]] = []
-    offset = 0
-    for block in tile:
-        pieces.append((block, accepts[offset : offset + block.trials]))
-        offset += block.trials
-    return pieces
-
-
 def _estimate_sequential(
     kernel: AcceptKernel, distribution: Any, spec: SprtSpec, root_entropy: int
 ) -> AcceptanceEstimate:
-    config = get_engine()
-    metrics = config.metrics
-    blocks = plan_blocks(spec.max_trials)
-    tiles = plan_tiles(blocks, kernel.elements_per_trial, config.max_elements)
-    wave = _wave_width(config.backend)
-
     success_step = spec.success_step
     failure_step = spec.failure_step
     boundary = spec.boundary
-
     log_ratio = 0.0
     successes = 0
-    used = 0
-    decided: Optional[bool] = None
 
-    def consume(tile: Sequence[Block], accepts: np.ndarray) -> None:
-        # Strict block-order consumption; blocks beyond a crossing are
-        # speculative work and are discarded.
-        nonlocal log_ratio, successes, used, decided
-        for block, block_accepts in _scan_blocks(tile, np.asarray(accepts)):
-            if decided is not None:
-                break
-            wins = int(block_accepts.sum())
-            successes += wins
-            used += block.trials
-            log_ratio += (
-                wins * success_step + (block.trials - wins) * failure_step
-            )
-            if log_ratio >= boundary:
-                decided = True
-            elif log_ratio <= -boundary:
-                decided = False
+    def consume(block: Block, accepts: np.ndarray) -> bool:
+        nonlocal log_ratio, successes
+        wins = int(accepts.sum())
+        successes += wins
+        log_ratio += wins * success_step + (block.trials - wins) * failure_step
+        return abs(log_ratio) >= boundary
 
-    if _use_auto_tiling(config, len(tiles)):
-        # First tile inline and timed; if undecided, the remaining RNG
-        # blocks are regrouped by the cost model.  Tiling never moves a
-        # block across a boundary, so (verdict, trials_used) are
-        # unchanged — only wave packing differs.
-        with metrics.timed():
-            first, retiled = autosize_tiles(
-                kernel,
-                distribution,
-                tiles,
-                root_entropy,
-                kernel.elements_per_trial,
-                config,
-            )
-        executed = sum(block.trials for block in tiles[0])
-        metrics.count("protocol_trials", executed)
-        metrics.count("samples_drawn", executed * kernel.elements_per_trial)
-        metrics.count("tiles_executed", 1)
-        metrics.count("rng_blocks", len(tiles[0]))
-        consume(tiles[0], first)
-        tiles = retiled if decided is None else []
-
-    tile_index = 0
-    while tile_index < len(tiles) and decided is None:
-        batch = tiles[tile_index : tile_index + wave]
-        tile_index += wave
-        with metrics.timed():
-            results = config.backend.map_accept_tiles(
-                kernel, distribution, batch, root_entropy
-            )
-        executed = sum(block.trials for tile in batch for block in tile)
-        metrics.count("protocol_trials", executed)
-        metrics.count("samples_drawn", executed * kernel.elements_per_trial)
-        metrics.count("tiles_executed", len(batch))
-        metrics.count("rng_blocks", sum(len(tile) for tile in batch))
-        for tile, accepts in zip(batch, results):
-            consume(tile, accepts)
-
-    stopped_early = decided is not None and used < spec.max_trials
-    if decided is None:
-        decided = log_ratio > 0.0
+    used = _dispatch(
+        kernel,
+        distribution,
+        spec.max_trials,
+        root_entropy,
+        kernel.elements_per_trial,
+        consume,
+    ).size
+    # The loop stops early only on a boundary crossing; the boundary is
+    # positive, so the sign of the ratio is the verdict either way.
+    stopped_early = used < spec.max_trials
     if stopped_early:
+        metrics = get_engine().metrics
         metrics.count("sprt_early_stops")
         metrics.count("sprt_trials_saved", spec.max_trials - used)
     return AcceptanceEstimate(
         rate=successes / used,
         trials_used=used,
         successes=successes,
-        decided_above=decided,
+        decided_above=log_ratio > 0.0,
         log_likelihood_ratio=log_ratio,
         stopped_early=stopped_early,
     )
@@ -348,7 +259,13 @@ def estimate_acceptance(
         metrics.count("cache_misses")
 
     if trials is not None:
-        estimate = _estimate_fixed(resolved, distribution, trials, root_entropy)
+        accepts = _dispatch(
+            resolved, distribution, trials, root_entropy, resolved.elements_per_trial
+        )
+        successes = int(np.asarray(accepts, dtype=bool).sum())
+        estimate = AcceptanceEstimate(
+            rate=successes / trials, trials_used=trials, successes=successes
+        )
         metrics.count(f"kernel:{kernel_label(resolved)}:trials", trials)
     else:
         assert sprt is not None

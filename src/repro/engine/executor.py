@@ -2,13 +2,14 @@
 
 All batched protocol/tester execution funnels through here:
 
+* :func:`_dispatch` — the one accept-tile loop.  Fixed-budget and
+  sequential estimates (:func:`~repro.engine.estimate.estimate_acceptance`)
+  and :func:`chunked_accepts` all run through it;
+* :func:`chunked_accepts` — the boolean accept vector of any tester that
+  implements ``accept_block``;
 * :func:`monte_carlo_bits` — the (trials × k) player-bit matrix of a
   :class:`~repro.core.protocol.SimultaneousProtocol`, computed in
-  memory-bounded tiles on the active backend;
-* :func:`chunked_accepts` — the boolean accept vector of any tester that
-  implements ``accept_block`` (a plain single-tile kernel);
-* :func:`cached_acceptance_rate` — a cache-aware acceptance-probability
-  probe used by the empirical complexity searches.
+  memory-bounded tiles on the active backend's ``map_tasks``.
 
 Determinism contract
 --------------------
@@ -24,27 +25,24 @@ result is bit-identical across backends, worker counts and tile sizes.
 from __future__ import annotations
 
 import math
-from typing import Any, Callable, List, Sequence, Tuple
+from typing import Any, Callable, List, Optional, Sequence
 
 import numpy as np
 import numpy.typing as npt
 
+from ..exceptions import InvalidParameterError
 from ..rng import RngLike, ensure_rng
-from .chunking import (
-    RNG_BLOCK_TRIALS,
-    Block,
-    plan_blocks,
-    plan_cost_tiles,
-    plan_tiles,
-    tile_trials,
-)
-from .config import EngineConfig, get_engine
+from .chunking import RNG_BLOCK_TRIALS, Block, plan_blocks, plan_tiles, tile_trials
+from .config import get_engine
+from .kernels import protocol_bits
+from .metrics import EngineMetrics
 
 #: Result arrays flowing through the engine (dtype varies by kernel).
 Array = npt.NDArray[Any]
 
-#: A tile kernel: (owner, distribution, tile, root_entropy) → array.
-TileKernel = Callable[[Any, Any, Sequence[Block], int], Array]
+#: Ceiling on pool dispatch overhead as a fraction of tile compute; sizes
+#: the tiles that follow the timed inline tile on parallel backends.
+DISPATCH_OVERHEAD_TARGET = 0.05
 
 
 def derive_root_entropy(rng: RngLike) -> int:
@@ -55,6 +53,8 @@ def derive_root_entropy(rng: RngLike) -> int:
     keeps successive batches on a shared generator independent.
     """
     if isinstance(rng, (int, np.integer)) and not isinstance(rng, bool):
+        if rng < 0:
+            raise InvalidParameterError(f"seed must be >= 0, got {int(rng)}")
         return int(rng)
     generator = ensure_rng(rng)
     return int(generator.integers(0, 2**63 - 1))
@@ -65,151 +65,148 @@ def block_seed(root_entropy: int, block_index: int) -> np.random.SeedSequence:
     return np.random.SeedSequence(entropy=root_entropy, spawn_key=(block_index,))
 
 
+def _block_generator(root_entropy: int, block: Block) -> np.random.Generator:
+    return np.random.default_rng(block_seed(root_entropy, block.index))
+
+
+def _join(pieces: Sequence[Array]) -> Array:
+    return pieces[0] if len(pieces) == 1 else np.concatenate(pieces)
+
+
 def _protocol_bits_tile(
     protocol: Any, distribution: Any, tile: Sequence[Block], root_entropy: int
 ) -> Array:
     """Player-bit matrix for one tile (module-level: must pickle)."""
-    k = protocol.num_players
-    pieces: List[Array] = []
-    for block in tile:
-        generator = np.random.default_rng(block_seed(root_entropy, block.index))
-        if protocol.is_homogeneous:
-            strategy = protocol.players[0].strategy
-            q = protocol.players[0].num_samples
-            samples = distribution.sample_matrix(block.trials * k, q, generator)
-            bits = strategy.respond_batch(samples, generator).reshape(
-                block.trials, k
+    return _join(
+        [
+            protocol_bits(
+                protocol, distribution, block.trials, _block_generator(root_entropy, block)
             )
-        else:
-            bits = np.empty((block.trials, k), dtype=np.int64)
-            for index, player in enumerate(protocol.players):
-                samples = distribution.sample_matrix(
-                    block.trials, player.num_samples, generator
-                )
-                bits[:, index] = player.strategy.respond_batch(samples, generator)
-        pieces.append(bits)
-    return pieces[0] if len(pieces) == 1 else np.concatenate(pieces, axis=0)
+            for block in tile
+        ]
+    )
 
 
 def _accepts_tile(
     runner: Any, distribution: Any, tile: Sequence[Block], root_entropy: int
 ) -> Array:
     """Accept vector for one tile of an ``accept_block`` runner."""
-    pieces: List[Array] = []
-    for block in tile:
-        generator = np.random.default_rng(block_seed(root_entropy, block.index))
-        pieces.append(
-            np.asarray(runner.accept_block(distribution, block.trials, generator))
-        )
-    return pieces[0] if len(pieces) == 1 else np.concatenate(pieces)
-
-
-def _use_auto_tiling(config: EngineConfig, tile_count: int) -> bool:
-    """Whether the cost-model auto-sizer should engage for this batch.
-
-    Serial backends gain nothing from retiling (no dispatch to
-    amortise), and a single tile leaves nothing to resize.
-    """
-    return (
-        config.auto_tile
-        and tile_count > 1
-        and int(getattr(config.backend, "max_workers", 1)) > 1
+    return _join(
+        [
+            np.asarray(
+                runner.accept_block(
+                    distribution, block.trials, _block_generator(root_entropy, block)
+                )
+            )
+            for block in tile
+        ]
     )
 
 
-def autosize_tiles(
-    kernel: Any,
-    distribution: Any,
-    tiles: Sequence[Sequence[Block]],
-    root_entropy: int,
-    elements_per_trial: int,
-    config: EngineConfig,
-) -> Tuple[Array, List[List[Block]]]:
-    """Run the first tile inline and cost-model retile the remainder.
-
-    Returns the first tile's accept vector plus the regrouped remaining
-    tiles, sized so per-tile dispatch overhead stays below
-    ``config.dispatch_overhead_target``: with measured per-trial compute
-    cost ``c`` and dispatch round-trip ``d``, a tile needs
-    ``d / (target · c)`` trials.  The target is clamped so the remaining
-    work still spreads across the pool (at least one tile per worker when
-    there are enough blocks), and the memory bound stays hard.  Only the
-    *grouping* changes — RNG blocks are never split — so results remain
-    bit-identical to any other tiling.
-    """
-    from ..experiments.timing import Stopwatch
-
-    watch = Stopwatch(clock=config.clock)
-    first = np.asarray(
-        _accepts_tile(kernel, distribution, tiles[0], root_entropy)
-    )
-    per_trial_s = max(watch.elapsed(), 1e-9) / tile_trials(tiles[0])
-    dispatch_s = config.backend.dispatch_overhead_s(config.clock)
-    target = dispatch_s / (config.dispatch_overhead_target * per_trial_s)
-    remaining = [block for tile in tiles[1:] for block in tile]
-    remaining_trials = sum(block.trials for block in remaining)
-    workers = max(1, int(getattr(config.backend, "max_workers", 1)))
-    fair_share = math.ceil(remaining_trials / workers)
-    target = max(float(RNG_BLOCK_TRIALS), min(target, float(fair_share)))
-    retiled = plan_cost_tiles(
-        remaining, elements_per_trial, config.max_elements, target
-    )
-    config.metrics.count("autotile_retiles")
-    return first, retiled
+def _count_wave(
+    metrics: EngineMetrics, wave: Sequence[Sequence[Block]], elements_per_trial: int
+) -> None:
+    """Record one dispatched wave of tiles on the engine counters."""
+    trials = sum(tile_trials(tile) for tile in wave)
+    metrics.count("protocol_trials", trials)
+    metrics.count("samples_drawn", trials * elements_per_trial)
+    metrics.count("tiles_executed", len(wave))
+    metrics.count("rng_blocks", sum(len(tile) for tile in wave))
 
 
 def _dispatch(
-    task_fn: TileKernel,
-    owner: Any,
+    kernel: Any,
     distribution: Any,
     trials: int,
-    rng: RngLike,
+    root_entropy: int,
     elements_per_trial: int,
+    consume: Optional[Callable[[Block, Array], bool]] = None,
 ) -> Array:
-    """Shared plan → map → concatenate path for both execution kinds."""
+    """The one plan → tile → dispatch → count loop for accept kernels.
+
+    Blocks are grouped into memory-bounded tiles.  On a parallel backend
+    the first tile runs inline, timed with ``config.clock``; if more
+    tiles follow, the remaining blocks are regrouped so per-tile
+    dispatch overhead stays below :data:`DISPATCH_OVERHEAD_TARGET` of the
+    measured compute (clamped between one RNG block and an even split
+    across workers; the memory bound stays hard).  Tiles then go out in
+    waves through ``backend.map_accept_tiles``: all at once without
+    ``consume``, one tile per worker with it.
+
+    ``consume(block, accepts)`` sees every block strictly in index order;
+    the first ``True`` it returns stops the loop and drops every later
+    block, executed or not.  Returns the accepts of the consumed blocks
+    (all of them without ``consume``).  Regrouping never splits an RNG
+    block, so the result is bit-identical under any backend and tiling.
+    """
     config = get_engine()
     metrics = config.metrics
-    root_entropy = derive_root_entropy(rng)
-    blocks = plan_blocks(trials)
-    tiles = plan_tiles(blocks, elements_per_trial, config.max_elements)
-    accept_path = task_fn is _accepts_tile
-    results: List[Array] = []
-    executed_tiles = len(tiles)
-    if accept_path and _use_auto_tiling(config, len(tiles)):
+    workers = max(1, int(getattr(config.backend, "max_workers", 1)))
+    tiles = plan_tiles(plan_blocks(trials), elements_per_trial, config.max_elements)
+    kept: List[Array] = []
+
+    def run(wave: Sequence[Sequence[Block]], results: Sequence[Array]) -> bool:
+        _count_wave(metrics, wave, elements_per_trial)
+        for tile, accepts in zip(wave, results):
+            accepts = np.asarray(accepts)
+            if consume is None:
+                kept.append(accepts)
+                continue
+            offset = 0
+            for block in tile:
+                piece = accepts[offset : offset + block.trials]
+                offset += block.trials
+                kept.append(piece)
+                if consume(block, piece):
+                    return True
+        return False
+
+    if workers > 1:
+        # Inline: a one-tile plan needs no dispatch at all, and a longer
+        # one learns its per-trial cost for the regrouping below.
         with metrics.timed():
-            first, tiles = autosize_tiles(
-                owner, distribution, tiles, root_entropy, elements_per_trial, config
+            started = config.clock()
+            first = _accepts_tile(kernel, distribution, tiles[0], root_entropy)
+            per_trial_s = max(config.clock() - started, 1e-9) / tile_trials(tiles[0])
+        if run(tiles[:1], [first]) or len(tiles) == 1:
+            return _join(kept)
+        remaining = [block for tile in tiles[1:] for block in tile]
+        dispatch_s = config.backend.dispatch_overhead_s(config.clock)
+        target = dispatch_s / (DISPATCH_OVERHEAD_TARGET * per_trial_s)
+        fair_share = math.ceil(sum(block.trials for block in remaining) / workers)
+        target = max(float(RNG_BLOCK_TRIALS), min(target, float(fair_share)))
+        tiles = plan_tiles(remaining, elements_per_trial, config.max_elements, target)
+        metrics.count("autotile_retiles")
+
+    width = workers if consume is not None else len(tiles)
+    for start in range(0, len(tiles), width):
+        wave = tiles[start : start + width]
+        with metrics.timed():
+            results = config.backend.map_accept_tiles(
+                kernel, distribution, wave, root_entropy
             )
-        results.append(first)
-        executed_tiles = len(tiles) + 1
-    with metrics.timed():
-        if accept_path:
-            mapped = config.backend.map_accept_tiles(
-                owner, distribution, tiles, root_entropy
-            )
-        else:
-            tasks = [(owner, distribution, tile, root_entropy) for tile in tiles]
-            mapped = config.backend.map_tasks(task_fn, tasks)
-    results.extend(np.asarray(piece) for piece in mapped)
-    metrics.count("protocol_trials", trials)
-    metrics.count("samples_drawn", trials * elements_per_trial)
-    metrics.count("tiles_executed", executed_tiles)
-    metrics.count("rng_blocks", len(blocks))
-    return results[0] if len(results) == 1 else np.concatenate(results)
+        if run(wave, results):
+            break
+    return _join(kept)
 
 
 def monte_carlo_bits(
     protocol: Any, distribution: Any, trials: int, rng: RngLike = None
 ) -> Array:
-    """(trials × k) player-bit matrix, tiled over the active backend."""
-    return _dispatch(
-        _protocol_bits_tile,
-        protocol,
-        distribution,
-        trials,
-        rng,
-        protocol.total_samples,
-    )
+    """(trials × k) player-bit matrix, tiled over the active backend.
+
+    Bit matrices cannot travel over the bit-packed accept transport, so
+    their tiles go through ``map_tasks`` rather than :func:`_dispatch`.
+    """
+    config = get_engine()
+    elements = protocol.total_samples
+    root_entropy = derive_root_entropy(rng)
+    tiles = plan_tiles(plan_blocks(trials), elements, config.max_elements)
+    tasks = [(protocol, distribution, tile, root_entropy) for tile in tiles]
+    with config.metrics.timed():
+        pieces = config.backend.map_tasks(_protocol_bits_tile, tasks)
+    _count_wave(config.metrics, tiles, elements)
+    return _join([np.asarray(piece) for piece in pieces])
 
 
 def chunked_accepts(
@@ -227,26 +224,5 @@ def chunked_accepts(
     if elements is None:
         elements = runner.resources.total_samples
     return _dispatch(
-        _accepts_tile,
-        runner,
-        distribution,
-        trials,
-        rng,
-        int(elements),
+        runner, distribution, trials, derive_root_entropy(rng), int(elements)
     )
-
-
-def cached_acceptance_rate(
-    tester: Any, distribution: Any, trials: int, seed: np.random.SeedSequence
-) -> float:
-    """P[accept] for one probe, memoised in the active acceptance cache.
-
-    The probe is a pure function of ``(kernel identity, distribution,
-    trials, seed identity)``; with a warm cache it performs **zero**
-    protocol executions, which the :mod:`~repro.engine.metrics` counters
-    make observable.  Thin wrapper over
-    :func:`~repro.engine.estimate.estimate_acceptance`.
-    """
-    from .estimate import estimate_acceptance
-
-    return estimate_acceptance(tester, distribution, trials=trials, rng=seed).rate

@@ -36,9 +36,9 @@ Adapters
   :class:`TesterKernel`, which derives the token from the engine's tester
   fingerprint;
 * protocol-backed testers and raw ``SimultaneousProtocol`` instances get
-  a :class:`ProtocolKernel` whose block kernel reproduces the engine's
-  historical draw order bit-for-bit (samples then response bits, block by
-  block, referee applied per block — every shipped referee is row-wise).
+  a :class:`ProtocolKernel`, which draws the same player bits as
+  :func:`~repro.engine.executor.monte_carlo_bits` (:func:`protocol_bits`)
+  and applies the referee per block — every shipped referee is row-wise.
 """
 
 from __future__ import annotations
@@ -170,14 +170,36 @@ class TesterKernel:
         return f"TesterKernel({self.tester!r})"
 
 
+def protocol_bits(
+    protocol: Any, distribution: Any, trials: int, generator: np.random.Generator
+) -> np.ndarray:
+    """The (trials × k) player-bit matrix of one RNG block.
+
+    Draw order: one sample matrix for all players (homogeneous) or one
+    matrix per player (heterogeneous), then the response bits.  Both
+    :func:`~repro.engine.executor.monte_carlo_bits` and
+    :class:`ProtocolKernel` draw through here, which keeps them
+    bit-identical under the same root entropy.
+    """
+    k = protocol.num_players
+    if protocol.is_homogeneous:
+        strategy = protocol.players[0].strategy
+        q = protocol.players[0].num_samples
+        samples = distribution.sample_matrix(trials * k, q, generator)
+        return strategy.respond_batch(samples, generator).reshape(trials, k)
+    bits = np.empty((trials, k), dtype=np.int64)
+    for index, player in enumerate(protocol.players):
+        samples = distribution.sample_matrix(trials, player.num_samples, generator)
+        bits[:, index] = player.strategy.respond_batch(samples, generator)
+    return bits
+
+
 class ProtocolKernel:
     """Block kernel for protocol-backed testers and raw protocols.
 
-    Reproduces the draw order of the engine's historical
-    ``_protocol_bits_tile`` path exactly — per block: one sample matrix
-    (homogeneous) or one matrix per player (heterogeneous), then the
-    response bits, then the referee — so estimates through this kernel
-    are bit-identical to ``protocol.run_batch(...)`` under the same root
+    Per block it draws the player bits with :func:`protocol_bits` and
+    applies the referee, so estimates through this kernel are
+    bit-identical to ``protocol.run_batch(...)`` under the same root
     entropy (all shipped referees decide row-wise).
     """
 
@@ -208,21 +230,8 @@ class ProtocolKernel:
     def accept_block(
         self, distribution: Any, trials: int, rng: RngLike = None
     ) -> BoolArray:
-        generator = ensure_rng(rng)
         protocol = self._protocol
-        k = protocol.num_players
-        if protocol.is_homogeneous:
-            strategy = protocol.players[0].strategy
-            q = protocol.players[0].num_samples
-            samples = distribution.sample_matrix(trials * k, q, generator)
-            bits = strategy.respond_batch(samples, generator).reshape(trials, k)
-        else:
-            bits = np.empty((trials, k), dtype=np.int64)
-            for index, player in enumerate(protocol.players):
-                samples = distribution.sample_matrix(
-                    trials, player.num_samples, generator
-                )
-                bits[:, index] = player.strategy.respond_batch(samples, generator)
+        bits = protocol_bits(protocol, distribution, trials, ensure_rng(rng))
         return np.asarray(protocol.referee.decide_batch(bits), dtype=bool)
 
     def __repr__(self) -> str:

@@ -9,10 +9,10 @@ one-shot alternative used by
 * the parent pickles the pair **once** into a named
   :mod:`multiprocessing.shared_memory` segment and registers it under a
   ship token;
-* workers rehydrate lazily into a process-local registry — and, when the
-  pool uses the POSIX ``fork`` start method, children spawned after the
-  shipment inherit the parent's registry entry outright and never touch
-  the segment;
+* workers rehydrate lazily into a process-local registry that keeps only
+  the latest pair — and, when the pool uses the POSIX ``fork`` start
+  method, children spawned after the shipment inherit the parent's
+  registry entry outright and never touch the segment;
 * tile results travel back as ``numpy.packbits``-packed bytes (one bit
   per trial) instead of pickled ndarrays.
 
@@ -86,7 +86,11 @@ def serialize_shipment(kernel: Any, distribution: Any) -> bytes:
 
 
 def rehydrate(token: str, segment_name: str, blob_size: int) -> Tuple[Any, Any]:
-    """The shipped ``(kernel, distribution)`` pair, cached per process."""
+    """The shipped ``(kernel, distribution)`` pair, cached per process.
+
+    A backend keeps only its latest shipment live, so a new token retires
+    every pair rehydrated (or inherited) before it.
+    """
     entry = _REGISTRY.get(token)
     if entry is None:
         segment = _attach_segment(segment_name)
@@ -94,6 +98,7 @@ def rehydrate(token: str, segment_name: str, blob_size: int) -> Tuple[Any, Any]:
             entry = pickle.loads(bytes(segment.buf[:blob_size]))
         finally:
             segment.close()
+        _REGISTRY.clear()
         _REGISTRY[token] = entry
     return entry
 

@@ -134,16 +134,18 @@ def _seeded_success(
     whole re-runs, and results are bit-identical across backends and
     chunk sizes.
     """
-    from ..engine import cached_acceptance_rate
+    from ..engine import estimate_acceptance
 
     def probe_seed(side: int) -> np.random.SeedSequence:
         return np.random.SeedSequence(entropy=root_entropy, spawn_key=(1, level, side))
 
-    success = cached_acceptance_rate(
-        tester, uniform(tester.n), trials, probe_seed(0)
-    )
+    success = estimate_acceptance(
+        tester, uniform(tester.n), trials=trials, rng=probe_seed(0)
+    ).rate
     for index, far in enumerate(alternatives):
-        rate = cached_acceptance_rate(tester, far, trials, probe_seed(index + 1))
+        rate = estimate_acceptance(
+            tester, far, trials=trials, rng=probe_seed(index + 1)
+        ).rate
         success = min(success, 1.0 - rate)
     return success
 

@@ -42,10 +42,8 @@ def _drain_warm_pools():
     close_warm_backends()
 
 
-def _estimates(backend, max_elements, auto_tile=False):
-    with engine_context(
-        backend=backend, max_elements=max_elements, auto_tile=auto_tile
-    ):
+def _estimates(backend, max_elements):
+    with engine_context(backend=backend, max_elements=max_elements):
         fixed = estimate_acceptance(KERNEL, DISTRIBUTION, trials=1000, rng=123)
         sequential = estimate_acceptance(KERNEL, DISTRIBUTION, sprt=SPRT, rng=123)
     return fixed, sequential
@@ -74,7 +72,7 @@ class TestEstimateParity:
         reference_fixed, reference_sprt = _estimates(SerialBackend(), 64)
         for kind in KINDS:
             backend = make_backend(2, kind=kind)
-            fixed, sequential = _estimates(backend, 64, auto_tile=True)
+            fixed, sequential = _estimates(backend, 64)
             _assert_same(fixed, reference_fixed)
             _assert_same(sequential, reference_sprt)
 

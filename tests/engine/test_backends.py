@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import os
+import signal
 import subprocess
 import sys
 import textwrap
@@ -31,6 +32,27 @@ def _square(x):
 
 def _fail(x):
     raise ValueError(f"boom {x}")
+
+
+def _worker_shipments(prefix):
+    """(pid, shipments under ``prefix``) held by the worker running this."""
+    import time
+
+    from repro.engine import shm
+
+    time.sleep(0.05)  # keep this worker busy so its peers take tasks too
+    return os.getpid(), sum(token.startswith(prefix) for token in shm._REGISTRY)
+
+
+def _segment_exists(name):
+    from repro.engine import shm
+
+    try:
+        segment = shm._attach_segment(name)
+    except FileNotFoundError:
+        return False
+    segment.close()
+    return True
 
 
 class TestSerialBackend:
@@ -124,6 +146,92 @@ class TestSharedMemoryBackend:
         assert backend._shipments
         backend.close()
         assert not backend._shipments
+
+
+class TestShipmentLifetime:
+    """A pool holds the live shipment only, not one per estimate."""
+
+    def test_distinct_kernels_leave_one_segment_and_registry_entry(self):
+        from repro.distributions.discrete import uniform
+        from repro.engine import BernoulliKernel, engine_context, estimate_acceptance
+
+        backend = SharedMemoryBackend(max_workers=2)
+        names = set()
+        try:
+            with engine_context(backend=backend, max_elements=64):
+                for index in range(30):
+                    estimate_acceptance(
+                        BernoulliKernel(0.2 + index / 50),
+                        uniform(8),
+                        trials=512,
+                        rng=index,
+                    )
+                    names.update(
+                        shipment.segment.name
+                        for shipment in backend._shipments.values()
+                    )
+            assert len(names) == 30  # every estimate shipped a new pair
+            assert len(backend._shipments) == 1
+            assert sum(_segment_exists(name) for name in names) == 1
+            prefix = f"{os.getpid()}-{id(backend):x}-"
+            held = backend.map_tasks(_worker_shipments, [(prefix,)] * 8)
+            assert all(count <= 1 for _, count in held), held
+        finally:
+            backend.close()
+        assert not any(_segment_exists(name) for name in names)
+
+
+class TestNestedDispatch:
+    """Engine calls inside pool workers must not submit to the parent pool."""
+
+    def test_sweep_points_with_multi_tile_estimates_finish(self):
+        script = textwrap.dedent(
+            """
+            from repro.distributions.discrete import uniform
+            from repro.engine import (
+                BernoulliKernel,
+                SprtSpec,
+                configure_engine,
+                estimate_acceptance,
+                map_sweep_points,
+            )
+
+            def task(point, params, generator):
+                kernel = BernoulliKernel(point["p"])
+                fixed = estimate_acceptance(kernel, uniform(8), trials=1000, rng=5)
+                spec = SprtSpec(target=0.5, margin=0.1, max_trials=2048)
+                sprt = estimate_acceptance(kernel, uniform(8), sprt=spec, rng=5)
+                return [fixed.successes, sprt.trials_used, sprt.successes]
+
+            points = [{"p": p} for p in (0.3, 0.5, 0.7)]
+            rows = []
+            for workers in (1, 2):
+                # 64 elements per tile: every estimate spans several tiles.
+                configure_engine(workers=workers, max_elements=64)
+                rows.append(map_sweep_points(task, points, {}, 0, [0, 1, 2]))
+            assert rows[0] == rows[1], rows
+            print("RAN", rows[1])
+            """
+        )
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.path.join(_REPO_ROOT, "src")
+        # Own session: a hang is killed with its pool workers, not orphaned.
+        child = subprocess.Popen(
+            [sys.executable, "-c", script],
+            env=env,
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            text=True,
+            start_new_session=True,
+        )
+        try:
+            stdout, stderr = child.communicate(timeout=120)
+        except subprocess.TimeoutExpired:
+            os.killpg(child.pid, signal.SIGKILL)
+            child.communicate()
+            pytest.fail("nested engine dispatch inside a pool worker hung")
+        assert child.returncode == 0, stderr
+        assert stdout.startswith("RAN")
 
 
 class TestDispatchOverhead:

@@ -87,6 +87,15 @@ class TestComplexityCommand:
         assert "Theorem 1.1 lower bound" in out
 
 
+class TestSeedValidation:
+    def test_negative_seed_is_a_clean_error(self, capsys):
+        code = main(
+            ["complexity", "--n", "64", "--k", "4", "--seed", "-1", "--trials", "50"]
+        )
+        assert code == 2
+        assert "error: seed must be >= 0" in capsys.readouterr().err
+
+
 class TestExperimentCommand:
     def test_runs_exact_experiment(self, capsys):
         code = main(["experiment", "e10", "--scale", "small"])
