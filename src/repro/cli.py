@@ -110,12 +110,12 @@ def _add_engine_options(parser: argparse.ArgumentParser) -> None:
     group.add_argument(
         "--cache-dir",
         default=None,
-        help="directory for the on-disk acceptance-curve cache",
+        help="directory for the on-disk acceptance-curve and calibration cache",
     )
     group.add_argument(
         "--no-cache",
         action="store_true",
-        help="disable the acceptance cache even if --cache-dir is set",
+        help="disable the acceptance-curve and calibration cache even if --cache-dir is set",
     )
 
 

@@ -28,7 +28,9 @@ dither calibration, the worst-case ε-far proxy) that the per-tester
 helpers in :mod:`repro.core.players` and :mod:`repro.core.testers` now
 delegate to, and :class:`ComparisonGraphTester` — graph in, tester out —
 whose ``accept_block`` runs through the engine's
-:class:`~repro.engine.kernels.AcceptKernel` protocol unchanged.
+:class:`~repro.engine.kernels.AcceptKernel` protocol unchanged.  The
+Monte-Carlo calibrators are memoised in the engine's acceptance cache
+(:func:`~repro.engine.cache.cached_calibration`).
 """
 
 from __future__ import annotations
@@ -40,6 +42,7 @@ from typing import Any, Callable, Dict, Optional, Tuple
 import numpy as np
 
 from ..distributions.discrete import DiscreteDistribution, uniform
+from ..engine.cache import cached_calibration
 from ..exceptions import InvalidParameterError
 from ..rng import RngLike, ensure_rng
 from .base import TesterResources, UniformityTester
@@ -125,6 +128,15 @@ class ComparisonGraph:
         digest.update(self.edge_u.tobytes())
         digest.update(self.edge_v.tobytes())
         return digest.hexdigest()[:16]
+
+    @property
+    def cache_token(self) -> Dict[str, Any]:
+        """Identity of the graph in calibration cache keys."""
+        return {
+            "family": self.family,
+            "num_vertices": self.num_vertices,
+            "edges": self.content_hash(),
+        }
 
     def __repr__(self) -> str:
         return (
@@ -399,6 +411,7 @@ def exact_no_collision_probability(
     return None
 
 
+@cached_calibration(version=1)
 def statistic_alarm_probabilities(
     graph: ComparisonGraph,
     n: int,
@@ -430,6 +443,7 @@ def statistic_alarm_probabilities(
     return p_uniform, p_far
 
 
+@cached_calibration(version=1)
 def calibrate_statistic_threshold(
     graph: ComparisonGraph,
     n: int,
@@ -474,6 +488,7 @@ def calibrate_statistic_threshold(
     return maximum + 1, 0.0
 
 
+@cached_calibration(version=1)
 def calibrate_dithered_statistic(
     graph: ComparisonGraph,
     n: int,
@@ -513,6 +528,7 @@ def calibrate_dithered_statistic(
     return maximum + 1, 0.0, 0.0
 
 
+@cached_calibration(version=1)
 def calibrate_distinct_threshold(
     graph: ComparisonGraph,
     n: int,

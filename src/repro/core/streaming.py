@@ -52,6 +52,7 @@ import numpy as np
 
 from ..distributions.discrete import uniform
 from ..distributions.generators import two_level_distribution
+from ..engine.cache import cached_calibration
 from ..exceptions import InvalidParameterError
 from ..rng import RngLike, ensure_rng
 from .graphs import (
@@ -157,6 +158,7 @@ def _bucket_histogram(values: np.ndarray, num_buckets: int) -> np.ndarray:
     return flat.reshape(trials, num_buckets)
 
 
+@cached_calibration(version=1)
 def calibrate_sketch_threshold(
     statistic: Callable[[np.ndarray], np.ndarray],
     n: int,
@@ -164,6 +166,7 @@ def calibrate_sketch_threshold(
     q: int,
     trials: int = 3000,
     rng: RngLike = 0,
+    statistic_token: Optional[Dict[str, Any]] = None,
 ) -> float:
     """Monte-Carlo midpoint cut for a (possibly sketched) batch statistic.
 
@@ -171,6 +174,8 @@ def calibrate_sketch_threshold(
     draw order exactly — uniform matrix first, then the worst-case
     ε-far proxy's, on one shared generator — so exact configurations
     calibrated here coincide with the graph-layer calibrations.
+    ``statistic_token`` names the statistic in the calibration cache
+    key; without it the cut is never cached.
     """
     if trials < 100:
         raise InvalidParameterError(f"trials must be >= 100, got {trials}")
@@ -182,6 +187,25 @@ def calibrate_sketch_threshold(
     far = two_level_distribution(n if n % 2 == 0 else n - 1, epsilon)
     far_stats = statistic(far.sample_matrix(trials, q, generator))
     return 0.5 * (float(uniform_stats.mean()) + float(far_stats.mean()))
+
+
+def _sketch_midpoint(tester: Any, trials: int, rng: RngLike) -> float:
+    """:func:`calibrate_sketch_threshold` on a sketched tester's bucketed
+    batch statistic, named by its class, ``kernel_version`` and bucket
+    count (``n`` and ``q`` are key arguments already)."""
+    return calibrate_sketch_threshold(
+        tester.batch_statistic,
+        tester.n,
+        tester.epsilon,
+        tester.q,
+        trials=trials,
+        rng=rng,
+        statistic_token={
+            "class": type(tester).__name__,
+            "kernel_version": int(tester.kernel_version),
+            "buckets": tester.num_buckets,
+        },
+    )
 
 
 class StreamingTester(abc.ABC):
@@ -365,13 +389,8 @@ class StreamingCollisionTester(StreamingTester):
             pair_count = self.q * (self.q - 1) // 2
             self.statistic_threshold = pair_count * (1.0 + epsilon**2 / 2.0) / n
         else:
-            self.statistic_threshold = calibrate_sketch_threshold(
-                self.batch_statistic,
-                n,
-                epsilon,
-                self.q,
-                trials=calibration_trials,
-                rng=calibration_rng,
+            self.statistic_threshold = _sketch_midpoint(
+                self, calibration_trials, calibration_rng
             )
 
     def init_state(self, trials: int) -> Dict[str, np.ndarray]:
@@ -458,13 +477,8 @@ class StreamingDistinctTester(StreamingTester):
                 rng=calibration_rng,
             )
         else:
-            self.statistic_threshold = calibrate_sketch_threshold(
-                self.batch_statistic,
-                n,
-                epsilon,
-                self.q,
-                trials=calibration_trials,
-                rng=calibration_rng,
+            self.statistic_threshold = _sketch_midpoint(
+                self, calibration_trials, calibration_rng
             )
 
     def init_state(self, trials: int) -> Dict[str, np.ndarray]:

@@ -25,7 +25,6 @@ from .chunking import (
     RNG_BLOCK_TRIALS,
     Block,
     plan_blocks,
-    plan_cost_tiles,
     plan_tiles,
     tile_trials,
 )
@@ -90,7 +89,6 @@ __all__ = [
     "RNG_BLOCK_TRIALS",
     "plan_blocks",
     "plan_tiles",
-    "plan_cost_tiles",
     "tile_trials",
     "EngineConfig",
     "DEFAULT_MAX_ELEMENTS",

@@ -108,10 +108,6 @@ def plan_tiles(
     return tiles
 
 
-#: The cost-model name of :func:`plan_tiles` (same planner, explicit target).
-plan_cost_tiles = plan_tiles
-
-
 def tile_trials(tile: Sequence[Block]) -> int:
     """Total trials covered by one tile."""
     return sum(block.trials for block in tile)

@@ -39,7 +39,7 @@ import numpy as np
 
 from ..exceptions import InvalidParameterError
 from ..rng import RngLike
-from .cache import kernel_probe_key
+from .cache import cacheable_seed, kernel_probe_key
 from .chunking import Block
 from .config import get_engine
 from .executor import _dispatch, derive_root_entropy
@@ -123,18 +123,6 @@ class AcceptanceEstimate:
     log_likelihood_ratio: Optional[float] = None
     stopped_early: bool = False
     from_cache: bool = False
-
-
-def _cacheable_seed(rng: RngLike) -> bool:
-    """Whether ``rng`` names a reusable seed identity worth caching.
-
-    Integer seeds and seed sequences recur across runs; a live generator
-    (or fresh OS entropy) yields a one-off root that would only litter
-    the cache directory.
-    """
-    if isinstance(rng, bool):
-        return False
-    return isinstance(rng, (int, np.integer, np.random.SeedSequence))
 
 
 def _estimate_sequential(
@@ -237,7 +225,7 @@ def estimate_acceptance(
 
     config = get_engine()
     metrics = config.metrics
-    cacheable = config.cache is not None and _cacheable_seed(rng)
+    cacheable = config.cache is not None and cacheable_seed(rng)
     root_entropy = derive_root_entropy(rng)
 
     mode: Dict[str, Any]

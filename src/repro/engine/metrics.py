@@ -13,6 +13,8 @@ counters on the *active* :class:`EngineMetrics` instance:
     computed inside them.
 ``cache_hits`` / ``cache_misses``
     Acceptance-curve cache outcomes.
+``calibration_hits`` / ``calibration_misses``
+    Calibration-memo outcomes (counted apart from the estimate cache).
 ``wall_time_s``
     Wall-clock seconds spent inside engine dispatch.
 
@@ -47,6 +49,8 @@ COUNTER_NAMES = (
     "rng_blocks",
     "cache_hits",
     "cache_misses",
+    "calibration_hits",
+    "calibration_misses",
     "wall_time_s",
 )
 

@@ -62,7 +62,7 @@ class RngBudgetMismatch(_DataflowRule):
     name = "rng-budget-mismatch"
     summary = "elements_per_trial smaller than inferred per-trial RNG draws"
     rationale = (
-        "plan_tiles/plan_cost_tiles size trial blocks from "
+        "plan_tiles sizes trial blocks from "
         "elements_per_trial; a declaration below the real per-trial "
         "draw count makes the tiler promise memory bounds the kernel "
         "then exceeds, and the cost model mis-prices every block.  The "

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import os
+import shutil
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ from repro.engine import (
     probe_key,
 )
 from repro.engine import tester_fingerprint as fingerprint_tester
-from repro.engine.cache import CACHE_VERSION, seed_fingerprint
+from repro.engine.cache import CACHE_VERSION, cached_calibration, seed_fingerprint
 from repro.exceptions import InvalidParameterError
 
 N, EPS = 64, 0.5
@@ -96,6 +97,14 @@ class TestAcceptanceCache:
             handle.write("{not json")
         assert cache.get_rate(key) is None
 
+    def test_undecodable_entry_reads_as_miss(self, tmp_path):
+        cache = AcceptanceCache(str(tmp_path))
+        key = _key()
+        path = cache.put_rate(key, 0.5)
+        with open(path, "wb") as handle:
+            handle.write(b"\xff\xfe\x00")
+        assert cache.get_rate(key) is None
+
     def test_stale_version_reads_as_miss(self, tmp_path):
         cache = AcceptanceCache(str(tmp_path))
         key = _key()
@@ -106,6 +115,47 @@ class TestAcceptanceCache:
         with open(path, "w", encoding="utf-8") as handle:
             json.dump(payload, handle)
         assert cache.get_rate(key) is None
+
+    def test_non_dict_stored_key_reads_as_miss(self, tmp_path):
+        cache = AcceptanceCache(str(tmp_path))
+        key = _key()
+        path = cache.put_estimate(key, {"rate": 0.5})
+        with open(path, "w", encoding="utf-8") as handle:
+            json.dump({"key": [1, 2], "rate": 0.5, "estimate": {"rate": 0.5}}, handle)
+        assert cache.get_rate(key) is None
+        assert cache.get_estimate(key) is None
+        cache.put_rate(key, 0.25)
+        assert cache.get_rate(key) == pytest.approx(0.25)
+
+    def test_entry_stored_under_another_key_reads_as_miss(self, tmp_path):
+        cache = AcceptanceCache(str(tmp_path))
+        wanted, other = _key(trials=100), _key(trials=200)
+        path = cache.put_rate(wanted, 0.1)
+        shutil.copy(cache.put_rate(other, 0.9), path)
+        assert cache.get_rate(wanted) is None
+        assert cache.get_estimate(wanted) is None
+        assert cache.get_rate(other) == pytest.approx(0.9)
+        cache.put_rate(wanted, 0.1)
+        assert cache.get_rate(wanted) == pytest.approx(0.1)
+
+    def test_tuple_and_list_keys_compare_equal(self, tmp_path):
+        cache = AcceptanceCache(str(tmp_path))
+        cache.put_rate({"version": CACHE_VERSION, "spawn": (1, 2)}, 0.5)
+        assert cache.get_rate({"version": CACHE_VERSION, "spawn": [1, 2]}) == 0.5
+
+    def test_len_and_clear_count_calibration_entries(self, tmp_path):
+        cache = AcceptanceCache(str(tmp_path))
+        cache.put_rate(_key(), 0.1)
+
+        @cached_calibration(version=1)
+        def calibrate(value, rng=0):
+            return value / 2
+
+        with repro.engine.engine_context(cache=cache):
+            assert calibrate(3) == 1.5
+        assert len(cache) == 2
+        assert cache.clear() == 2
+        assert os.listdir(tmp_path) == []
 
     def test_clear_removes_entries(self, tmp_path):
         cache = AcceptanceCache(str(tmp_path))

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.engine import RNG_BLOCK_TRIALS, plan_blocks, plan_cost_tiles, plan_tiles
+from repro.engine import RNG_BLOCK_TRIALS, plan_blocks, plan_tiles
 from repro.engine.chunking import tile_trials
 from repro.exceptions import InvalidParameterError
 
@@ -74,7 +74,7 @@ class TestPlanTiles:
 class TestPlanCostTiles:
     def test_groups_to_trial_target(self):
         blocks = plan_blocks(16 * RNG_BLOCK_TRIALS)
-        tiles = plan_cost_tiles(
+        tiles = plan_tiles(
             blocks, 10, max_elements=10**12, target_trials=4 * RNG_BLOCK_TRIALS
         )
         assert len(tiles) == 4
@@ -83,7 +83,7 @@ class TestPlanCostTiles:
     def test_memory_bound_still_binds(self):
         blocks = plan_blocks(8 * RNG_BLOCK_TRIALS)
         per_trial = 10
-        tiles = plan_cost_tiles(
+        tiles = plan_tiles(
             blocks,
             per_trial,
             max_elements=2 * RNG_BLOCK_TRIALS * per_trial,
@@ -94,7 +94,7 @@ class TestPlanCostTiles:
 
     def test_never_splits_blocks_and_preserves_order(self):
         blocks = plan_blocks(9 * RNG_BLOCK_TRIALS + 7)
-        tiles = plan_cost_tiles(
+        tiles = plan_tiles(
             blocks, 10, max_elements=10**12, target_trials=2.5 * RNG_BLOCK_TRIALS
         )
         flattened = [block.index for tile in tiles for block in tile]
@@ -103,7 +103,7 @@ class TestPlanCostTiles:
 
     def test_tiny_target_degrades_to_one_block_tiles(self):
         blocks = plan_blocks(5 * RNG_BLOCK_TRIALS)
-        tiles = plan_cost_tiles(blocks, 10, max_elements=10**12, target_trials=1)
+        tiles = plan_tiles(blocks, 10, max_elements=10**12, target_trials=1)
         assert len(tiles) == len(blocks)
         assert all(len(tile) == 1 for tile in tiles)
 
@@ -111,9 +111,9 @@ class TestPlanCostTiles:
         blocks = plan_blocks(12 * RNG_BLOCK_TRIALS)
         per_trial, budget = 25, 5 * RNG_BLOCK_TRIALS * 25
         memory_only = plan_tiles(blocks, per_trial, budget)
-        cost_model = plan_cost_tiles(blocks, per_trial, budget, target_trials=10**9)
+        cost_model = plan_tiles(blocks, per_trial, budget, target_trials=10**9)
         assert memory_only == cost_model
 
     def test_rejects_bad_budget(self):
         with pytest.raises(InvalidParameterError):
-            plan_cost_tiles(plan_blocks(10), 10, max_elements=0, target_trials=64)
+            plan_tiles(plan_blocks(10), 10, max_elements=0, target_trials=64)

@@ -1,6 +1,6 @@
 """Runtime cross-check of ``elements_per_trial`` (the dynamic RL803 twin).
 
-``plan_tiles``/``plan_cost_tiles`` trust a kernel's ``elements_per_trial``
+``plan_tiles`` trusts a kernel's ``elements_per_trial``
 as an upper bound on the per-trial RNG footprint; the static RL803 rule
 verifies it symbolically where the draws are statically countable.  This
 module closes the soundness gaps the interpreter degrades on (per-player

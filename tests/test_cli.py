@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.cli import main
+from repro.engine import get_engine, set_engine
 
 
 class TestTestCommand:
@@ -108,6 +109,25 @@ class TestExperimentCommand:
         code = main(["experiment", "e99"])
         assert code == 2
         assert "error:" in capsys.readouterr().err
+
+
+class TestWarmReplay:
+    def test_warm_replay_matches_cold_run(self, tmp_path, capsys):
+        argv = ["experiment", "e01", "--scale", "smoke", "--cache-dir", str(tmp_path)]
+        previous = get_engine()
+        try:
+            outputs = []
+            for _ in range(2):
+                assert main(argv) == 0
+                outputs.append(capsys.readouterr().out)
+        finally:
+            set_engine(previous)
+        cold, warm = outputs
+        marker = "-- engine metrics --"
+        assert cold.split(marker)[0] == warm.split(marker)[0]
+        assert "  calibration_misses: 0\n" not in cold
+        assert "  samples_drawn: 0\n" in warm
+        assert "  calibration_misses: 0\n" in warm
 
 
 class TestBoundsCommand:
