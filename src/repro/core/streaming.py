@@ -50,7 +50,7 @@ from typing import Any, Callable, Dict, Optional
 
 import numpy as np
 
-from ..distributions.discrete import uniform
+from ..distributions.discrete import DiscreteDistribution, uniform
 from ..distributions.generators import two_level_distribution
 from ..engine.cache import cached_calibration
 from ..exceptions import InvalidParameterError
@@ -170,41 +170,49 @@ def calibrate_sketch_threshold(
 ) -> float:
     """Monte-Carlo midpoint cut for a (possibly sketched) batch statistic.
 
-    Mirrors :func:`~repro.core.graphs.calibrate_distinct_threshold`'s
-    draw order exactly — uniform matrix first, then the worst-case
-    ε-far proxy's, on one shared generator — so exact configurations
-    calibrated here coincide with the graph-layer calibrations.
-    ``statistic_token`` names the statistic in the calibration cache
-    key; without it the cut is never cached.
+    The sketched testers compute this cut in closed form
+    (:func:`_sketch_midpoint`); this function is its Monte-Carlo
+    cross-check.  It mirrors
+    :func:`~repro.core.graphs.calibrate_distinct_threshold`'s draw order
+    exactly — uniform matrix first, then the worst-case ε-far proxy's,
+    on one shared generator — so exact configurations calibrated here
+    coincide with the graph-layer calibrations.  ``statistic_token``
+    names the statistic in the calibration cache key; without it the
+    cut is never cached.
     """
     if trials < 100:
         raise InvalidParameterError(f"trials must be >= 100, got {trials}")
     generator = ensure_rng(rng)
     uniform_stats = statistic(uniform(n).sample_matrix(trials, q, generator))
-    # Same far proxy as worst_case_statistic_proxy(K_q, ...), constructed
-    # without materialising K_q's O(q^2) edge arrays — the memory sweeps
-    # probe q far past where an explicit complete graph is affordable.
-    far = two_level_distribution(n if n % 2 == 0 else n - 1, epsilon)
+    far = _far_proxy(n, epsilon)
     far_stats = statistic(far.sample_matrix(trials, q, generator))
     return 0.5 * (float(uniform_stats.mean()) + float(far_stats.mean()))
 
 
-def _sketch_midpoint(tester: Any, trials: int, rng: RngLike) -> float:
-    """:func:`calibrate_sketch_threshold` on a sketched tester's bucketed
-    batch statistic, named by its class, ``kernel_version`` and bucket
-    count (``n`` and ``q`` are key arguments already)."""
-    return calibrate_sketch_threshold(
-        tester.batch_statistic,
-        tester.n,
-        tester.epsilon,
-        tester.q,
-        trials=trials,
-        rng=rng,
-        statistic_token={
-            "class": type(tester).__name__,
-            "kernel_version": int(tester.kernel_version),
-            "buckets": tester.num_buckets,
-        },
+def _far_proxy(n: int, epsilon: float) -> DiscreteDistribution:
+    # Same far proxy as worst_case_statistic_proxy(K_q, ...), constructed
+    # without materialising K_q's O(q^2) edge arrays — the memory sweeps
+    # probe q far past where an explicit complete graph is affordable.
+    return two_level_distribution(n if n % 2 == 0 else n - 1, epsilon)
+
+
+def _sketch_midpoint(tester: Any) -> float:
+    """Closed-form midpoint cut of a sketched tester's bucketed statistic.
+
+    The bucketed statistic's mean depends on the input only through its
+    bucket masses: ``U_n`` puts ``|h⁻¹(b)|/n`` on bucket ``b``, and the
+    two-level proxy of :func:`calibrate_sketch_threshold` the summed pmf
+    of the values hashed there.  The tester's ``_expected_statistic``
+    maps masses to the mean; the cut is the midpoint of the two means,
+    the value :func:`calibrate_sketch_threshold` estimates by sampling.
+    """
+    table, buckets = tester._table, tester.num_buckets
+    far = _far_proxy(tester.n, tester.epsilon)
+    uniform_masses = np.bincount(table, minlength=buckets) / tester.n
+    far_masses = np.bincount(table[: far.n], weights=far.pmf, minlength=buckets)
+    return 0.5 * (
+        tester._expected_statistic(uniform_masses)
+        + tester._expected_statistic(far_masses)
     )
 
 
@@ -349,9 +357,12 @@ class StreamingCollisionTester(StreamingTester):
     sample matrix.  ``num_buckets=B < n``: values are sketched by
     :func:`sketch_buckets` — memory drops to ``O(B)`` independent of
     ``n`` —
-    and the cut is the Monte-Carlo midpoint of the bucketed statistic
-    (:func:`calibrate_sketch_threshold`), pinned to the bucketed batch
-    oracle ``collision_counts(sketch_buckets(matrix, B))``.
+    and the cut is the closed-form midpoint of the bucketed statistic's
+    means under ``U_n`` and the two-level proxy, ``C(q,2)·Σ_b p_b²`` at
+    bucket masses ``p_b`` (:func:`_sketch_midpoint`; no samples drawn,
+    :func:`calibrate_sketch_threshold` is its Monte-Carlo cross-check),
+    pinned to the bucketed batch oracle
+    ``collision_counts(sketch_buckets(matrix, B))``.
     """
 
     # v2: sketch hash switched to the fmix64 avalanche mixer.
@@ -364,8 +375,6 @@ class StreamingCollisionTester(StreamingTester):
         q: Optional[int] = None,
         num_buckets: Optional[int] = None,
         threshold: Optional[float] = None,
-        calibration_rng: RngLike = 0,
-        calibration_trials: int = 3000,
     ):
         if q is None:
             from .testers import default_centralized_q
@@ -389,9 +398,12 @@ class StreamingCollisionTester(StreamingTester):
             pair_count = self.q * (self.q - 1) // 2
             self.statistic_threshold = pair_count * (1.0 + epsilon**2 / 2.0) / n
         else:
-            self.statistic_threshold = _sketch_midpoint(
-                self, calibration_trials, calibration_rng
-            )
+            self.statistic_threshold = _sketch_midpoint(self)
+
+    def _expected_statistic(self, masses: np.ndarray) -> float:
+        """Mean colliding-pair count of ``q`` draws at bucket masses
+        ``masses``: each of the ``C(q,2)`` pairs collides w.p. ``Σ p_b²``."""
+        return self.q * (self.q - 1) // 2 * float(np.dot(masses, masses))
 
     def init_state(self, trials: int) -> Dict[str, np.ndarray]:
         return {
@@ -436,8 +448,12 @@ class StreamingDistinctTester(StreamingTester):
     :class:`~repro.core.baselines.UniqueElementsTester` under the same
     defaults (its ``calibrate_distinct_threshold`` cut, accept iff
     ``distinct >= t``).  ``num_buckets=B``: the bucketed distinct count
-    with a :func:`calibrate_sketch_threshold` midpoint cut, pinned to
-    ``unique_counts(sketch_buckets(matrix, B))``.
+    with the closed-form midpoint cut of its means under ``U_n`` and
+    the two-level proxy, ``Σ_b (1 − (1 − p_b)^q)`` at bucket masses
+    ``p_b`` (:func:`_sketch_midpoint`; no samples drawn,
+    :func:`calibrate_sketch_threshold` is its Monte-Carlo cross-check),
+    pinned to ``unique_counts(sketch_buckets(matrix, B))``.  The
+    calibration knobs serve the exact mode only.
     """
 
     # v2: sketch hash switched to the fmix64 avalanche mixer.
@@ -477,9 +493,12 @@ class StreamingDistinctTester(StreamingTester):
                 rng=calibration_rng,
             )
         else:
-            self.statistic_threshold = _sketch_midpoint(
-                self, calibration_trials, calibration_rng
-            )
+            self.statistic_threshold = _sketch_midpoint(self)
+
+    def _expected_statistic(self, masses: np.ndarray) -> float:
+        """Mean distinct-bucket count of ``q`` draws at bucket masses
+        ``masses``: bucket ``b`` is hit w.p. ``1 − (1 − p_b)^q``."""
+        return float(np.sum(1.0 - (1.0 - masses) ** self.q))
 
     def init_state(self, trials: int) -> Dict[str, np.ndarray]:
         return {

@@ -325,7 +325,7 @@ class AcceptanceCache:
         path = self._path(key, prefix)
         tmp = f"{path}.tmp.{os.getpid()}"
         with open(tmp, "w", encoding="utf-8") as handle:
-            json.dump(payload, handle, sort_keys=True)
+            handle.write(json.dumps(payload, sort_keys=True))
         os.replace(tmp, path)
         return path
 

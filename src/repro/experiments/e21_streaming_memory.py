@@ -58,7 +58,6 @@ def _point(point: Dict[str, Any], params: Dict[str, Any], rng) -> Dict[str, Any]
         trials=params["trials"],
         q_max=params["q_max"],
         rng=rng,
-        calibration_trials=params["calibration_trials"],
         sprt=True,
         sprt_max_trials=params["trials"],
     )
@@ -135,7 +134,6 @@ SPEC = ExperimentSpec(
             "eps": 0.6,
             "trials": 40,
             "q_max": 1_500,
-            "calibration_trials": 300,
         },
         "small": {
             "n_sweep": [64, 256],
@@ -143,7 +141,6 @@ SPEC = ExperimentSpec(
             "eps": 0.5,
             "trials": 120,
             "q_max": 8_000,
-            "calibration_trials": 600,
         },
         "paper": {
             "n_sweep": [256, 1024],
@@ -151,7 +148,6 @@ SPEC = ExperimentSpec(
             "eps": 0.5,
             "trials": 240,
             "q_max": 24_000,
-            "calibration_trials": 1500,
         },
     },
     sweep=_sweep,

@@ -580,7 +580,6 @@ def streaming_memory_complexity_sweep(
     resolution_factor: float = 1.10,
     far_distributions: Optional[Sequence[DiscreteDistribution]] = None,
     rng: RngLike = None,
-    calibration_trials: int = 3000,
     sprt: bool = False,
     sprt_margin: float = 0.05,
     sprt_error_rate: float = 0.05,
@@ -620,11 +619,7 @@ def streaming_memory_complexity_sweep(
 
         def factory(q: int, _buckets: Optional[int] = budget) -> Any:
             return StreamingCollisionTester(
-                n,
-                epsilon,
-                q=q,
-                num_buckets=_buckets,
-                calibration_trials=calibration_trials,
+                n, epsilon, q=q, num_buckets=_buckets
             )
 
         try:

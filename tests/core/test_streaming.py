@@ -9,6 +9,10 @@ The streaming contract promises three things the batch layer can check:
 * verdicts are invariant to how the stream is chunked;
 * the state never exceeds the declared per-trial ``state_bytes`` bound,
   and that bound does not grow with the universe size ``n``.
+
+A sketched tester's cut is computed from its bucket masses without
+drawing a sample; ``calibrate_sketch_threshold`` is its Monte-Carlo
+cross-check.
 """
 
 from __future__ import annotations
@@ -24,6 +28,7 @@ from repro.core.graphs import (
     ComparisonGraphTester,
     complete_graph,
     graph_statistic_block,
+    midpoint_threshold,
     snap_family_size,
 )
 from repro.core.players import collision_counts, unique_counts
@@ -33,12 +38,13 @@ from repro.core.streaming import (
     StreamingDistinctTester,
     StreamingGraphTester,
     StreamingTester,
+    calibrate_sketch_threshold,
     measured_state_bytes,
     run_streaming,
     sketch_buckets,
 )
 from repro.core.testers import CentralizedCollisionTester
-from repro.distributions.discrete import uniform
+from repro.distributions.discrete import DiscreteDistribution, uniform
 from repro.distributions.generators import two_level_distribution
 from repro.engine import (
     StreamingKernel,
@@ -87,9 +93,7 @@ class TestStreamingCollision:
             )
 
     def test_sketched_matches_its_batch_oracle(self):
-        streaming = StreamingCollisionTester(
-            N, EPS, num_buckets=16, calibration_trials=300
-        )
+        streaming = StreamingCollisionTester(N, EPS, num_buckets=16)
         matrix = _matrix(streaming.q)
         verdicts = run_streaming(streaming, matrix, 3)
         assert np.array_equal(verdicts, streaming.batch_verdicts(matrix))
@@ -344,3 +348,69 @@ def test_sketched_statistics_equal_pinned_oracles(n, num_buckets, rows, seed):
     np.testing.assert_array_equal(
         distinct.batch_statistic(matrix), unique_counts(buckets)
     )
+
+
+SKETCH_CLASSES = [StreamingCollisionTester, StreamingDistinctTester]
+MC_TRIALS = 20_000
+
+
+def _monte_carlo_midpoint(tester, trials, seed):
+    """``calibrate_sketch_threshold``'s midpoint for ``tester`` and the
+    standard error of the two statistic means it averages."""
+    draws = []
+
+    def statistic(matrix):
+        draws.append(tester.batch_statistic(matrix))
+        return draws[-1]
+
+    midpoint = calibrate_sketch_threshold(
+        statistic, tester.n, tester.epsilon, tester.q, trials=trials, rng=seed
+    )
+    variance = sum(float(values.var(ddof=1)) for values in draws)
+    return midpoint, 0.5 * np.sqrt(variance / trials)
+
+
+class TestSketchCalibration:
+    """The sketched cut is the exact midpoint, computed without sampling."""
+
+    @given(
+        cls=st.sampled_from(SKETCH_CLASSES),
+        n=st.integers(min_value=8, max_value=300),
+        num_buckets=st.integers(min_value=2, max_value=64),
+        q=st.integers(min_value=2, max_value=200),
+        epsilon=st.sampled_from([0.1, 0.5, 0.9]),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_exact_cut_agrees_with_monte_carlo(
+        self, cls, n, num_buckets, q, epsilon, seed
+    ):
+        tester = cls(n, epsilon, q=q, num_buckets=num_buckets)
+        midpoint, standard_error = _monte_carlo_midpoint(tester, MC_TRIALS, seed)
+        # A bucket left empty with probability π per trial shows in none
+        # of the trials with probability exp(-trials·π), leaving a zero
+        # standard error; below π = 15/trials that beats the 5-SE rate.
+        tolerance = 5 * standard_error + 15 / MC_TRIALS
+        assert abs(tester.statistic_threshold - midpoint) <= tolerance
+
+    @pytest.mark.parametrize("n", [8, 64, 1024])
+    @pytest.mark.parametrize("q", [2, 37, 500])
+    @pytest.mark.parametrize("epsilon", [0.1, 0.9])
+    def test_identity_bucketing_is_the_analytic_midpoint(self, n, q, epsilon):
+        tester = StreamingCollisionTester(n, epsilon, q=q, threshold=0.0)
+        far = two_level_distribution(n, epsilon)
+        cut = 0.5 * (
+            tester._expected_statistic(uniform(n).pmf)
+            + tester._expected_statistic(far.pmf)
+        )
+        expected = midpoint_threshold(complete_graph(q), n, epsilon)
+        assert cut == pytest.approx(expected, rel=1e-12)
+
+    @pytest.mark.parametrize("cls", SKETCH_CLASSES)
+    def test_sketched_construction_draws_nothing(self, cls, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("sketched calibration drew samples")
+
+        monkeypatch.setattr(DiscreteDistribution, "sample_matrix", refuse)
+        tester = cls(N, EPS, q=40, num_buckets=16)
+        assert np.isfinite(tester.statistic_threshold)

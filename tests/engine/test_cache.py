@@ -164,6 +164,16 @@ class TestAcceptanceCache:
         assert cache.clear() == 2
         assert len(cache) == 0
 
+    def test_entry_bytes_are_the_sorted_json_payload(self, tmp_path):
+        cache = AcceptanceCache(str(tmp_path))
+        key = _key()
+        estimate = {"rate": 0.625, "trials": 160, "verdict": None}
+        path = cache.put_estimate(key, estimate)
+        with open(path, "rb") as handle:
+            stored = handle.read()
+        payload = {"key": key, "estimate": estimate}
+        assert stored == json.dumps(payload, sort_keys=True).encode("utf-8")
+
     def test_atomic_write_leaves_no_temp_files(self, tmp_path):
         cache = AcceptanceCache(str(tmp_path))
         cache.put_rate(_key(), 0.5)

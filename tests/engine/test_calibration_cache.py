@@ -207,20 +207,14 @@ class TestKeys:
             )
 
     @pytest.mark.parametrize("tester_class", [StreamingCollisionTester, StreamingDistinctTester])
-    def test_sketch_bucket_counts_separate_entries(self, tmp_path, tester_class):
+    def test_sketched_construction_writes_no_entry(self, tmp_path, tester_class):
+        """The sketched cut is closed-form: nothing to calibrate or cache."""
         calls = [
             lambda buckets=buckets: tester_class(64, 0.5, q=16, num_buckets=buckets)
             for buckets in (8, 16, 8)
         ]
-        assert self._misses(tmp_path, calls) == 2
-        assert len(_calibration_files(str(tmp_path))) == 2
-
-    def test_sketch_testers_separate_entries(self, tmp_path):
-        calls = [
-            lambda cls=cls: cls(64, 0.5, q=16, num_buckets=8)
-            for cls in (StreamingCollisionTester, StreamingDistinctTester)
-        ]
-        assert self._misses(tmp_path, calls) == 2
+        assert self._misses(tmp_path, calls) == 0
+        assert _calibration_files(str(tmp_path)) == []
 
     def test_threshold_rule_calibration_is_shared_across_k(self, tmp_path):
         with engine_context(cache=AcceptanceCache(str(tmp_path))):
