@@ -22,10 +22,10 @@ import numpy as np
 from conftest import engine_provenance
 
 from repro.core.graphs import cycle_graph, graph_statistic_block
-from repro.core.oracles import graph_statistic_reference
 from repro.distributions.discrete import uniform
 from repro.engine import SerialBackend, engine_context, make_backend
 from repro.stats import graph_family_complexity_sweep
+from tests.oracles import graph_statistic_reference
 
 BENCH_PATH = os.path.join(os.path.dirname(__file__), "..", "BENCH_graphs.json")
 

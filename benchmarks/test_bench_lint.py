@@ -10,8 +10,9 @@ The acceptance criteria pinned here:
   misses == 0) and is **no slower** than the cold run (with slack for
   timer noise on loaded CI runners);
 * diagnostics are **byte-identical** between the two runs with the
-  whole rule catalog active — including the RL8xx shape/dtype/budget
-  family, whose per-function summaries must not leak into cache keys.
+  whole rule catalog active — including the RL6xx/RL7xx whole-program
+  dataflow families, whose per-function summaries must not leak into
+  cache keys.
 """
 
 from __future__ import annotations

@@ -68,7 +68,6 @@ from .core import (
     MajorityRule,
     TruthTableRule,
     WeightedCountRule,
-    CollisionBitPlayer,
     SimultaneousProtocol,
     Player,
     UniformityTester,
@@ -173,7 +172,6 @@ __all__ = [
     "MajorityRule",
     "TruthTableRule",
     "WeightedCountRule",
-    "CollisionBitPlayer",
     "SimultaneousProtocol",
     "Player",
     "UniformityTester",

@@ -33,13 +33,11 @@ from .referees import (
 )
 from .players import (
     PlayerStrategy,
-    CollisionBitPlayer,
     UniqueElementsPlayer,
     ConstantPlayer,
     RandomBitPlayer,
     SubsetMembershipPlayer,
     collision_counts,
-    calibrate_collision_threshold,
     birthday_no_collision_probability,
 )
 from .protocol import Player, SimultaneousProtocol, ProtocolOutcome
@@ -115,13 +113,11 @@ __all__ = [
     "WeightedCountRule",
     "TruthTableRule",
     "PlayerStrategy",
-    "CollisionBitPlayer",
     "UniqueElementsPlayer",
     "ConstantPlayer",
     "RandomBitPlayer",
     "SubsetMembershipPlayer",
     "collision_counts",
-    "calibrate_collision_threshold",
     "birthday_no_collision_probability",
     "Player",
     "SimultaneousProtocol",

@@ -36,7 +36,6 @@ Monte-Carlo calibrators are memoised in the engine's acceptance cache
 from __future__ import annotations
 
 import hashlib
-import math
 from typing import Any, Callable, Dict, Optional, Tuple
 
 import numpy as np
@@ -423,9 +422,7 @@ def statistic_alarm_probabilities(
     """``(p₀, p₁)``: alarm probabilities of ``Y_G > threshold`` under
     ``U_n`` and under the worst-case ε-far proxy, by Monte Carlo.
 
-    The draw order (uniform matrix first, then the proxy's) matches the
-    legacy :func:`~repro.core.testers.collision_bit_probabilities`
-    exactly, so complete-graph calibrations are bit-identical to it.
+    The draw order is the uniform matrix first, then the proxy's.
     """
     if trials < 100:
         raise InvalidParameterError(f"trials must be >= 100, got {trials}")
@@ -457,11 +454,9 @@ def calibrate_statistic_threshold(
     a closed-form ``P[Y_G = 0]`` the ``t = 0`` case is decided exactly
     without spending any Monte Carlo draws; otherwise — and for every
     higher ``t`` — the tail is estimated from ``trials`` draws padded by
-    one standard error so the calibration errs conservative.  This is
-    the graph-general form of the legacy per-player helper
-    :func:`~repro.core.players.calibrate_collision_threshold` (now a
-    wrapper over this function with the complete graph), which the
-    AND-rule tester calls with ``max_reject_probability = 1/(3k)``.
+    one standard error so the calibration errs conservative.  The
+    AND-rule tester calls it on ``K_q`` with ``max_reject_probability =
+    1/(3k)``.
     """
     if not 0.0 < max_reject_probability <= 1.0:
         raise InvalidParameterError(
@@ -503,8 +498,7 @@ def calibrate_dithered_statistic(
     at ``Y_G == t`` — the integer-valued statistic can only realise a
     discrete set of deterministic rates, and the dither interpolates
     between them (what the forced-T threshold tester needs for exact
-    completeness calibration).  Graph-general form of the legacy
-    :func:`~repro.core.players.calibrate_dithered_collision`.
+    completeness calibration).
     """
     if not 0.0 < target_alarm_rate <= 1.0:
         raise InvalidParameterError(
@@ -564,8 +558,8 @@ class GraphStatisticPlayer(PlayerStrategy):
 
     Accepts (sends 1) iff the statistic is on the uniform side of the
     threshold: ``Y_G <= t`` in edge mode, ``D_G >= t`` in distinct mode.
-    With the complete graph and edge mode this is exactly
-    :class:`~repro.core.players.CollisionBitPlayer` — the network layer
+    With the complete graph and edge mode this is the collision bit
+    ``K <= t`` of the threshold-rule tester; the network layer
     instantiates it per family so any registered graph can drive the
     distributed protocol's alarm bits.
     """
@@ -682,7 +676,8 @@ class ComparisonGraphTester(UniformityTester):
         # q drawn samples; explicit-edge statistics additionally
         # materialise one boolean per edge, the complete fast path a
         # sorted copy of the row.  Either way an over-declaration is
-        # safe (footprint hint), an under-declaration is not (RL803).
+        # safe (footprint hint), an under-declaration is not (the kernel
+        # contract test counts the draws).
         if self.graph.family == "complete":
             return 2 * self.q
         return self.q + self.graph.num_edges

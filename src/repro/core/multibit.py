@@ -14,7 +14,7 @@ sums the quantised levels:
 
 Calibration reuses the exact hard-family equivalence (every ν_z shares its
 collision-count law with the two-level proxy; see
-:func:`~repro.core.testers.worst_case_collision_proxy`).
+:func:`~repro.core.graphs.worst_case_statistic_proxy`).
 """
 
 from __future__ import annotations
@@ -26,13 +26,9 @@ import numpy as np
 from ..distributions.discrete import DiscreteDistribution, uniform
 from ..exceptions import InvalidParameterError
 from ..rng import RngLike, ensure_rng
+from .graphs import complete_graph, worst_case_statistic_proxy
 from .players import collision_counts
-from .testers import (
-    TesterResources,
-    UniformityTester,
-    default_distributed_q,
-    worst_case_collision_proxy,
-)
+from .testers import TesterResources, UniformityTester, default_distributed_q
 
 
 def quantile_boundaries(
@@ -96,7 +92,7 @@ class MultibitThresholdTester(UniformityTester):
         # Degenerate quantiles (all counts equal) are legal: every message
         # is then the same level and the tester is uninformative but valid.
         self.boundaries = quantile_boundaries(uniform_counts, self.num_levels)
-        far = worst_case_collision_proxy(n, epsilon)
+        far = worst_case_statistic_proxy(complete_graph(2), n, epsilon)
         far_counts = collision_counts(
             far.sample_matrix(calibration_trials, self.q, generator)
         )

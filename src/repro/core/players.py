@@ -6,15 +6,12 @@ vector: its expectation is ``C(q,2) · ||μ||₂²``, and ε-far distributions
 inflate ``||μ||₂²`` by at least ``ε²/n``.  Every tester in this library is a
 quantisation of K:
 
-* :class:`CollisionBitPlayer` — send 0 ("reject") iff K exceeds a
-  threshold; with threshold 0 this is the "any collision at all" bit that
-  realises the optimal threshold-rule tester of [7];
-* :func:`calibrate_collision_threshold` — pick the threshold so the
-  false-reject probability under the uniform distribution is at most a
-  target (what the AND-rule tester needs: a per-player bias of 1/(3k));
-  since the comparison-graph refactor this (and its dithered twin) are
-  thin deprecated wrappers over :mod:`repro.core.graphs`' calibration
-  API evaluated on the complete graph ``K_q``;
+* :class:`DitheredCollisionBitPlayer` — send 0 ("reject") iff K exceeds
+  a threshold, with a randomized boundary so any alarm rate is reachable;
+  the plain thresholded bit on any comparison graph (K itself is the
+  statistic of the complete graph ``K_q``) is
+  :class:`~repro.core.graphs.GraphStatisticPlayer`, calibrated by
+  :func:`~repro.core.graphs.calibrate_statistic_threshold`;
 * :class:`UniqueElementsPlayer` — the distinct-elements alternative
   statistic;
 * :class:`SubsetMembershipPlayer` — the hash bit used by single-sample and
@@ -27,42 +24,13 @@ All strategies implement a vectorised ``respond_batch`` over a
 from __future__ import annotations
 
 import math
-import warnings
 from abc import ABC, abstractmethod
-from typing import Sequence, Set, Tuple
+from typing import Sequence
 
 import numpy as np
 
 from ..exceptions import InvalidParameterError
 from ..rng import RngLike, ensure_rng
-
-#: Legacy entry points that have already warned this process.
-_DEPRECATION_EMITTED: Set[str] = set()
-
-
-def _warn_legacy(name: str, replacement: str) -> None:
-    """Emit one ``DeprecationWarning`` per legacy entry point per process.
-
-    The legacy collision helpers survive as thin wrappers over the
-    comparison-graph layer (PR-9); warning once — not per call — keeps
-    Monte-Carlo loops that still construct thousands of players quiet
-    after the first notice.
-    """
-    if name in _DEPRECATION_EMITTED:
-        return
-    _DEPRECATION_EMITTED.add(name)
-    warnings.warn(
-        f"{name} is deprecated since the comparison-graph refactor: "
-        f"use {replacement} (repro.core.graphs) instead",
-        DeprecationWarning,
-        stacklevel=3,
-    )
-
-
-def reset_deprecation_warnings() -> None:
-    """Re-arm the once-per-process legacy warnings (test hook)."""
-    _DEPRECATION_EMITTED.clear()
-
 
 def _validate_sample_matrix(samples: np.ndarray) -> np.ndarray:
     matrix = np.asarray(samples, dtype=np.int64)
@@ -146,35 +114,9 @@ def _sorted_collision_counts(matrix: np.ndarray) -> np.ndarray:
     return totals[edges[1:]] - totals[edges[:-1]]
 
 
-def collision_counts_reference(samples: np.ndarray) -> np.ndarray:
-    """Reference oracle for :func:`collision_counts` (per-column loop).
-
-    The original implementation, kept for differential testing: walks the
-    sorted rows column by column accumulating the position within each
-    run.  Semantically identical to :func:`collision_counts`, quadratic
-    Python overhead in q.
-    """
-    matrix = _validate_sample_matrix(samples)
-    rows, q = matrix.shape
-    if q < 2:
-        return np.zeros(rows, dtype=np.int64)
-    ordered = np.sort(matrix, axis=1)
-    equal_prev = ordered[:, 1:] == ordered[:, :-1]
-    # run_position[i] = number of immediately-preceding equal samples in the
-    # current run; summing it per row gives Σ C(run_len, 2) exactly.
-    run_position = np.zeros((rows, q - 1), dtype=np.int64)
-    previous = np.zeros(rows, dtype=np.int64)
-    for column in range(q - 1):
-        previous = (previous + 1) * equal_prev[:, column]
-        run_position[:, column] = previous
-    return run_position.sum(axis=1)
-
-
 def unique_counts(samples: np.ndarray) -> np.ndarray:
     """Number of distinct values per row of a (rows × q) sample matrix."""
-    matrix = np.asarray(samples, dtype=np.int64)
-    if matrix.ndim == 1:
-        matrix = matrix[np.newaxis, :]
+    matrix = _validate_sample_matrix(samples)
     ordered = np.sort(matrix, axis=1)
     if ordered.shape[1] == 0:
         return np.zeros(ordered.shape[0], dtype=np.int64)
@@ -227,33 +169,6 @@ class PlayerStrategy(ABC):
         return type(self).__name__
 
 
-class CollisionBitPlayer(PlayerStrategy):
-    """Accept iff the collision count is at most ``threshold``.
-
-    ``threshold = 0`` — reject on *any* collision — is the bit behind the
-    optimal threshold-rule tester in the sparse regime; fractional
-    thresholds place the cut at the midpoint between the uniform and ε-far
-    collision means, and large thresholds produce the highly biased bits
-    the AND-rule tester needs.
-    """
-
-    def __init__(self, threshold: float = 0):
-        _warn_legacy(
-            "CollisionBitPlayer",
-            "GraphStatisticPlayer(complete_graph(q), threshold)",
-        )
-        if threshold < 0:
-            raise InvalidParameterError(f"threshold must be >= 0, got {threshold}")
-        self.threshold = float(threshold)
-
-    def respond_batch(self, samples: np.ndarray, rng: RngLike = None) -> np.ndarray:
-        return (collision_counts(samples) <= self.threshold).astype(np.int64)
-
-    @property
-    def name(self) -> str:
-        return f"CollisionBitPlayer(threshold={self.threshold})"
-
-
 class DitheredCollisionBitPlayer(PlayerStrategy):
     """Collision bit with a randomized boundary, hitting any alarm rate.
 
@@ -290,43 +205,6 @@ class DitheredCollisionBitPlayer(PlayerStrategy):
             f"DitheredCollisionBitPlayer(t={self.threshold}, "
             f"gamma={self.boundary_probability:.3f})"
         )
-
-
-def calibrate_dithered_collision(
-    n: int,
-    q: int,
-    target_alarm_rate: float,
-    trials: int = 4000,
-    rng: RngLike = None,
-) -> Tuple[int, float, float]:
-    """Fit a :class:`DitheredCollisionBitPlayer` to an exact alarm rate.
-
-    Returns ``(threshold, boundary_probability, achieved_rate)`` such that
-    under U_n the player alarms with probability ≈ ``target_alarm_rate``:
-    always above the threshold, with the calibrated probability exactly at
-    it.  Rates are estimated from ``trials`` Monte Carlo draws.
-
-    Deprecated thin wrapper over the graph layer's
-    :func:`~repro.core.graphs.calibrate_dithered_statistic` on the
-    complete graph ``K_q`` — same draw order, bit-identical results.
-    """
-    _warn_legacy(
-        "calibrate_dithered_collision",
-        "calibrate_dithered_statistic(complete_graph(q), ...)",
-    )
-    if not 0.0 < target_alarm_rate <= 1.0:
-        raise InvalidParameterError(
-            f"target_alarm_rate must be in (0,1], got {target_alarm_rate}"
-        )
-    if q < 2:
-        # Degenerate legacy behaviour: no pairs, the count is always 0,
-        # and the whole target rate is realised by the boundary dither.
-        return 0, float(target_alarm_rate), float(target_alarm_rate)
-    from .graphs import calibrate_dithered_statistic, complete_graph
-
-    return calibrate_dithered_statistic(
-        complete_graph(q), n, target_alarm_rate, trials=trials, rng=rng
-    )
 
 
 class UniqueElementsPlayer(PlayerStrategy):
@@ -403,46 +281,9 @@ class SubsetMembershipPlayer(PlayerStrategy):
         matrix = np.asarray(samples, dtype=np.int64)
         if matrix.ndim == 1:
             matrix = matrix[np.newaxis, :]
-        if matrix.size and matrix.max() >= self.indicator.size:
+        if matrix.size and (matrix.min() < 0 or matrix.max() >= self.indicator.size):
             raise InvalidParameterError(
                 "sample outside the subset indicator's domain"
             )
         hits = self.indicator[matrix]
         return (hits.max(axis=1) if matrix.shape[1] else np.zeros(matrix.shape[0], dtype=np.int64)).astype(np.int64)
-
-
-def calibrate_collision_threshold(
-    n: int,
-    q: int,
-    max_reject_probability: float,
-    trials: int = 4000,
-    rng: RngLike = None,
-) -> Tuple[int, float]:
-    """Smallest collision threshold t with P_uniform[K > t] <= target.
-
-    Returns ``(t, estimated_reject_probability)``.  The estimate is Monte
-    Carlo except for ``t = 0``, where the exact birthday formula is used.
-    The AND-rule tester calls this with ``max_reject_probability = 1/(3k)``
-    so the union bound over players keeps completeness above 2/3.
-
-    Deprecated thin wrapper over the graph layer's
-    :func:`~repro.core.graphs.calibrate_statistic_threshold` on the
-    complete graph ``K_q`` — same exact-birthday shortcut, same draw
-    order, bit-identical results.
-    """
-    _warn_legacy(
-        "calibrate_collision_threshold",
-        "calibrate_statistic_threshold(complete_graph(q), ...)",
-    )
-    if not 0.0 < max_reject_probability <= 1.0:
-        raise InvalidParameterError(
-            f"max_reject_probability must be in (0,1], got {max_reject_probability}"
-        )
-    if q < 2:
-        # Degenerate legacy behaviour: no pairs means no collisions ever.
-        return 0, 0.0
-    from .graphs import calibrate_statistic_threshold, complete_graph
-
-    return calibrate_statistic_threshold(
-        complete_graph(q), n, max_reject_probability, trials=trials, rng=rng
-    )

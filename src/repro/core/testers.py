@@ -35,7 +35,7 @@ moment/calibration API (bit-identically to the helpers they replaced).
 from __future__ import annotations
 
 import math
-from typing import Optional, Tuple
+from typing import Optional
 
 import numpy as np
 
@@ -52,7 +52,6 @@ from .graphs import (
     statistic_alarm_probabilities,
     calibrate_dithered_statistic,
     calibrate_statistic_threshold,
-    worst_case_statistic_proxy,
 )
 from .players import DitheredCollisionBitPlayer
 from .protocol import SimultaneousProtocol
@@ -69,8 +68,6 @@ __all__ = [
     "SimulationTester",
     "default_centralized_q",
     "default_distributed_q",
-    "worst_case_collision_proxy",
-    "collision_bit_probabilities",
     "max_alarm_rate_for_threshold",
 ]
 
@@ -161,44 +158,6 @@ class CentralizedCollisionTester(ComparisonGraphTester):
             raise InvalidParameterError(f"q must be >= 2, got {q}")
         super().__init__(n, epsilon, complete_graph(q), mode="edges")
 
-    @property
-    def collision_threshold(self) -> float:
-        """Legacy name for the graph layer's ``statistic_threshold``."""
-        return self.statistic_threshold
-
-
-def worst_case_collision_proxy(n: int, epsilon: float) -> DiscreteDistribution:
-    """Deprecated alias for the graph layer's worst-case proxy.
-
-    Kept for existing call sites; new code should pass its actual graph
-    to :func:`~repro.core.graphs.worst_case_statistic_proxy`, which
-    documents why the two-level construction is exact for *every*
-    comparison-graph statistic (the coincidence-pattern law depends only
-    on the probability multiset).  The single compared pair ``K_2``
-    stands in for the legacy collision-specific reading.
-    """
-    return worst_case_statistic_proxy(complete_graph(2), n, epsilon)
-
-
-def collision_bit_probabilities(
-    n: int,
-    q: int,
-    epsilon: float,
-    threshold: float,
-    trials: int = 3000,
-    rng: RngLike = 0,
-) -> Tuple[float, float]:
-    """(p₀, p₁): alarm probabilities of ``K > threshold`` under U_n and
-    under the worst-case ε-far proxy, estimated by Monte Carlo.
-
-    Deprecated thin wrapper over the graph layer's
-    :func:`~repro.core.graphs.statistic_alarm_probabilities` on the
-    complete graph — same draw order, bit-identical results.
-    """
-    return statistic_alarm_probabilities(
-        complete_graph(q), n, epsilon, threshold, trials=trials, rng=rng
-    )
-
 
 def max_alarm_rate_for_threshold(
     k: int, reject_threshold: int, completeness_error: float = 0.2
@@ -234,7 +193,7 @@ class ThresholdRuleTester(UniformityTester):
     rejects iff at least T players alarm.  T is calibrated at the midpoint
     ``k(p₀+p₁)/2`` of the alarm probabilities under U_n and under the
     worst-case ε-far proxy (exact for the whole hard family ν_z — see
-    :func:`worst_case_collision_proxy`).
+    :func:`~repro.core.graphs.worst_case_statistic_proxy`).
 
     With ``forced_T`` the referee threshold is fixed (Theorem 1.3's
     setting) and instead the *player* bit is re-calibrated to be biased
@@ -291,9 +250,6 @@ class ThresholdRuleTester(UniformityTester):
             )
             return
 
-        # Internal construction goes through the graph player (the legacy
-        # CollisionBitPlayer now warns); on K_q the responses are
-        # bit-identical.
         player = GraphStatisticPlayer(
             player_graph, self.player_collision_threshold
         )

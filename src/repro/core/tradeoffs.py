@@ -19,7 +19,7 @@ import numpy as np
 from ..distributions.discrete import DiscreteDistribution
 from ..exceptions import InvalidParameterError
 from ..rng import RngLike
-from .graphs import GraphStatisticPlayer, complete_graph
+from .graphs import GraphStatisticPlayer, complete_graph, statistic_alarm_probabilities
 from .players import ConstantPlayer
 from .protocol import Player, SimultaneousProtocol
 from .referees import WeightedCountRule
@@ -84,8 +84,6 @@ class AsymmetricRateTester(UniformityTester):
                 "no player collects >= 2 samples; tau or rates too small"
             )
 
-        from .testers import collision_bit_probabilities
-
         probabilities_by_q = {}
         thresholds_by_q = {}
         # Deduplicate via sorted() so the per-q calibration consumes
@@ -97,8 +95,13 @@ class AsymmetricRateTester(UniformityTester):
             if q < 2:
                 probabilities_by_q[q] = (0.0, 0.0)
             else:
-                probabilities_by_q[q] = collision_bit_probabilities(
-                    n, q, epsilon, threshold, calibration_trials, calibration_rng
+                probabilities_by_q[q] = statistic_alarm_probabilities(
+                    complete_graph(q),
+                    n,
+                    epsilon,
+                    threshold,
+                    calibration_trials,
+                    calibration_rng,
                 )
         uniform_alarms = sum(probabilities_by_q[q][0] for q in self.sample_counts)
         far_alarms = sum(probabilities_by_q[q][1] for q in self.sample_counts)

@@ -15,14 +15,13 @@ checkpoint/resume support and a provenance stamp on every result.
 
 from .harness import ExperimentSpec, SweepCheckpoint, run_spec
 from .records import ExperimentResult
-from .registry import EXPERIMENTS, SPECS, experiment_ids, get_spec, run_experiment
+from .registry import SPECS, experiment_ids, get_spec, run_experiment
 
 __all__ = [
     "ExperimentResult",
     "ExperimentSpec",
     "SweepCheckpoint",
     "run_spec",
-    "EXPERIMENTS",
     "SPECS",
     "experiment_ids",
     "get_spec",

@@ -13,7 +13,7 @@ from __future__ import annotations
 import importlib
 import pkgutil
 import re
-from typing import Callable, Dict, List, Optional
+from typing import Dict, List, Optional
 
 from ..exceptions import InvalidParameterError
 from .harness import ExperimentSpec, run_spec
@@ -53,21 +53,6 @@ def discover_specs() -> Dict[str, ExperimentSpec]:
 
 #: Experiment id → declarative spec (discovered once at import).
 SPECS: Dict[str, ExperimentSpec] = discover_specs()
-
-
-def _legacy_runner(spec: ExperimentSpec) -> Callable[..., ExperimentResult]:
-    def run(scale: str = "small", seed: int = 0) -> ExperimentResult:
-        return run_spec(spec, scale=scale, seed=seed)
-
-    run.__doc__ = spec.title
-    return run
-
-
-#: Experiment id → run(scale, seed) callable (see DESIGN.md §3).  Kept
-#: for callers that predate the spec layer; new code should use SPECS.
-EXPERIMENTS: Dict[str, Callable[..., ExperimentResult]] = {
-    experiment_id: _legacy_runner(spec) for experiment_id, spec in SPECS.items()
-}
 
 
 def experiment_ids() -> List[str]:

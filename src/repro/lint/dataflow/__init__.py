@@ -24,10 +24,6 @@ The package layers bottom-up:
     The resource-lifecycle interpreter over the CFG: acquisition-state
     lattice, ownership-transfer summaries, and the RL701–RL704
     detectors.
-``shapes``
-    The symbolic shape/dtype/RNG-budget interpreter over the CFG:
-    dimension polynomials, broadcasting and axis-aware reductions,
-    per-trial draw accounting, and the RL801–RL804 detectors.
 ``program``
     The driver: summary fixpoint over the call graph (determinism and
     resource passes), then a reporting pass; results are picklable for
@@ -46,7 +42,6 @@ from .lattice import (
 )
 from .program import ProgramAnalysis, analyze_program
 from .resources import ResourceSummary, analyze_resources
-from .shapes import ShapeSummary, analyze_shapes
 from .summaries import BUILTIN_SUMMARIES, FunctionSummary
 
 __all__ = [
@@ -60,12 +55,10 @@ __all__ = [
     "RawFinding",
     "ResourceSummary",
     "RngTag",
-    "ShapeSummary",
     "UnorderedTag",
     "Value",
     "analyze_function",
     "analyze_program",
     "analyze_resources",
-    "analyze_shapes",
     "build_cfg",
 ]

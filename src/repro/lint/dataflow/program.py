@@ -26,7 +26,6 @@ from .callgraph import build_call_graph
 from .intra import ENGINE_SINKS, RawFinding, analyze_function
 from .modules import ModuleGraph, ModuleInfo
 from .resources import ResourceSummary, analyze_resources
-from .shapes import ShapeSummary, analyze_shapes
 from .summaries import FunctionSummary, builtin_summary, merge_summaries
 
 #: Upper bound on summary-fixpoint rounds.  The lattice is finite and
@@ -72,8 +71,6 @@ class ProgramAnalysis:
     kernels: Tuple[str, ...] = ()
     #: qualname → converged resource summary (RL7xx; tests/debugging).
     resource_summaries: Dict[str, ResourceSummary] = field(default_factory=dict)
-    #: qualname → converged shape summary (RL8xx; tests/debugging).
-    shape_summaries: Dict[str, ShapeSummary] = field(default_factory=dict)
 
     def findings_for(
         self, path: str, code: Optional[str] = None
@@ -178,12 +175,6 @@ def analyze_program(
     for path, hits in resource_findings.items():
         per_path.setdefault(path, []).extend(hits)
 
-    # Third engine: the RL8xx shape/dtype/RNG-budget pass (symbolic
-    # abstract interpretation over the same CFGs; see .shapes).
-    shape_findings, shape_summaries = analyze_shapes(graph, call_graph)
-    for path, hits in shape_findings.items():
-        per_path.setdefault(path, []).extend(hits)
-
     findings = {
         path: tuple(
             sorted(set(hits), key=lambda f: (f.line, f.col, f.code, f.message))
@@ -195,5 +186,4 @@ def analyze_program(
         summaries=summaries,
         kernels=tuple(sorted(kernels)),
         resource_summaries=resource_summaries,
-        shape_summaries=shape_summaries,
     )

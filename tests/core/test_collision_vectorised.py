@@ -10,12 +10,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.players import (
-    birthday_no_collision_probability,
-    collision_counts,
-    collision_counts_reference,
-)
+from repro.core.players import birthday_no_collision_probability, collision_counts
 from repro.exceptions import InvalidParameterError
+from tests.oracles import collision_counts_reference
 
 
 def _exact_counts(matrix: np.ndarray) -> np.ndarray:

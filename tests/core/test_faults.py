@@ -7,7 +7,7 @@ import pytest
 
 import repro
 from repro.core.faults import FlippingPlayer, StuckAtPlayer, inject_faults
-from repro.core.players import CollisionBitPlayer
+from repro.core.graphs import GraphStatisticPlayer, complete_graph
 from repro.exceptions import InvalidParameterError
 
 N, EPS, K = 256, 0.5, 16
@@ -25,7 +25,7 @@ class TestFaultModels:
             StuckAtPlayer(2)
 
     def test_flipping_extremes(self, rng):
-        honest = CollisionBitPlayer(threshold=0)
+        honest = GraphStatisticPlayer(complete_graph(3), 0)
         samples = repro.uniform(1000).sample_matrix(200, 3, rng)
         honest_bits = honest.respond_batch(samples, rng)
         never = FlippingPlayer(honest, 0.0).respond_batch(samples, rng)

@@ -8,9 +8,7 @@ Three pillars:
   testers exactly: the complete graph in edge mode is the centralized
   collision tester (analytic threshold, bit-identical verdicts), in
   distinct mode the unique-elements tester (whose legacy Monte-Carlo
-  calibration is re-derived inline here as an independent oracle), and
-  the deprecated per-player calibration helpers must be transparent
-  wrappers;
+  calibration is re-derived inline here as an independent oracle);
 * **kernel contracts** — native cache tokens that cannot collide across
   graphs sharing (n, q), kernel_version bumps for every rewired tester,
   and bit-identical agreement with the per-edge reference oracles.
@@ -23,7 +21,6 @@ import pytest
 from numpy.random import default_rng
 
 import repro
-from repro.core import oracles
 from repro.core.baselines import UniqueElementsTester
 from repro.core.graphs import (
     GRAPH_FAMILIES,
@@ -33,8 +30,6 @@ from repro.core.graphs import (
     bipartite_graph,
     build_family_graph,
     calibrate_distinct_threshold,
-    calibrate_dithered_statistic,
-    calibrate_statistic_threshold,
     complete_graph,
     cycle_graph,
     exact_no_collision_probability,
@@ -46,24 +41,14 @@ from repro.core.graphs import (
     random_regular_graph,
     snap_family_size,
     star_graph,
-    statistic_alarm_probabilities,
     uniform_statistic_moments,
     worst_case_statistic_proxy,
 )
-from repro.core.players import (
-    CollisionBitPlayer,
-    calibrate_collision_threshold,
-    calibrate_dithered_collision,
-    collision_counts,
-    unique_counts,
-)
-from repro.core.testers import (
-    CentralizedCollisionTester,
-    collision_bit_probabilities,
-    worst_case_collision_proxy,
-)
+from repro.core.players import collision_counts, unique_counts
+from repro.core.testers import CentralizedCollisionTester
 from repro.distributions.discrete import uniform
 from repro.exceptions import InvalidParameterError
+from tests import oracles
 
 N, EPS = 64, 0.4
 UNIFORM = uniform(N)
@@ -251,7 +236,6 @@ class TestLegacyEquivalence:
         tester = CentralizedCollisionTester(N, EPS)
         pairs = tester.q * (tester.q - 1) / 2.0
         assert tester.statistic_threshold == pairs * (1.0 + EPS**2 / 2.0) / N
-        assert tester.collision_threshold == tester.statistic_threshold
 
     @pytest.mark.parametrize("seed", [0, 42])
     def test_collision_tester_accept_block_is_legacy_kernel(self, seed):
@@ -312,42 +296,18 @@ class TestLegacyEquivalence:
                 bare_distinct.accept_block(dist, 200, default_rng(5)),
             )
 
-    def test_worst_case_collision_proxy_is_graph_proxy(self):
-        legacy = worst_case_collision_proxy(N, EPS)
-        graph = worst_case_statistic_proxy(cycle_graph(5), N, EPS)
-        assert np.array_equal(legacy.pmf, graph.pmf)
-
-    def test_collision_bit_probabilities_wraps_alarm_probabilities(self):
-        legacy = collision_bit_probabilities(N, 12, EPS, 3.0, trials=500, rng=4)
-        general = statistic_alarm_probabilities(
-            complete_graph(12), N, EPS, 3.0, trials=500, rng=4
-        )
-        assert legacy == general
-
-    def test_calibration_wrappers_delegate_to_graph_api(self):
-        assert calibrate_collision_threshold(
-            N, 8, 0.2, trials=400, rng=1
-        ) == calibrate_statistic_threshold(
-            complete_graph(8), N, 0.2, trials=400, rng=1
-        )
-        assert calibrate_dithered_collision(
-            N, 8, 0.3, trials=400, rng=2
-        ) == calibrate_dithered_statistic(
-            complete_graph(8), N, 0.3, trials=400, rng=2
-        )
-
-    def test_calibration_wrappers_keep_degenerate_q_behaviour(self):
-        assert calibrate_collision_threshold(N, 1, 0.2) == (0, 0.0)
-        assert calibrate_dithered_collision(N, 0, 0.3) == (0, 0.3, 0.3)
+    def test_worst_case_proxy_is_graph_independent(self):
+        pair = worst_case_statistic_proxy(complete_graph(2), N, EPS)
+        cycle = worst_case_statistic_proxy(cycle_graph(5), N, EPS)
+        assert np.array_equal(pair.pmf, cycle.pmf)
 
     @pytest.mark.parametrize("seed", [0, 42])
-    def test_graph_player_is_collision_bit_player(self, seed):
+    def test_graph_player_on_complete_graph_is_collision_bit(self, seed):
         samples = UNIFORM.sample_matrix(200, 8, default_rng(seed))
         graph_player = GraphStatisticPlayer(complete_graph(8), 2.0)
-        legacy_player = CollisionBitPlayer(threshold=2.0)
         assert np.array_equal(
             graph_player.respond_batch(samples),
-            legacy_player.respond_batch(samples),
+            (collision_counts(samples) <= 2.0).astype(np.int64),
         )
 
 

@@ -1,6 +1,6 @@
 """Differential tests: the engine substrate vs the naive reference oracle.
 
-:func:`repro.core.oracles.reference_acceptance_rate` estimates P[accept]
+:func:`tests.oracles.reference_acceptance_rate` estimates P[accept]
 with the plainest possible sequential loop; the engine's block-seeded
 path must agree with it *in distribution* (the draw orders differ by
 design).  Rates here are compared under independent seeds with a
@@ -13,9 +13,9 @@ from __future__ import annotations
 import pytest
 
 import repro
-from repro.core.oracles import reference_acceptance_rate
 from repro.engine import estimate_acceptance
 from repro.exceptions import InvalidParameterError
+from tests.oracles import reference_acceptance_rate
 
 N, EPS = 128, 0.5
 TRIALS = 400

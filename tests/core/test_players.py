@@ -10,20 +10,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import (
-    CollisionBitPlayer,
     ConstantPlayer,
+    GraphStatisticPlayer,
     RandomBitPlayer,
     SubsetMembershipPlayer,
     UniqueElementsPlayer,
     birthday_no_collision_probability,
-    calibrate_collision_threshold,
+    calibrate_dithered_statistic,
+    calibrate_statistic_threshold,
     collision_counts,
+    complete_graph,
 )
-from repro.core.players import (
-    DitheredCollisionBitPlayer,
-    calibrate_dithered_collision,
-    unique_counts,
-)
+from repro.core.players import DitheredCollisionBitPlayer, unique_counts
 from repro.distributions import point_mass, uniform
 from repro.exceptions import InvalidParameterError
 
@@ -75,6 +73,13 @@ class TestUniqueCounts:
     def test_empty(self):
         assert unique_counts(np.empty((2, 0), dtype=np.int64)).tolist() == [0, 0]
 
+    def test_rejects_3d_input_like_collision_counts(self):
+        cube = np.zeros((2, 3, 4), dtype=np.int64)
+        with pytest.raises(InvalidParameterError):
+            collision_counts(cube)
+        with pytest.raises(InvalidParameterError):
+            unique_counts(cube)
+
 
 class TestBirthdayFormula:
     def test_exact_small_case(self):
@@ -98,19 +103,21 @@ class TestBirthdayFormula:
 
 
 class TestCollisionBitPlayer:
+    """The collision bit ``K <= t``: the graph player on ``K_q``."""
+
     def test_accepts_when_below_threshold(self):
-        player = CollisionBitPlayer(threshold=0)
+        player = GraphStatisticPlayer(complete_graph(3), 0)
         assert player.respond([1, 2, 3]) == 1
         assert player.respond([1, 1, 3]) == 0
 
     def test_fractional_threshold(self):
-        player = CollisionBitPlayer(threshold=1.5)
+        player = GraphStatisticPlayer(complete_graph(3), 1.5)
         assert player.respond([1, 1, 3]) == 1   # 1 collision <= 1.5
         assert player.respond([1, 1, 1]) == 0   # 3 collisions > 1.5
 
     def test_rejects_negative_threshold(self):
         with pytest.raises(InvalidParameterError):
-            CollisionBitPlayer(threshold=-1)
+            GraphStatisticPlayer(complete_graph(3), -1)
 
 
 class TestDitheredPlayer:
@@ -129,7 +136,9 @@ class TestDitheredPlayer:
 
     def test_calibration_achieves_target(self, rng):
         n, q, target = 64, 16, 0.2
-        t, gamma, achieved = calibrate_dithered_collision(n, q, target, trials=6000, rng=rng)
+        t, gamma, achieved = calibrate_dithered_statistic(
+            complete_graph(q), n, target, trials=6000, rng=rng
+        )
         assert achieved == pytest.approx(target, abs=0.02)
         player = DitheredCollisionBitPlayer(t, gamma)
         bits = player.respond_batch(uniform(n).sample_matrix(6000, q, rng), rng)
@@ -139,25 +148,27 @@ class TestDitheredPlayer:
 class TestCalibration:
     def test_exact_zero_threshold_when_possible(self):
         # With tiny q the birthday tail is already below a generous target.
-        t, p = calibrate_collision_threshold(1024, 2, 0.5, rng=0)
+        t, p = calibrate_statistic_threshold(complete_graph(2), 1024, 0.5, rng=0)
         assert t == 0
         assert p == pytest.approx(1.0 / 1024)
 
     def test_threshold_grows_as_target_shrinks(self):
-        t_loose, _ = calibrate_collision_threshold(64, 16, 0.5, rng=0)
-        t_tight, _ = calibrate_collision_threshold(64, 16, 0.01, rng=0)
+        t_loose, _ = calibrate_statistic_threshold(complete_graph(16), 64, 0.5, rng=0)
+        t_tight, _ = calibrate_statistic_threshold(complete_graph(16), 64, 0.01, rng=0)
         assert t_tight >= t_loose
 
     def test_achieved_rate_respects_target(self, rng):
         n, q, target = 64, 16, 0.1
-        t, estimate = calibrate_collision_threshold(n, q, target, trials=4000, rng=0)
+        t, estimate = calibrate_statistic_threshold(
+            complete_graph(q), n, target, trials=4000, rng=0
+        )
         counts = collision_counts(uniform(n).sample_matrix(8000, q, rng))
         actual = float((counts > t).mean())
         assert actual <= target + 0.03
 
     def test_rejects_bad_target(self):
         with pytest.raises(InvalidParameterError):
-            calibrate_collision_threshold(16, 4, 0.0)
+            calibrate_statistic_threshold(complete_graph(4), 16, 0.0)
 
 
 class TestSimplePlayers:
@@ -189,6 +200,14 @@ class TestSimplePlayers:
         with pytest.raises(InvalidParameterError):
             player.respond([5])
 
+    def test_subset_membership_rejects_negative_samples(self):
+        # NumPy would read -4 as the last-but-three entry (here entry 0).
+        player = SubsetMembershipPlayer([1, 0, 0, 0])
+        with pytest.raises(InvalidParameterError):
+            player.respond([-4])
+        with pytest.raises(InvalidParameterError):
+            player.respond_batch(np.array([[0, 1], [2, -1]]))
+
 
 @given(
     seed=st.integers(min_value=0, max_value=10_000),
@@ -210,73 +229,6 @@ def test_collision_count_bounds_property(seed, q, n):
 @given(seed=st.integers(min_value=0, max_value=10_000))
 @settings(max_examples=20, deadline=None)
 def test_point_mass_always_collides(seed):
-    player = CollisionBitPlayer(threshold=0)
+    player = GraphStatisticPlayer(complete_graph(4), 0)
     samples = point_mass(8, 3).sample_matrix(10, 4, seed)
     assert (player.respond_batch(samples) == 0).all()
-
-
-class TestLegacyDeprecations:
-    """PR-9 legacy collision wrappers warn once, pointing at the graph API."""
-
-    def _reset(self):
-        from repro.core.players import reset_deprecation_warnings
-
-        reset_deprecation_warnings()
-
-    def test_collision_bit_player_warns_exactly_once(self):
-        import warnings
-
-        self._reset()
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            CollisionBitPlayer(threshold=1.0)
-            CollisionBitPlayer(threshold=2.0)
-        deprecations = [
-            entry for entry in caught
-            if issubclass(entry.category, DeprecationWarning)
-        ]
-        assert len(deprecations) == 1
-        message = str(deprecations[0].message)
-        assert "GraphStatisticPlayer" in message
-        assert "complete_graph" in message
-
-    def test_calibration_wrappers_warn_with_graph_replacement(self):
-        import warnings
-
-        from repro.core.players import (
-            calibrate_collision_threshold,
-            calibrate_dithered_collision,
-        )
-
-        for callable_, kwargs in (
-            (
-                calibrate_collision_threshold,
-                dict(n=32, q=6, max_reject_probability=0.3, trials=120, rng=0),
-            ),
-            (
-                calibrate_dithered_collision,
-                dict(n=32, q=6, target_alarm_rate=0.3, trials=120, rng=0),
-            ),
-        ):
-            self._reset()
-            with warnings.catch_warnings(record=True) as caught:
-                warnings.simplefilter("always")
-                callable_(**kwargs)
-            deprecations = [
-                entry for entry in caught
-                if issubclass(entry.category, DeprecationWarning)
-            ]
-            assert len(deprecations) == 1, callable_.__name__
-            assert "graph" in str(deprecations[0].message).lower()
-
-    def test_library_paths_stay_warning_free(self):
-        """Internal testers route through the graph player, never the legacy one."""
-        import warnings
-
-        from repro.core.testers import ThresholdRuleTester
-
-        self._reset()
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            tester = ThresholdRuleTester(32, 0.5, 4, calibration_trials=200)
-            tester.accept_batch(uniform(32), 20, 0)

@@ -7,12 +7,13 @@ import pytest
 
 from repro.core import (
     AndRule,
-    CollisionBitPlayer,
     ConstantPlayer,
+    GraphStatisticPlayer,
     Player,
     RandomBitPlayer,
     SimultaneousProtocol,
     ThresholdRule,
+    complete_graph,
 )
 from repro.distributions import SampleOracle, point_mass, uniform
 from repro.exceptions import (
@@ -24,7 +25,7 @@ from repro.exceptions import (
 
 def make_protocol(k=4, q=8, referee=None):
     return SimultaneousProtocol.homogeneous(
-        CollisionBitPlayer(threshold=0), k, q, referee or AndRule()
+        GraphStatisticPlayer(complete_graph(q), 0), k, q, referee or AndRule()
     )
 
 
@@ -37,8 +38,8 @@ class TestConstruction:
 
     def test_heterogeneous_detection(self):
         players = [
-            Player(CollisionBitPlayer(0), 4),
-            Player(CollisionBitPlayer(0), 8),
+            Player(GraphStatisticPlayer(complete_graph(4), 0), 4),
+            Player(GraphStatisticPlayer(complete_graph(8), 0), 8),
         ]
         protocol = SimultaneousProtocol(players, AndRule())
         assert not protocol.is_homogeneous
@@ -100,8 +101,8 @@ class TestExecution:
 
     def test_heterogeneous_batch(self):
         players = [
-            Player(CollisionBitPlayer(0), 2),
-            Player(CollisionBitPlayer(0), 16),
+            Player(GraphStatisticPlayer(complete_graph(2), 0), 2),
+            Player(GraphStatisticPlayer(complete_graph(16), 0), 16),
         ]
         protocol = SimultaneousProtocol(players, ThresholdRule(2, num_players=2))
         accepts = protocol.run_batch(uniform(16), trials=30, rng=0)

@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 import repro
 from repro.core import (
     AndRule,
-    CollisionBitPlayer,
     ConstantPlayer,
+    GraphStatisticPlayer,
     MajorityRule,
     OrRule,
     SimultaneousProtocol,
@@ -107,6 +107,7 @@ def test_collision_bit_monotone_in_threshold(seed, threshold):
     """Raising the collision threshold can only flip alarms to accepts."""
     rng = np.random.default_rng(seed)
     samples = rng.integers(0, 16, size=(50, 6))
-    loose = CollisionBitPlayer(threshold + 1.0).respond_batch(samples)
-    tight = CollisionBitPlayer(threshold).respond_batch(samples)
+    graph = repro.complete_graph(6)
+    loose = GraphStatisticPlayer(graph, threshold + 1.0).respond_batch(samples)
+    tight = GraphStatisticPlayer(graph, threshold).respond_batch(samples)
     assert np.all(loose >= tight)

@@ -17,12 +17,15 @@ from repro.core import (
     SimulationTester,
     ThresholdRuleTester,
 )
+from repro.core.graphs import (
+    complete_graph,
+    statistic_alarm_probabilities,
+    worst_case_statistic_proxy,
+)
 from repro.core.testers import (
-    collision_bit_probabilities,
     default_centralized_q,
     default_distributed_q,
     max_alarm_rate_for_threshold,
-    worst_case_collision_proxy,
 )
 from repro.distributions import (
     PaninskiFamily,
@@ -54,12 +57,14 @@ class TestDefaults:
         assert max_alarm_rate_for_threshold(4, 5) == 1.0
 
     def test_worst_case_proxy_properties(self):
-        proxy = worst_case_collision_proxy(N, EPS)
+        proxy = worst_case_statistic_proxy(complete_graph(2), N, EPS)
         assert distance_to_uniform(proxy) == pytest.approx(EPS)
         assert proxy.l2_norm_squared() == pytest.approx((1 + EPS**2) / N)
 
     def test_collision_bit_probabilities_ordering(self):
-        p0, p1 = collision_bit_probabilities(N, 48, EPS, threshold=5.0, rng=0)
+        p0, p1 = statistic_alarm_probabilities(
+            complete_graph(48), N, EPS, threshold=5.0, rng=0
+        )
         assert 0.0 <= p0 < p1 <= 1.0
 
 

@@ -2,7 +2,7 @@
 
 Every production kernel batches its trial axis (lint rule RL303); the
 per-trial transcriptions of the pre-vectorization kernels live in
-:mod:`repro.core.oracles`.  Two comparison regimes:
+:mod:`tests.oracles`.  Two comparison regimes:
 
 * **bit-identical** — kernels whose vectorization kept the exact draw
   order (:class:`SimulationTester`, :class:`EmpiricalDistanceTester`)
@@ -20,7 +20,6 @@ import pytest
 from numpy.random import default_rng
 
 import repro
-from repro.core import oracles
 from repro.core.baselines import EmpiricalDistanceTester
 from repro.core.independence import IndependenceTester, correlated_joint
 from repro.core.learning import (
@@ -31,6 +30,7 @@ from repro.core.learning import (
 from repro.core.testers import PairwiseHashTester, SimulationTester
 from repro.distributions.discrete import uniform
 from repro.network import LocalUniformityTester, grid_topology
+from tests import oracles
 
 N, EPS = 64, 0.3
 TRIALS = 400

@@ -54,7 +54,7 @@ class TestFingerprints:
 
     def test_raw_protocol_fingerprint(self):
         protocol = repro.SimultaneousProtocol.homogeneous(
-            repro.CollisionBitPlayer(0),
+            repro.GraphStatisticPlayer(repro.complete_graph(6), 0),
             num_players=4,
             num_samples=6,
             referee=repro.ThresholdRule(2, num_players=4),

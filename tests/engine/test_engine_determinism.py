@@ -24,7 +24,7 @@ N, EPS = 128, 0.5
 
 def homogeneous_protocol():
     return repro.SimultaneousProtocol.homogeneous(
-        repro.CollisionBitPlayer(threshold=0),
+        repro.GraphStatisticPlayer(repro.complete_graph(12), 0),
         num_players=6,
         num_samples=12,
         referee=repro.ThresholdRule(2, num_players=6),
@@ -35,8 +35,8 @@ def heterogeneous_protocol():
     from repro.core import Player, UniqueElementsPlayer
 
     players = [
-        Player(repro.CollisionBitPlayer(0), 4),
-        Player(repro.CollisionBitPlayer(1), 16),
+        Player(repro.GraphStatisticPlayer(repro.complete_graph(4), 0), 4),
+        Player(repro.GraphStatisticPlayer(repro.complete_graph(16), 1), 16),
         Player(UniqueElementsPlayer(3), 8),
     ]
     return repro.SimultaneousProtocol(players, repro.ThresholdRule(2, num_players=3))

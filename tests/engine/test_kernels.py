@@ -31,7 +31,7 @@ N, EPS = 128, 0.5
 
 def make_protocol():
     return repro.SimultaneousProtocol.homogeneous(
-        repro.CollisionBitPlayer(threshold=0),
+        repro.GraphStatisticPlayer(repro.complete_graph(12), 0),
         num_players=6,
         num_samples=12,
         referee=repro.ThresholdRule(2, num_players=6),

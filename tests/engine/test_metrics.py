@@ -80,7 +80,7 @@ class TestCollectMetrics:
 
     def test_engine_execution_counts_work(self):
         protocol = repro.SimultaneousProtocol.homogeneous(
-            repro.CollisionBitPlayer(0),
+            repro.GraphStatisticPlayer(repro.complete_graph(8), 0),
             num_players=4,
             num_samples=8,
             referee=repro.ThresholdRule(2, num_players=4),

@@ -7,7 +7,7 @@ from __future__ import annotations
 import pytest
 
 from repro.exceptions import InvalidParameterError
-from repro.experiments import EXPERIMENTS, experiment_ids, run_experiment
+from repro.experiments import experiment_ids, run_experiment
 
 
 class TestRegistry:
@@ -25,7 +25,7 @@ class TestRegistry:
     def test_unknown_scale_rejected(self):
         for eid in experiment_ids():
             with pytest.raises(InvalidParameterError):
-                EXPERIMENTS[eid](scale="galactic")
+                run_experiment(eid, scale="galactic")
 
 
 class TestExactExperiments:

@@ -9,7 +9,7 @@ import pytest
 
 import repro.experiments as experiments_package
 from repro.experiments.harness import REQUIRED_SCALES, ExperimentSpec
-from repro.experiments.registry import EXPERIMENTS, SPECS, experiment_ids
+from repro.experiments.registry import SPECS, experiment_ids, run_experiment
 
 MODULES = {
     "e01": "repro.experiments.e01_any_rule",
@@ -85,7 +85,9 @@ def test_sweep_plans_are_nonempty_and_deterministic(experiment_id):
 
 @pytest.mark.parametrize("experiment_id", sorted(MODULES))
 def test_run_signature(experiment_id):
+    """Every experiment runs as ``run_experiment(id, scale, seed)``."""
     import inspect
 
-    signature = inspect.signature(EXPERIMENTS[experiment_id])
-    assert list(signature.parameters) == ["scale", "seed"]
+    assert SPECS[experiment_id].experiment_id == experiment_id
+    signature = inspect.signature(run_experiment)
+    assert list(signature.parameters)[:3] == ["experiment_id", "scale", "seed"]

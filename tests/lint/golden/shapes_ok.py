@@ -1,10 +1,5 @@
 # lint-path: repro/core/shapes_example_ok.py
-"""Golden fixture: sound kernels the RL8xx rules must not flag.
-
-Exercises both genuinely clean kernels and the ⊤-degradation cases
-(unknown shapes, loop-poisoned budgets, incomparable size symbols) that
-must pass silently rather than demand pragmas.
-"""
+"""Golden fixture: kernels with explicit widths that RL802 must not flag."""
 import numpy as np
 
 
@@ -86,7 +81,7 @@ class LoopDegradedKernel:
 
 
 class OpaqueScoreKernel:
-    """An unknown helper shape degrades to ⊤ and passes RL801."""
+    """A helper ``*_block`` method is audited like accept_block."""
 
     @property
     def cache_token(self):

@@ -1,5 +1,11 @@
 # lint-path: repro/core/shapes_example.py
-"""Golden fixture: every RL8xx kernel-contract rule fires."""
+"""Golden fixture: RL802 fires on platform widths and float equality.
+
+The other kernels break the runtime kernel contract (a bool ``(trials,)``
+return, no exception, draws within ``elements_per_trial``) and carry no
+RL802 hazard.  ``tests/engine/test_rng_budget.py`` runs each of them and
+asserts the contract checker fails it.
+"""
 import numpy as np
 
 
@@ -12,7 +18,7 @@ class ScalarCollapseKernel:
 
     def accept_block(self, distribution, trials, rng):
         samples = distribution.sample_matrix(trials, 8, rng)
-        return (samples < 4).all()  # expect: RL801
+        return (samples < 4).all()
 
 
 class MatrixReturnKernel:
@@ -24,7 +30,7 @@ class MatrixReturnKernel:
 
     def accept_block(self, distribution, trials, rng):
         draws = rng.random((trials, 6))
-        return draws < 0.5  # expect: RL801
+        return draws < 0.5
 
 
 class CountReturnKernel:
@@ -36,7 +42,7 @@ class CountReturnKernel:
 
     def accept_block(self, distribution, trials, rng):
         samples = distribution.sample_matrix(trials, 8, rng)
-        return (samples == 0).sum(axis=1)  # expect: RL801
+        return (samples == 0).sum(axis=1)
 
 
 class PlatformDtypeKernel:
@@ -66,7 +72,7 @@ class UnderDeclaredKernel:
         return {"width": self.width}
 
     @property
-    def elements_per_trial(self):  # expect: RL803
+    def elements_per_trial(self):
         return self.width
 
     def accept_block(self, distribution, trials, rng):
@@ -85,7 +91,7 @@ class MisalignedKernel:
     def accept_block(self, distribution, trials, rng):
         left = rng.random((trials, 3))
         right = rng.random((trials, 4))
-        gap = left - right  # expect: RL804
+        gap = left - right
         return gap.any(axis=1)
 
 
@@ -100,7 +106,7 @@ class GraphCountReturnKernel:
         samples = distribution.sample_matrix(trials, 8, rng)
         paired = samples.reshape(trials, 4, 2)
         collide = paired[:, :, 0] == paired[:, :, 1]
-        return collide.sum(axis=1)  # expect: RL801
+        return collide.sum(axis=1)
 
 
 class DitheredGraphKernel:
@@ -114,7 +120,7 @@ class DitheredGraphKernel:
         return {"q": self.num_vertices}
 
     @property
-    def elements_per_trial(self):  # expect: RL803
+    def elements_per_trial(self):
         return self.num_vertices
 
     def accept_block(self, distribution, trials, rng):

@@ -76,7 +76,7 @@ def test_list_rules_shows_default_severity(capsys):
     assert main(["--list-rules"]) == EXIT_CLEAN
     out = capsys.readouterr().out
     assert "RL303  engine-perf [warning]:" in out
-    assert "RL801  block-return-shape [error]:" in out
+    assert "RL802  platform-dependent-dtype [error]:" in out
 
 
 def _run_module(args):

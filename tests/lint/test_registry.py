@@ -24,7 +24,7 @@ def test_registry_exposes_at_least_five_domain_rules():
         "RL501",
         "RL601",
         "RL701",
-        "RL801",
+        "RL802",
     ):
         assert code in rule_codes()
 

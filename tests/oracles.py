@@ -4,11 +4,11 @@ The engine's kernel substrate (:mod:`repro.engine.kernels`) is the one
 production path for acceptance estimation, and every production
 ``accept_block`` is vectorized across its trial axis; these deliberately
 naive loops exist so tests can pin both against implementations too
-simple to be wrong.  They are the sanctioned exception to lint rules
-RL302 ("engine bypass") and RL303 ("per-trial accept_block loop") —
-production code must never estimate this way.
+simple to be wrong.  Production code must never estimate this way (lint
+rules RL302 "engine bypass" and RL303 "per-trial accept_block loop"
+forbid it under ``src``).
 
-Two flavours live here:
+Three flavours live here:
 
 * :func:`reference_acceptance_rate` — the plainest possible sequential
   estimate, agreeing with the engine in distribution only;
@@ -17,18 +17,20 @@ Two flavours live here:
   exact draw order (:class:`~repro.core.testers.SimulationTester`,
   :class:`~repro.core.baselines.EmpiricalDistanceTester`) the oracle is
   bit-identical under a same-seeded generator; elsewhere it matches in
-  law and differential tests compare acceptance rates statistically.
+  law and differential tests compare acceptance rates statistically;
+* :func:`collision_counts_reference` — the original per-column loop
+  behind :func:`~repro.core.players.collision_counts`.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from ..distributions.discrete import DiscreteDistribution
-from ..exceptions import InvalidParameterError
-from ..rng import RngLike, ensure_rng
-from .closeness import closeness_statistic
-from .players import collision_counts
+from repro.core.closeness import closeness_statistic
+from repro.core.players import _validate_sample_matrix, collision_counts
+from repro.distributions.discrete import DiscreteDistribution
+from repro.exceptions import InvalidParameterError
+from repro.rng import RngLike, ensure_rng
 
 
 def graph_statistic_reference(graph, samples, mode: str = "edges") -> np.ndarray:
@@ -75,7 +77,7 @@ def comparison_graph_reference_accept_block(
     generator = ensure_rng(rng)
     samples = distribution.sample_matrix(trials, tester.q, generator)
     accepts = np.empty(trials, dtype=bool)
-    for trial in range(trials):  # repro-lint: disable=RL303 reference oracle
+    for trial in range(trials):
         statistic = int(
             graph_statistic_reference(
                 tester.graph, samples[trial], tester.mode
@@ -106,7 +108,7 @@ def network_graph_reference_accept_block(
     comparison_graph = tester.comparison_graph
     threshold = tester.player_statistic_threshold
     accepts = np.empty(trials, dtype=bool)
-    for trial in range(trials):  # repro-lint: disable=RL303 reference oracle
+    for trial in range(trials):
         alarms = 0
         for node in range(tester.k):
             statistic = int(
@@ -135,7 +137,7 @@ def reference_acceptance_rate(
         raise InvalidParameterError(f"trials must be >= 1, got {trials}")
     generator = ensure_rng(rng)
     hits = 0
-    for _ in range(trials):  # repro-lint: disable=RL302 reference oracle
+    for _ in range(trials):
         hits += bool(tester.test(distribution, generator))
     return hits / trials
 
@@ -163,7 +165,7 @@ def pairwise_hash_reference_accept_block(
     cutoff = 0.5 * tester.num_groups * pairs_per_group * signal
     samples = distribution.sample_matrix(trials, used_players, generator)
     pattern = np.arange(tester.n) % tester.num_buckets
-    for trial in range(trials):  # repro-lint: disable=RL303 reference oracle
+    for trial in range(trials):
         hashes = np.stack(
             [
                 pattern[generator.permutation(tester.n)]
@@ -204,7 +206,7 @@ def simulation_reference_accept_block(
     samples = distribution.sample_matrix(trials, tester.k, generator)
     guesses = generator.integers(0, tester.n, size=(trials, tester.k))
     hits = samples == guesses
-    for trial in range(trials):  # repro-lint: disable=RL303 reference oracle
+    for trial in range(trials):
         collected = guesses[trial][hits[trial]]
         m = collected.size
         if m < 2:
@@ -233,7 +235,7 @@ def empirical_distance_reference_accept_block(
     samples = distribution.sample_matrix(trials, tester.q, generator)
     statistics = np.empty(trials, dtype=np.float64)
     flat = 1.0 / tester.n
-    for index in range(trials):  # repro-lint: disable=RL303 reference oracle
+    for index in range(trials):
         histogram = np.bincount(samples[index], minlength=tester.n) / tester.q
         statistics[index] = float(np.abs(histogram - flat).sum())
     return statistics <= tester.distance_threshold
@@ -254,7 +256,7 @@ def independence_reference_accept_block(
     """
     generator = ensure_rng(rng)
     accepts = np.empty(trials, dtype=bool)
-    for index in range(trials):  # repro-lint: disable=RL303 reference oracle
+    for index in range(trials):
         joint_counts, product_counts = tester._counts(joint, generator)
         statistic = closeness_statistic(joint_counts, product_counts)
         accepts[index] = statistic <= tester.threshold
@@ -276,7 +278,7 @@ def learning_reference_accept_block(
     """
     generator = ensure_rng(rng)
     accepts = np.empty(trials, dtype=bool)
-    for index in range(trials):  # repro-lint: disable=RL303 reference oracle
+    for index in range(trials):
         outcome = kernel.learner.learn(distribution, generator)
         accepts[index] = outcome.l1_error <= kernel.delta
     return accepts
@@ -299,7 +301,7 @@ def local_model_reference_accept_block(
     protocol = tester._statistical.protocol
     threshold = tester._alarm_threshold
     accepts = np.empty(trials, dtype=bool)
-    for index in range(trials):  # repro-lint: disable=RL303 reference oracle
+    for index in range(trials):
         total = 0
         for player in protocol.players:
             samples = distribution.sample_matrix(1, player.num_samples, generator)
@@ -307,3 +309,26 @@ def local_model_reference_accept_block(
             total += 1 - bit
         accepts[index] = total < threshold
     return accepts
+
+
+def collision_counts_reference(samples: np.ndarray) -> np.ndarray:
+    """Reference oracle for :func:`~repro.core.players.collision_counts`.
+
+    The original implementation: walks the sorted rows column by column
+    accumulating the position within each run.  Semantically identical
+    to the vectorised count, with quadratic Python overhead in q.
+    """
+    matrix = _validate_sample_matrix(samples)
+    rows, q = matrix.shape
+    if q < 2:
+        return np.zeros(rows, dtype=np.int64)
+    ordered = np.sort(matrix, axis=1)
+    equal_prev = ordered[:, 1:] == ordered[:, :-1]
+    # run_position[i] = number of immediately-preceding equal samples in the
+    # current run; summing it per row gives Σ C(run_len, 2) exactly.
+    run_position = np.zeros((rows, q - 1), dtype=np.int64)
+    previous = np.zeros(rows, dtype=np.int64)
+    for column in range(q - 1):
+        previous = (previous + 1) * equal_prev[:, column]
+        run_position[:, column] = previous
+    return run_position.sum(axis=1)

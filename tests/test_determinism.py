@@ -105,11 +105,11 @@ class TestWorkerCountInvariance:
 
     @staticmethod
     def _make_truth_table():
-        from repro.core.players import CollisionBitPlayer
+        from repro.core.graphs import GraphStatisticPlayer, complete_graph
         from repro.core.protocol import SimultaneousProtocol
 
         referee = repro.TruthTableRule([0, 1] * 8)  # arbitrary f: {0,1}^4 -> {0,1}
-        player = CollisionBitPlayer(threshold=1)
+        player = GraphStatisticPlayer(complete_graph(24), 1)
         return SimultaneousProtocol.homogeneous(player, 4, 24, referee)
 
     def _curve(self, runner, backend):

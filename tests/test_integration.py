@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import repro
-from repro.core.testers import worst_case_collision_proxy
+from repro.core.graphs import complete_graph, worst_case_statistic_proxy
 from repro.lowerbounds import theorem_1_1_q_lower
 from repro.stats import empirical_sample_complexity
 from repro.stats.complexity import success_at
@@ -85,7 +85,7 @@ class TestEndToEndTesting:
         the same for every ν_z (probabilities are a permuted multiset)."""
         n, eps, q = 64, 0.5, 12
         family = repro.PaninskiFamily(n, eps)
-        proxy = worst_case_collision_proxy(n, eps)
+        proxy = worst_case_statistic_proxy(complete_graph(q), n, eps)
         proxy_sorted = np.sort(proxy.pmf)
         for seed in range(5):
             member = family.sample_distribution(seed)
@@ -110,7 +110,7 @@ class TestEndToEndTesting:
 class TestBudgetedProtocols:
     def test_protocol_respects_oracle_budgets(self):
         protocol = repro.SimultaneousProtocol.homogeneous(
-            repro.CollisionBitPlayer(0), 4, 10, repro.AndRule()
+            repro.GraphStatisticPlayer(repro.complete_graph(10), 0), 4, 10, repro.AndRule()
         )
         oracles = [
             repro.oracle_for(repro.uniform(64), rng=i, budget=10) for i in range(4)
