@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import repro
+from repro.core import collision_counts, complete_graph, worst_case_statistic_proxy
 from repro.core.multibit import MultibitThresholdTester, quantile_boundaries
 from repro.exceptions import InvalidParameterError
 
@@ -73,3 +74,33 @@ class TestMultibitTester:
     def test_underpowered_fails(self):
         tester = MultibitThresholdTester(N, EPS, K, message_bits=2, q=3)
         assert tester.soundness(FAR, 200, rng=4) < 0.65
+
+    def test_calibration_is_two_vertex_graph_proxy(self):
+        """Inline transcription of the calibration: uniform counts set the
+        quantile boundaries, then the far counts come from the K_2 proxy,
+        both on one generator seeded by ``calibration_rng``."""
+        q, trials = 20, 400
+        tester = MultibitThresholdTester(
+            N, EPS, K, message_bits=2, q=q, calibration_trials=trials
+        )
+        generator = np.random.default_rng(0)
+        uniform_counts = collision_counts(
+            repro.uniform(N).sample_matrix(trials, q, generator)
+        )
+        boundaries = quantile_boundaries(uniform_counts, 4)
+        far = worst_case_statistic_proxy(complete_graph(2), N, EPS)
+        far_counts = collision_counts(far.sample_matrix(trials, q, generator))
+        uniform_mean = np.searchsorted(boundaries, uniform_counts, side="right").mean()
+        far_mean = np.searchsorted(boundaries, far_counts, side="right").mean()
+        assert np.array_equal(tester.boundaries, boundaries)
+        assert tester.sum_threshold == 0.5 * K * (float(uniform_mean) + float(far_mean))
+
+    def test_calibration_values_are_pinned(self):
+        """The levels the removed collision proxy produced for this
+        configuration; the graph-layer proxy must reproduce them exactly."""
+        tester = MultibitThresholdTester(
+            N, EPS, K, message_bits=2, q=20, calibration_trials=400
+        )
+        assert tester.boundaries.tolist() == [0.0, 0.0, 1.0]
+        assert tester.calibration_gap == 2.61 - 2.4925
+        assert tester.sum_threshold == 40.82

@@ -209,6 +209,47 @@ class TestSimplePlayers:
             player.respond_batch(np.array([[0, 1], [2, -1]]))
 
 
+def _threshold_rule_path():
+    from repro.core.testers import ThresholdRuleTester
+
+    tester = ThresholdRuleTester(32, 0.5, 4, calibration_trials=200)
+    tester.accept_batch(uniform(32), 20, 0)
+
+
+def _asymmetric_rate_path():
+    from repro.core.tradeoffs import AsymmetricRateTester
+
+    tester = AsymmetricRateTester(
+        32, 0.5, [1.0, 0.5, 0.01], tau=12.0, calibration_trials=200
+    )
+    tester.accept_batch(uniform(32), 20, 0)
+
+
+def _multibit_path():
+    from repro.core.multibit import MultibitThresholdTester
+
+    tester = MultibitThresholdTester(32, 0.5, 4, q=8, calibration_trials=200)
+    tester.accept_batch(uniform(32), 20, 0)
+
+
+class TestLibraryWarnings:
+    """The testers that once went through the collision wrappers build
+    their players and calibrations on the graph layer without any
+    DeprecationWarning, from repro or from the libraries it calls."""
+
+    @pytest.mark.parametrize(
+        "path",
+        [_threshold_rule_path, _asymmetric_rate_path, _multibit_path],
+        ids=["threshold-rule", "asymmetric-rate", "multibit"],
+    )
+    def test_library_paths_stay_warning_free(self, path):
+        import warnings
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", DeprecationWarning)
+            path()
+
+
 @given(
     seed=st.integers(min_value=0, max_value=10_000),
     q=st.integers(min_value=2, max_value=10),

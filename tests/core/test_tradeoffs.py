@@ -5,7 +5,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core import AsymmetricRateTester
+from repro.core import AsymmetricRateTester, complete_graph
+from repro.core.graphs import statistic_alarm_probabilities
 from repro.core.tradeoffs import optimal_time_budget, rate_profile_norm
 from repro.distributions import two_level_distribution, uniform
 from repro.exceptions import InvalidParameterError
@@ -83,3 +84,29 @@ class TestAsymmetricTester:
         rates = np.ones(8)
         tester = AsymmetricRateTester(N, EPS, rates, tau=48.0)
         assert tester.expected_far_alarms > tester.expected_uniform_alarms
+
+    def test_calibration_is_per_q_graph_alarm_probabilities(self):
+        """Each distinct q_i >= 2 is calibrated on K_{q_i} with the
+        tester's own threshold and calibration seed; q_i < 2 slots add
+        nothing."""
+        rates = [1.0, 0.5, 0.01, 2.0, 1.0]
+        tester = AsymmetricRateTester(N, EPS, rates, tau=24.0, calibration_trials=400)
+        assert tester.sample_counts == [24, 12, 0, 48, 24]
+        expected = {}
+        for q in (12, 24, 48):
+            threshold = q * (q - 1) / 2.0 * (1.0 + EPS**2 / 2.0) / N
+            expected[q] = statistic_alarm_probabilities(
+                complete_graph(q), N, EPS, threshold, 400, 0
+            )
+        counted = [q for q in tester.sample_counts if q >= 2]
+        assert tester.expected_uniform_alarms == sum(expected[q][0] for q in counted)
+        assert tester.expected_far_alarms == sum(expected[q][1] for q in counted)
+
+    def test_calibration_values_are_pinned(self):
+        """The alarm sums the removed collision-bit wrapper produced for
+        this configuration; the graph-layer calibration must reproduce
+        them bit for bit."""
+        rates = [1.0, 0.5, 0.01, 2.0, 1.0]
+        tester = AsymmetricRateTester(N, EPS, rates, tau=24.0, calibration_trials=400)
+        assert tester.expected_uniform_alarms == 1.0650000000000002
+        assert tester.expected_far_alarms == 1.6199999999999999
