@@ -66,45 +66,67 @@ class ComparisonGraph:
     statistic) is one ``reduceat``.  Structured families carry their
     ``family`` name so fast paths and cache tokens can recognise them
     without inspecting the edge lists.
+
+    ``edges=None`` is the complete graph ``K_q``, held implicitly: its
+    edge count is closed-form, its cache token is ``(family, q)``, and
+    the edge arrays are built only when a caller reads them.  An explicit
+    edge list labelled ``"complete"`` must be exactly ``K_q``, so the
+    complete-graph fast paths and token never describe a sparser graph.
     """
 
     def __init__(
         self,
         num_vertices: int,
-        edges: Any,
-        family: str = "explicit",
+        edges: Any = None,
+        family: Optional[str] = None,
     ):
         if num_vertices < 2:
             raise InvalidParameterError(
                 f"a comparison graph needs >= 2 vertices, got {num_vertices}"
             )
         self.num_vertices = int(num_vertices)
-        self.family = str(family)
-        pairs = np.asarray(edges, dtype=np.int64)
-        if pairs.size == 0:
-            raise InvalidParameterError("a comparison graph needs >= 1 edge")
-        if pairs.ndim != 2 or pairs.shape[1] != 2:
+        complete_edges = self.num_vertices * (self.num_vertices - 1) // 2
+        self._edge_u: Optional[np.ndarray] = None
+        self._edge_v: Optional[np.ndarray] = None
+        if edges is None:
+            if family not in (None, "complete"):
+                raise InvalidParameterError(
+                    f"a {family!r} graph needs an explicit edge list"
+                )
+            self.family = "complete"
+            self._num_edges = complete_edges
+            return
+        self.family = "explicit" if family is None else str(family)
+        self._edge_u, self._edge_v = _canonical_edges(self.num_vertices, edges)
+        self._num_edges = int(self._edge_u.size)
+        if self.family == "complete" and self._num_edges != complete_edges:
             raise InvalidParameterError(
-                f"edges must be an (m, 2) array, got shape {pairs.shape}"
+                f"a 'complete' graph on {self.num_vertices} vertices has "
+                f"{complete_edges} edges, got {self._num_edges}"
             )
-        if pairs.min() < 0 or pairs.max() >= self.num_vertices:
-            raise InvalidParameterError(
-                f"edge endpoints must lie in [0, {self.num_vertices})"
-            )
-        low = pairs.min(axis=1)
-        high = pairs.max(axis=1)
-        if np.any(low == high):
-            raise InvalidParameterError("self-loops are not comparisons")
-        order = np.lexsort((low, high))
-        self.edge_u = np.ascontiguousarray(low[order])
-        self.edge_v = np.ascontiguousarray(high[order])
-        keys = self.edge_u * self.num_vertices + self.edge_v
-        if np.unique(keys).size != keys.size:
-            raise InvalidParameterError("duplicate edges are not allowed")
+
+    def _materialise(self) -> Tuple[np.ndarray, np.ndarray]:
+        if self._edge_u is None or self._edge_v is None:
+            # K_q in (v, u) order: tril_indices yields rows v > columns u,
+            # row-major — the canonical sort of the explicit path.
+            v, u = np.tril_indices(self.num_vertices, k=-1)
+            self._edge_u = np.ascontiguousarray(u, dtype=np.int64)
+            self._edge_v = np.ascontiguousarray(v, dtype=np.int64)
+        return self._edge_u, self._edge_v
+
+    @property
+    def edge_u(self) -> np.ndarray:
+        """Earlier endpoints (``int64``), in canonical edge order."""
+        return self._materialise()[0]
+
+    @property
+    def edge_v(self) -> np.ndarray:
+        """Later endpoints (``int64``), in canonical edge order."""
+        return self._materialise()[1]
 
     @property
     def num_edges(self) -> int:
-        return int(self.edge_u.size)
+        return self._num_edges
 
     @property
     def degrees(self) -> np.ndarray:
@@ -130,12 +152,19 @@ class ComparisonGraph:
 
     @property
     def cache_token(self) -> Dict[str, Any]:
-        """Identity of the graph in calibration cache keys."""
-        return {
+        """Identity of the graph in kernel and calibration cache keys.
+
+        ``K_q`` is named by its size alone (the constructor guarantees a
+        ``"complete"`` graph has every edge); other graphs add the hash
+        of their exact edge structure.
+        """
+        token: Dict[str, Any] = {
             "family": self.family,
             "num_vertices": self.num_vertices,
-            "edges": self.content_hash(),
         }
+        if self.family != "complete":
+            token["edges"] = self.content_hash()
+        return token
 
     def __repr__(self) -> str:
         return (
@@ -144,12 +173,41 @@ class ComparisonGraph:
         )
 
 
+def _canonical_edges(num_vertices: int, edges: Any) -> Tuple[np.ndarray, np.ndarray]:
+    """Validate an explicit edge list; return its ``(u, v)`` arrays with
+    ``u < v``, sorted by ``(v, u)``."""
+    pairs = np.asarray(edges, dtype=np.int64)
+    if pairs.size == 0:
+        raise InvalidParameterError("a comparison graph needs >= 1 edge")
+    if pairs.ndim != 2 or pairs.shape[1] != 2:
+        raise InvalidParameterError(
+            f"edges must be an (m, 2) array, got shape {pairs.shape}"
+        )
+    if pairs.min() < 0 or pairs.max() >= num_vertices:
+        raise InvalidParameterError(
+            f"edge endpoints must lie in [0, {num_vertices})"
+        )
+    low = pairs.min(axis=1)
+    high = pairs.max(axis=1)
+    if np.any(low == high):
+        raise InvalidParameterError("self-loops are not comparisons")
+    order = np.lexsort((low, high))
+    edge_u = np.ascontiguousarray(low[order])
+    edge_v = np.ascontiguousarray(high[order])
+    keys = edge_u * num_vertices + edge_v
+    if np.unique(keys).size != keys.size:
+        raise InvalidParameterError("duplicate edges are not allowed")
+    return edge_u, edge_v
+
+
 def complete_graph(q: int) -> ComparisonGraph:
-    """``K_q``: every pair compared — the classical collision statistic."""
+    """``K_q``: every pair compared — the classical collision statistic.
+
+    Held implicitly: no edge array is built unless a caller reads one.
+    """
     if q < 2:
         raise InvalidParameterError(f"complete graph needs q >= 2, got {q}")
-    u, v = np.triu_indices(q, k=1)
-    return ComparisonGraph(q, np.column_stack((u, v)), family="complete")
+    return ComparisonGraph(q)
 
 
 def star_graph(q: int) -> ComparisonGraph:
@@ -600,8 +658,8 @@ class ComparisonGraphTester(UniformityTester):
       midpoint (exactly the legacy unique-elements cut on ``K_q``).
 
     The tester is a native :class:`~repro.engine.kernels.AcceptKernel`:
-    it carries its own ``cache_token`` (family, exact edge hash, mode,
-    cut and per-class ``kernel_version``) so cached acceptance curves
+    it carries its own ``cache_token`` (the graph's token, mode, cut and
+    per-class ``kernel_version``) so cached acceptance curves
     can never collide across graphs that share ``(n, q)``.
     """
 
@@ -666,8 +724,7 @@ class ComparisonGraphTester(UniformityTester):
             "epsilon": self.epsilon,
             "q": self.q,
             "mode": self.mode,
-            "family": self.graph.family,
-            "graph": self.graph.content_hash(),
+            "graph": self.graph.cache_token,
             "threshold": float(self.statistic_threshold),
         }
 

@@ -653,8 +653,7 @@ class StreamingGraphTester(StreamingTester):
     def _token_extra(self) -> Dict[str, Any]:
         return {
             "mode": self.mode,
-            "family": self.graph.family,
-            "graph": self.graph.content_hash(),
+            "graph": self.graph.cache_token,
             "threshold": float(self.statistic_threshold),
         }
 

@@ -49,7 +49,9 @@ from ..rng import RngLike
 
 #: Bump when the cached payload or key layout changes incompatibly.
 #: Version 2: kernel-identity keys + full-estimate payloads.
-CACHE_VERSION = 2
+#: Version 3: a homogeneous protocol keys as one ``{"homogeneous": k}``
+#: player entry, and ``K_q`` as ``(family, q)`` without an edge hash.
+CACHE_VERSION = 3
 
 #: File-name prefixes of acceptance-estimate and calibration entries.
 ESTIMATE_PREFIX = "accept-"
@@ -73,11 +75,26 @@ def _primitive_items(obj: Any) -> Dict[str, Any]:
 
 
 def protocol_fingerprint(protocol: Any) -> Dict[str, Any]:
-    """Stable description of a :class:`SimultaneousProtocol`."""
-    players = [
-        {"strategy": player.strategy.name, "q": player.num_samples}
-        for player in protocol.players
-    ]
+    """Stable description of a :class:`SimultaneousProtocol`.
+
+    A homogeneous protocol (one shared strategy object and sample count,
+    the test :func:`~repro.engine.kernels.protocol_bits` uses to draw one
+    ``trials·k × q`` matrix) is one entry naming ``k``; any other lists
+    every player, so the key also states the draw layout.
+    """
+    players: Any
+    if protocol.is_homogeneous:
+        first = protocol.players[0]
+        players = {
+            "homogeneous": protocol.num_players,
+            "strategy": first.strategy.name,
+            "q": first.num_samples,
+        }
+    else:
+        players = [
+            {"strategy": player.strategy.name, "q": player.num_samples}
+            for player in protocol.players
+        ]
     return {
         "players": players,
         "referee": {
@@ -290,8 +307,8 @@ class AcceptanceCache:
                 f"cache_dir {self.cache_dir!r} is not a usable directory: {error}"
             ) from error
 
-    def _path(self, key: Dict[str, Any], prefix: str) -> str:
-        digest = hashlib.sha256(_canonical(key).encode("utf-8")).hexdigest()
+    def _path(self, canonical_key: str, prefix: str) -> str:
+        digest = hashlib.sha256(canonical_key.encode("utf-8")).hexdigest()
         return os.path.join(self.cache_dir, f"{prefix}{digest[:40]}.json")
 
     def _read(
@@ -300,14 +317,17 @@ class AcceptanceCache:
         """One entry's payload dict, or ``None`` unless the file parses and
         stores exactly ``key`` (compared as canonical JSON, so tuples
         match lists).  A stale version is a differing key."""
+        canonical_key = _canonical(key)
         try:
-            with open(self._path(key, prefix), "r", encoding="utf-8") as handle:
+            with open(
+                self._path(canonical_key, prefix), "r", encoding="utf-8"
+            ) as handle:
                 payload = json.load(handle)
         except (OSError, ValueError):
             return None
         if not isinstance(payload, dict):
             return None
-        if _canonical(payload.get("key")) != _canonical(key):
+        if _canonical(payload.get("key")) != canonical_key:
             return None
         return payload
 
@@ -322,7 +342,7 @@ class AcceptanceCache:
         The write goes through a same-directory temp file + rename so
         concurrent processes never observe a torn entry.
         """
-        path = self._path(key, prefix)
+        path = self._path(_canonical(key), prefix)
         tmp = f"{path}.tmp.{os.getpid()}"
         with open(tmp, "w", encoding="utf-8") as handle:
             handle.write(json.dumps(payload, sort_keys=True))

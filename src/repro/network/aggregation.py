@@ -8,13 +8,14 @@ verdict back down.  Together they cost O(depth) rounds and O(k) messages.
 
 from __future__ import annotations
 
-from typing import Dict, List, Mapping, Optional, Tuple
-
-import networkx as nx
+from typing import TYPE_CHECKING, Dict, List, Mapping, Optional, Tuple
 
 from ..exceptions import InvalidParameterError
 from .simulator import NetworkSimulator, NodeProgram, RoundStats
 from .spanning_tree import children_of, tree_depth
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 
 class ConvergecastProgram(NodeProgram):

@@ -20,9 +20,8 @@ travel.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
-import networkx as nx
 import numpy as np
 
 from ..core.tradeoffs import AsymmetricRateTester, optimal_time_budget
@@ -32,6 +31,9 @@ from ..rng import RngLike, ensure_rng
 from .aggregation import broadcast_value, convergecast_sum
 from .spanning_tree import build_bfs_tree, tree_depth
 from .topology import validate_topology
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 
 @dataclass

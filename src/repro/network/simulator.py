@@ -14,12 +14,13 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional
-
-import networkx as nx
+from typing import TYPE_CHECKING, Dict, List, Mapping, Optional
 
 from ..exceptions import InvalidParameterError, ProtocolError
 from .topology import validate_topology
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 
 @dataclass

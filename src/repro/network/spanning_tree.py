@@ -9,13 +9,14 @@ node has joined the tree.
 
 from __future__ import annotations
 
-from typing import Dict, List, Mapping, Optional, Tuple
-
-import networkx as nx
+from typing import TYPE_CHECKING, Dict, List, Mapping, Optional, Tuple
 
 from ..exceptions import InvalidParameterError
 from .simulator import NetworkSimulator, NodeProgram, RoundStats
 from .topology import validate_topology
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 
 class BfsTreeProgram(NodeProgram):

@@ -23,9 +23,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
-import networkx as nx
 import numpy as np
 
 from ..core.graphs import (
@@ -43,6 +42,9 @@ from ..rng import RngLike, ensure_rng
 from .aggregation import broadcast_value, convergecast_sum
 from .spanning_tree import build_bfs_tree, tree_depth
 from .topology import validate_topology
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 
 @dataclass
@@ -252,7 +254,7 @@ class NetworkUniformityTester:
         # only the statistical configuration — curves are shared across
         # topologies but can never collide with protocol-kernel curves.
         # v2: per-node statistic generalised to an arbitrary comparison
-        # graph, whose family and exact edge structure key the curve.
+        # graph, whose cache token keys the curve.
         return {
             "schema": KERNEL_SCHEMA_VERSION,
             "kind": "network",
@@ -262,8 +264,7 @@ class NetworkUniformityTester:
             "epsilon": self.epsilon,
             "k": self.k,
             "q": self.q,
-            "family": self.comparison_graph.family,
-            "comparison_graph": self.comparison_graph.content_hash(),
+            "comparison_graph": self.comparison_graph.cache_token,
             "reject_threshold": self.reject_threshold,
             "player_statistic_threshold": self.player_statistic_threshold,
         }

@@ -88,6 +88,50 @@ class TestConstruction:
         with pytest.raises(InvalidParameterError):
             ComparisonGraph(5, bad)
 
+    def test_complete_label_requires_every_edge(self):
+        with pytest.raises(InvalidParameterError):
+            ComparisonGraph(4, [(0, 1)], family="complete")
+        u, v = np.triu_indices(4, k=1)
+        explicit = ComparisonGraph(4, np.column_stack((u, v)), family="complete")
+        assert graph_statistic_block(explicit, np.array([[1, 1, 2, 2]])).tolist() == [2]
+        assert explicit.cache_token == complete_graph(4).cache_token
+
+    def test_only_the_complete_graph_is_implicit(self):
+        with pytest.raises(InvalidParameterError):
+            ComparisonGraph(4, family="star")
+        assert ComparisonGraph(4).family == "complete"
+        assert ComparisonGraph(4, [(0, 1)]).family == "explicit"
+
+    @pytest.mark.parametrize("q", range(2, 65))
+    def test_implicit_complete_graph_matches_explicit_edges(self, q):
+        implicit = complete_graph(q)
+        assert implicit.num_edges == q * (q - 1) // 2
+        u, v = np.triu_indices(q, k=1)
+        explicit = ComparisonGraph(q, np.column_stack((u, v)))
+        for name in ("edge_u", "edge_v", "degrees"):
+            got, want = getattr(implicit, name), getattr(explicit, name)
+            assert got.dtype == want.dtype == np.int64
+            assert got.flags.c_contiguous
+            np.testing.assert_array_equal(got, want)
+        assert implicit.num_edges == explicit.num_edges
+        assert implicit.num_cherries == explicit.num_cherries
+        assert implicit.content_hash() == explicit.content_hash()
+
+    def test_complete_graph_token_names_the_size_only(self):
+        assert complete_graph(7).cache_token == {"family": "complete", "num_vertices": 7}
+        assert "edges" in star_graph(7).cache_token
+
+    def test_threshold_rule_tester_never_materialises_k_q(self, monkeypatch):
+        def refuse(graph):
+            raise AssertionError(f"materialised the edges of {graph!r}")
+
+        monkeypatch.setattr(ComparisonGraph, "_materialise", refuse)
+        tester = repro.ThresholdRuleTester(
+            1024, 0.5, k=16, q=4096, calibration_trials=200
+        )
+        assert tester.protocol.players[0].strategy.graph.num_edges == 4096 * 4095 // 2
+        assert repro.engine.as_kernel(tester).cache_token["kind"] == "protocol"
+
     def test_family_edge_counts(self):
         assert complete_graph(8).num_edges == 28
         assert star_graph(9).num_edges == 8

@@ -16,7 +16,13 @@ from repro.engine import (
     probe_key,
 )
 from repro.engine import tester_fingerprint as fingerprint_tester
-from repro.engine.cache import CACHE_VERSION, cached_calibration, seed_fingerprint
+from repro.engine.cache import (
+    CACHE_VERSION,
+    _canonical,
+    cached_calibration,
+    kernel_probe_key,
+    seed_fingerprint,
+)
 from repro.exceptions import InvalidParameterError
 
 N, EPS = 64, 0.5
@@ -50,7 +56,11 @@ class TestFingerprints:
     def test_tester_fingerprint_covers_nested_protocol(self):
         fp = fingerprint_tester(repro.ThresholdRuleTester(N, EPS, k=8, q=12))
         assert "protocol" in fp
-        assert len(fp["protocol"]["players"]) == 8
+        assert fp["protocol"]["players"] == {
+            "homogeneous": 8,
+            "strategy": "GraphStatisticPlayer(complete, q=12, m=66, mode=edges, t=1.16015625)",
+            "q": 12,
+        }
 
     def test_raw_protocol_fingerprint(self):
         protocol = repro.SimultaneousProtocol.homogeneous(
@@ -61,7 +71,36 @@ class TestFingerprints:
         )
         fp = fingerprint_tester(protocol)
         assert fp["class"] == "SimultaneousProtocol"
-        assert len(fp["players"]) == 4
+        assert fp["players"] == {
+            "homogeneous": 4,
+            "strategy": "GraphStatisticPlayer(complete, q=6, m=15, mode=edges, t=0.0)",
+            "q": 6,
+        }
+
+    def test_heterogeneous_protocol_lists_every_player(self):
+        players = [
+            repro.Player(repro.GraphStatisticPlayer(repro.complete_graph(q), 0), q)
+            for q in (4, 6, 6)
+        ]
+        protocol = repro.SimultaneousProtocol(
+            players, repro.ThresholdRule(2, num_players=3)
+        )
+        fp = fingerprint_tester(protocol)
+        assert [player["q"] for player in fp["players"]] == [4, 6, 6]
+        assert fp["players"][0]["strategy"].startswith("GraphStatisticPlayer(complete, q=4")
+
+    def test_kernel_key_length_is_independent_of_k(self):
+        # k appears three times (tester, player entry, referee) and so does
+        # the referee threshold T ∝ k; nothing else in the key grows with k.
+        def length_without_k_digits(k):
+            tester = repro.ThresholdRuleTester(1024, EPS, k=k, q=48)
+            key = kernel_probe_key(
+                repro.engine.as_kernel(tester), repro.uniform(1024), {"trials": 100}, 0
+            )
+            digits = len(str(k)) + len(str(tester.reject_threshold))
+            return len(_canonical(key)) - 3 * digits
+
+        assert length_without_k_digits(256) == length_without_k_digits(4)
 
     def test_seed_fingerprint_distinguishes_spawn_keys(self):
         a = seed_fingerprint(np.random.SeedSequence(entropy=7, spawn_key=(1, 2)))
@@ -187,3 +226,47 @@ class TestAcceptanceCache:
         nested = tmp_path / "a" / "b"
         AcceptanceCache(str(nested))
         assert nested.is_dir()
+
+
+class TestProtocolLayoutKeys:
+    """Homogeneous and heterogeneous protocols draw in different layouts
+    (one ``trials·k × q`` matrix vs one matrix per player), so equal
+    strategies must still key apart."""
+
+    N, Q, K, T = 64, 8, 4, 2
+
+    def _protocols(self):
+        referee = repro.ThresholdRule(self.T, num_players=self.K)
+        shared = repro.GraphStatisticPlayer(repro.complete_graph(self.Q), 0)
+        homogeneous = repro.SimultaneousProtocol.homogeneous(
+            shared, self.K, self.Q, referee
+        )
+        heterogeneous = repro.SimultaneousProtocol(
+            [
+                repro.Player(
+                    repro.GraphStatisticPlayer(repro.complete_graph(self.Q), 0), self.Q
+                )
+                for _ in range(self.K)
+            ],
+            referee,
+        )
+        assert homogeneous.is_homogeneous and not heterogeneous.is_homogeneous
+        return homogeneous, heterogeneous
+
+    def test_layouts_key_apart(self):
+        homogeneous, heterogeneous = self._protocols()
+        assert fingerprint_tester(homogeneous) != fingerprint_tester(heterogeneous)
+
+    def test_cache_serves_each_layout_its_own_rate(self, tmp_path):
+        distribution = repro.uniform(self.N)
+        uncached = [
+            protocol.acceptance_probability(distribution, 2000, rng=5)
+            for protocol in self._protocols()
+        ]
+        assert uncached[0] != uncached[1]
+        with repro.engine.engine_context(cache=AcceptanceCache(str(tmp_path))):
+            cached = [
+                protocol.acceptance_probability(distribution, 2000, rng=5)
+                for protocol in self._protocols()
+            ]
+        assert cached == uncached

@@ -98,3 +98,29 @@ class TestDependencies:
                             continue
                         offenders.append((path, root))
         assert not offenders, offenders
+
+
+class TestImportCost:
+    def test_networkx_is_imported_only_when_a_topology_is_built(self):
+        """``import repro`` and the experiment registry leave networkx
+        unloaded; the network substrate imports it where it is used."""
+        import subprocess
+        import sys
+
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.path.join(REPO_ROOT, "src")
+        script = (
+            "import sys\n"
+            "import repro, repro.experiments\n"
+            "assert 'networkx' not in sys.modules, 'networkx imported eagerly'\n"
+            "repro.network.line_topology(3)\n"
+            "assert 'networkx' in sys.modules\n"
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", script],
+            cwd=REPO_ROOT,
+            env=env,
+            capture_output=True,
+            text=True,
+        )
+        assert result.returncode == 0, result.stderr
