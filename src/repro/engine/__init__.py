@@ -18,7 +18,6 @@ from .cache import (
     AcceptanceCache,
     distribution_fingerprint,
     kernel_probe_key,
-    probe_key,
     tester_fingerprint,
 )
 from .chunking import (
@@ -72,7 +71,6 @@ __all__ = [
     "AcceptanceCache",
     "distribution_fingerprint",
     "tester_fingerprint",
-    "probe_key",
     "kernel_probe_key",
     "AcceptKernel",
     "KERNEL_SCHEMA_VERSION",

@@ -1,10 +1,10 @@
 """On-disk acceptance-curve and calibration cache.
 
 ``empirical_sample_complexity`` probes the same (tester, distribution,
-trials, seed) points over and over — bisection revisits levels, experiment
-re-runs repeat whole curves.  Every probe is a pure function of its
-fingerprint, so the engine memoises the estimated acceptance rate in one
-small JSON file per probe under a content-addressed name.
+mode, seed) points on every re-run of an experiment.  Every probe is a
+pure function of its fingerprint, so the engine memoises the estimated
+acceptance rate in one small JSON file per probe under a
+content-addressed name.
 
 Keys combine:
 
@@ -148,29 +148,6 @@ def kernel_probe_key(
         ),
         "mode": mode,
         "seed": str(int(root_entropy)),
-    }
-
-
-def probe_key(
-    tester: Any,
-    distribution: Any,
-    trials: int,
-    seed: np.random.SeedSequence,
-) -> Dict[str, Any]:
-    """The cache key for one fixed-budget acceptance-rate probe.
-
-    Compatibility wrapper over :func:`kernel_probe_key`: the tester is
-    lifted onto the kernel substrate so the key includes kernel identity
-    and version.
-    """
-    from .kernels import as_kernel
-
-    return {
-        "version": CACHE_VERSION,
-        "kernel": dict(as_kernel(tester).cache_token),
-        "distribution": distribution_fingerprint(distribution),
-        "mode": {"trials": int(trials)},
-        "seed": seed_fingerprint(seed),
     }
 
 
@@ -364,24 +341,6 @@ class AcceptanceCache:
     def put_estimate(self, key: Dict[str, Any], estimate: Dict[str, Any]) -> str:
         """Persist one full estimate payload; returns the entry path."""
         return self._write(key, {"key": key, "estimate": dict(estimate)})
-
-    def get_rate(self, key: Dict[str, Any]) -> Optional[float]:
-        """The memoised acceptance rate, or ``None`` on a miss.
-
-        Reads both bare-rate entries (``put_rate``) and full estimate
-        entries (``put_estimate``).
-        """
-        payload = self._read(key)
-        if payload is None:
-            return None
-        rate = payload.get("rate")
-        if rate is None and isinstance(payload.get("estimate"), dict):
-            rate = payload["estimate"].get("rate")
-        return float(rate) if isinstance(rate, (int, float)) else None
-
-    def put_rate(self, key: Dict[str, Any], rate: float) -> str:
-        """Persist one bare probe rate; returns the entry path."""
-        return self._write(key, {"key": key, "rate": float(rate)})
 
     def _entries(self) -> List[str]:
         # Sorted so deletion (and any interleaved failure) happens in a

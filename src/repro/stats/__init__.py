@@ -2,8 +2,11 @@
 
 * :mod:`repro.stats.estimation` — Bernoulli success-probability estimation
   with Wilson confidence intervals.
-* :mod:`repro.stats.complexity` — the empirical sample-complexity search
-  q*(tester; n, k, ε) via exponential bracketing + binary search.
+* :mod:`repro.stats.complexity` — the empirical resource-complexity
+  search: q*(tester; n, k, ε) or k* via one exponential-bracketing +
+  binary-search skeleton, with each level classified either on a fixed
+  trial budget or by the engine's sequential test
+  (:class:`repro.engine.SprtSpec`).
 * :mod:`repro.stats.fitting` — log-log power-law fits for extracting the
   scaling exponents the paper's theorems predict.
 * :mod:`repro.stats.power` — success-probability power curves.
@@ -13,7 +16,6 @@ from .estimation import BernoulliEstimate, estimate_probability, wilson_interval
 from .complexity import (
     SampleComplexityResult,
     empirical_sample_complexity,
-    empirical_sample_complexity_sequential,
     empirical_player_complexity,
     graph_family_complexity_sweep,
     streaming_memory_complexity_sweep,
@@ -21,7 +23,6 @@ from .complexity import (
 )
 from .fitting import PowerLawFit, fit_power_law
 from .power import PowerCurve, power_curve
-from .sequential import SprtResult, sprt_bernoulli, sprt_batched
 from .ascii import sparkline, horizontal_bar_chart, success_curve_plot
 
 __all__ = [
@@ -30,7 +31,6 @@ __all__ = [
     "wilson_interval",
     "SampleComplexityResult",
     "empirical_sample_complexity",
-    "empirical_sample_complexity_sequential",
     "empirical_player_complexity",
     "graph_family_complexity_sweep",
     "streaming_memory_complexity_sweep",
@@ -39,9 +39,6 @@ __all__ = [
     "fit_power_law",
     "PowerCurve",
     "power_curve",
-    "SprtResult",
-    "sprt_bernoulli",
-    "sprt_batched",
     "sparkline",
     "horizontal_bar_chart",
     "success_curve_plot",

@@ -21,9 +21,8 @@ benchmarks can report it.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Sequence
+from dataclasses import dataclass, field, replace
+from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -31,6 +30,9 @@ from ..distributions.discrete import DiscreteDistribution, uniform
 from ..distributions.families import PaninskiFamily
 from ..exceptions import InvalidParameterError, SearchDivergedError
 from ..rng import RngLike, ensure_rng
+
+if TYPE_CHECKING:
+    from ..engine import SprtSpec
 
 #: A factory mapping a resource level (q or k) to a ready-to-run tester.
 TesterFactory = Callable[[int], "object"]
@@ -118,216 +120,99 @@ def default_far_distributions(
     return members
 
 
-def _seeded_success(
-    tester,
-    alternatives: Sequence[DiscreteDistribution],
-    trials: int,
-    root_entropy: int,
-    level: int,
-) -> float:
-    """Cache-aware success evaluation at one resource level.
+def _probe_seed(root_entropy: int, level: int, side: int) -> np.random.SeedSequence:
+    """The seed of one probe: ``spawn_key=(1, level, side)`` off the root.
 
-    Each (level, side) probe gets its own seed derived from the search's
-    root entropy via ``SeedSequence(root, spawn_key=(1, level, side))``,
-    which makes every probe a pure function of its inputs — the engine's
-    acceptance cache can then memoise it across bisection revisits and
-    whole re-runs, and results are bit-identical across backends and
-    chunk sizes.
+    Side 0 is the uniform distribution and side ``i`` the i-th
+    alternative.  Every probe is thereby a pure function of its inputs —
+    the engine's acceptance cache can memoise it across whole re-runs,
+    and results are bit-identical across backends and chunk sizes.
     """
-    from ..engine import estimate_acceptance
-
-    def probe_seed(side: int) -> np.random.SeedSequence:
-        return np.random.SeedSequence(entropy=root_entropy, spawn_key=(1, level, side))
-
-    success = estimate_acceptance(
-        tester, uniform(tester.n), trials=trials, rng=probe_seed(0)
-    ).rate
-    for index, far in enumerate(alternatives):
-        rate = estimate_acceptance(
-            tester, far, trials=trials, rng=probe_seed(index + 1)
-        ).rate
-        success = min(success, 1.0 - rate)
-    return success
+    return np.random.SeedSequence(entropy=root_entropy, spawn_key=(1, level, side))
 
 
 def _seeded_classify(
     tester,
     alternatives: Sequence[DiscreteDistribution],
     threshold: float,
-    sprt_margin: float,
-    sprt_error_rate: float,
-    sprt_max_trials: int,
+    trials: int,
+    sprt: Optional[SprtSpec],
     root_entropy: int,
     level: int,
-) -> tuple:
-    """(passed, empirical success rate) for one level, SPRT per side.
+) -> Tuple[bool, float]:
+    """(passed, empirical success rate) for one resource level.
 
-    ``success >= threshold`` decomposes into per-side conditions —
+    Probes the uniform distribution, then each alternative, in that
+    order and each under its :func:`_probe_seed`.  With a fixed budget
+    (``sprt=None``) every side runs ``trials`` executions and the level
+    passes when ``min(completeness, worst-case soundness) >= threshold``.
+
+    With ``sprt`` the condition decomposes into per-side conditions —
     completeness ``>= threshold`` and each alternative's acceptance
     ``<= 1 - threshold`` — each classified by the engine's block-granular
     sequential test (:func:`repro.engine.estimate_acceptance`).  Easy
-    levels resolve in one RNG block; sides are probed in a fixed order
-    with a short-circuit on the first failure, and seeds reuse the exact
-    spawn keys of :func:`_seeded_success`, so verdicts and trial counts
-    are bit-deterministic across backends, worker counts and tile sizes.
-
-    The returned rate is the minimum per-side estimate over the trials
-    the SPRT actually used (coarser than a fixed-budget estimate, by
-    design).
+    levels resolve in one RNG block and the first failing side
+    short-circuits the rest, so verdicts and trial counts are
+    bit-deterministic across backends, worker counts and tile sizes.
+    The returned rate is then the minimum per-side estimate over the
+    trials the SPRT actually used (coarser than a fixed-budget estimate,
+    by design).
     """
-    from ..engine import SprtSpec, estimate_acceptance
+    from ..engine import estimate_acceptance
 
-    def probe_seed(side: int) -> np.random.SeedSequence:
-        return np.random.SeedSequence(entropy=root_entropy, spawn_key=(1, level, side))
-
-    completeness_spec = SprtSpec(
-        target=threshold,
-        margin=sprt_margin,
-        error_rate=sprt_error_rate,
-        max_trials=sprt_max_trials,
-    )
-    estimate = estimate_acceptance(
-        tester, uniform(tester.n), sprt=completeness_spec, rng=probe_seed(0)
-    )
-    success = estimate.rate
-    if not estimate.decided_above:
-        return False, success
-    soundness_spec = SprtSpec(
-        target=1.0 - threshold,
-        margin=sprt_margin,
-        error_rate=sprt_error_rate,
-        max_trials=sprt_max_trials,
-    )
-    for index, far in enumerate(alternatives):
-        far_estimate = estimate_acceptance(
-            tester, far, sprt=soundness_spec, rng=probe_seed(index + 1)
-        )
-        success = min(success, 1.0 - far_estimate.rate)
-        if far_estimate.decided_above:
+    success = 1.0
+    for side, distribution in enumerate([uniform(tester.n), *alternatives]):
+        seed = _probe_seed(root_entropy, level, side)
+        if sprt is None:
+            estimate = estimate_acceptance(tester, distribution, trials=trials, rng=seed)
+        else:
+            spec = sprt if side == 0 else replace(sprt, target=1.0 - threshold)
+            estimate = estimate_acceptance(tester, distribution, sprt=spec, rng=seed)
+        success = min(success, estimate.rate if side == 0 else 1.0 - estimate.rate)
+        if sprt is not None and estimate.decided_above != (side == 0):
             return False, success
-    return True, success
-
-
-def _search_inputs(
-    rng: RngLike,
-    n: int,
-    epsilon: float,
-    far_distributions: Optional[Sequence[DiscreteDistribution]],
-) -> tuple:
-    """(root_entropy, alternatives) shared by the resource searches.
-
-    The adversarial set is drawn from a generator spawned off the root
-    entropy (``spawn_key=(0,)``), so the whole search — alternatives
-    included — is a deterministic function of one integer.
-    """
-    from ..engine import derive_root_entropy
-
-    root_entropy = derive_root_entropy(rng)
-    if far_distributions is not None:
-        alternatives = list(far_distributions)
-    else:
-        alt_rng = np.random.default_rng(
-            np.random.SeedSequence(entropy=root_entropy, spawn_key=(0,))
-        )
-        alternatives = default_far_distributions(n, epsilon, alt_rng)
-    return root_entropy, alternatives
+    if sprt is not None:
+        return True, success  # every side was decided the right way
+    return success >= threshold, success
 
 
 def _search(
-    evaluate: Callable[[int], float],
+    passes: Callable[[int], bool],
     target: float,
     minimum: int,
     maximum: int,
     resolution_factor: float,
+    curve: Optional[Dict[int, float]] = None,
 ) -> SampleComplexityResult:
-    """Exponential bracketing + binary search over an integer resource."""
-    curve: Dict[int, float] = {}
+    """Exponential bracketing + binary search over an integer resource.
 
-    def cached(level: int) -> float:
-        if level not in curve:
-            curve[level] = evaluate(level)
-        return curve[level]
-
-    level = minimum
-    if cached(level) >= target:
-        return SampleComplexityResult(
-            resource_star=level,
-            target=target,
-            curve=curve,
-            bracket_low=level,
-            bracket_high=level,
-        )
-    # Exponential growth until success (or the cap).
-    low = level
-    high = level
-    while cached(high) < target:
-        low = high
-        high = min(maximum, max(high + 1, int(math.ceil(high * 2))))
-        if high == low:
-            raise SearchDivergedError(
-                f"resource search hit cap {maximum} without reaching "
-                f"target {target:.3f} (best {max(curve.values()):.3f})"
-            )
-    # Binary search down to the requested relative resolution.
-    while high > low + 1 and high > int(low * resolution_factor):
-        mid = (low + high) // 2
-        if cached(mid) >= target:
-            high = mid
-        else:
-            low = mid
-    return SampleComplexityResult(
-        resource_star=high,
-        target=target,
-        curve=curve,
-        bracket_low=low,
-        bracket_high=high,
-    )
-
-
-def _search_classified(
-    classify: Callable[[int], bool],
-    target: float,
-    minimum: int,
-    maximum: int,
-    resolution_factor: float,
-    curve: Dict[int, float],
-) -> SampleComplexityResult:
-    """The :func:`_search` skeleton driven by boolean SPRT verdicts.
-
-    ``classify`` is expected to record each level's empirical rate in
-    ``curve`` as a side effect; the search itself branches only on the
-    verdicts (memoised so no level is ever re-classified).
+    The search branches only on ``passes(level)``.  It never asks about a
+    level twice: each bracketing step moves past every level probed so
+    far, and each bisection midpoint lies strictly inside a bracket with
+    no probed level in it.  ``curve`` is the caller's record of each
+    probed level's rate (none by default); it is returned with the result
+    and quoted when the search diverges.
     """
-    verdicts: Dict[int, bool] = {}
-
-    def cached(level: int) -> bool:
-        if level not in verdicts:
-            verdicts[level] = classify(level)
-        return verdicts[level]
-
-    level = minimum
-    if cached(level):
-        return SampleComplexityResult(
-            resource_star=level,
-            target=target,
-            curve=curve,
-            bracket_low=level,
-            bracket_high=level,
+    curve = {} if curve is None else curve
+    if minimum > maximum:
+        raise InvalidParameterError(
+            f"empty resource range: minimum {minimum} > maximum {maximum}"
         )
-    low = level
-    high = level
-    while not cached(high):
+    low = high = minimum
+    # Exponential growth until success (or the cap).
+    while not passes(high):
         low = high
-        high = min(maximum, max(high + 1, int(math.ceil(high * 2))))
+        high = min(maximum, max(high + 1, 2 * high))
         if high == low:
             best = f" (best {max(curve.values()):.3f})" if curve else ""
             raise SearchDivergedError(
                 f"resource search hit cap {maximum} without reaching "
                 f"target {target:.3f}{best}"
             )
+    # Binary search down to the requested relative resolution.
     while high > low + 1 and high > int(low * resolution_factor):
         mid = (low + high) // 2
-        if cached(mid):
+        if passes(mid):
             high = mid
         else:
             low = mid
@@ -355,6 +240,68 @@ def _default_sprt_budget(trials: int, sprt_max_trials: Optional[int]) -> int:
             )
         return int(sprt_max_trials)
     return max(1, 4 * int(trials))
+
+
+def _resource_complexity(
+    tester_factory: TesterFactory,
+    n: int,
+    epsilon: float,
+    trials: int,
+    target: float,
+    margin: float,
+    minimum: int,
+    maximum: int,
+    resolution_factor: float,
+    far_distributions: Optional[Sequence[DiscreteDistribution]],
+    rng: RngLike,
+    sprt: bool,
+    sprt_margin: float,
+    sprt_error_rate: float,
+    sprt_max_trials: Optional[int],
+) -> SampleComplexityResult:
+    """The search behind both public entry points, over one resource.
+
+    The adversarial set is drawn from a generator spawned off the root
+    entropy (``spawn_key=(0,)``), so the whole search — alternatives
+    included — is a deterministic function of one integer.  Each probed
+    level builds one tester, classifies it with :func:`_seeded_classify`
+    and records its rate in the curve under the probed level.
+    """
+    from ..engine import SprtSpec, derive_root_entropy
+
+    root_entropy = derive_root_entropy(rng)
+    if far_distributions is not None:
+        alternatives = list(far_distributions)
+    else:
+        alt_rng = np.random.default_rng(
+            np.random.SeedSequence(entropy=root_entropy, spawn_key=(0,))
+        )
+        alternatives = default_far_distributions(n, epsilon, alt_rng)
+    threshold = target + margin
+    spec = None
+    if sprt:
+        spec = SprtSpec(
+            target=threshold,
+            margin=sprt_margin,
+            error_rate=sprt_error_rate,
+            max_trials=_default_sprt_budget(trials, sprt_max_trials),
+        )
+    curve: Dict[int, float] = {}
+
+    def passes(level: int) -> bool:
+        passed, rate = _seeded_classify(
+            tester_factory(level),
+            alternatives,
+            threshold,
+            trials,
+            spec,
+            root_entropy,
+            level,
+        )
+        curve[level] = rate
+        return passed
+
+    return _search(passes, threshold, minimum, maximum, resolution_factor, curve)
 
 
 def empirical_sample_complexity(
@@ -401,106 +348,109 @@ def empirical_sample_complexity(
     RNG-block boundaries — and a warm acceptance cache replays the whole
     search without a single protocol execution.
     """
-    root_entropy, alternatives = _search_inputs(rng, n, epsilon, far_distributions)
-    threshold = target + margin
-
-    if sprt:
-        budget = _default_sprt_budget(trials, sprt_max_trials)
-        curve: Dict[int, float] = {}
-
-        def classify(q: int) -> bool:
-            tester = tester_factory(q)
-            passed, rate = _seeded_classify(
-                tester,
-                alternatives,
-                threshold,
-                sprt_margin,
-                sprt_error_rate,
-                budget,
-                root_entropy,
-                q,
-            )
-            curve[q] = rate
-            return passed
-
-        return _search_classified(
-            classify, threshold, q_min, q_max, resolution_factor, curve
-        )
-
-    def evaluate(q: int) -> float:
-        tester = tester_factory(q)
-        return _seeded_success(tester, alternatives, trials, root_entropy, q)
-
-    return _search(evaluate, threshold, q_min, q_max, resolution_factor)
-
-
-def empirical_sample_complexity_sequential(
-    tester_factory: TesterFactory,
-    n: int,
-    epsilon: float,
-    target: float = 2.0 / 3.0,
-    margin: float = 0.05,
-    error_rate: float = 0.05,
-    q_min: int = 2,
-    q_max: int = 1_000_000,
-    resolution_factor: float = 1.10,
-    batch_size: int = 60,
-    max_trials_per_level: int = 4000,
-    far_distributions: Optional[Sequence[DiscreteDistribution]] = None,
-    rng: RngLike = None,
-) -> SampleComplexityResult:
-    """SPRT-accelerated variant of :func:`empirical_sample_complexity`.
-
-    Thin wrapper over ``empirical_sample_complexity(..., sprt=True)``.
-    Each level is classified above/below the target per side
-    (completeness, then each adversarial alternative) by the engine's
-    sequential test, stopping as soon as the evidence is decisive.  Easy
-    levels resolve in a single RNG block; only near-threshold levels pay
-    the full budget.
-
-    ``batch_size`` is accepted for backwards compatibility but ignored:
-    stop/continue decisions now happen only at the engine's RNG-block
-    boundaries, which is what makes each level's verdict *and* trial
-    count bit-deterministic across backends, worker counts and tile
-    sizes (see docs/architecture.md).
-
-    The recorded curve holds the *empirical success rate over the trials
-    the SPRT actually used* at each level (coarser than the fixed-budget
-    variant's estimates, by design).
-    """
-    del batch_size  # stopping is block-granular now; see docstring
-    return empirical_sample_complexity(
+    return _resource_complexity(
         tester_factory,
         n,
         epsilon,
-        target=target,
-        margin=0.0,
-        q_min=q_min,
-        q_max=q_max,
-        resolution_factor=resolution_factor,
-        far_distributions=far_distributions,
-        rng=rng,
-        sprt=True,
-        sprt_margin=margin,
-        sprt_error_rate=error_rate,
-        sprt_max_trials=max_trials_per_level,
+        trials,
+        target,
+        margin,
+        q_min,
+        q_max,
+        resolution_factor,
+        far_distributions,
+        rng,
+        sprt,
+        sprt_margin,
+        sprt_error_rate,
+        sprt_max_trials,
     )
 
 
-def classify_cached(level: int, curve: Dict[int, float], classify) -> bool:
-    """Classify a level once; repeat queries reuse the stored SPRT verdict.
+def empirical_player_complexity(
+    tester_factory: TesterFactory,
+    n: int,
+    epsilon: float,
+    trials: int = 300,
+    target: float = 2.0 / 3.0,
+    margin: float = 0.04,
+    k_min: int = 2,
+    k_max: int = 10_000_000,
+    resolution_factor: float = 1.15,
+    far_distributions: Optional[Sequence[DiscreteDistribution]] = None,
+    rng: RngLike = None,
+    sprt: bool = False,
+    sprt_margin: float = 0.05,
+    sprt_error_rate: float = 0.05,
+    sprt_max_trials: Optional[int] = None,
+) -> SampleComplexityResult:
+    """Least k at which ``tester_factory(k)`` clears the success target.
 
-    The empirical rate lands in ``curve``; the boolean verdict (which is
-    what the search branches on) is memoised on the classifier itself so a
-    level is never re-tested.
+    A factory that needs a valid k (e.g. even k for paired protocols)
+    snaps the level itself; the curve is keyed by the probed k.
+    ``sprt`` and friends behave exactly as in
+    :func:`empirical_sample_complexity`.
     """
-    cache = getattr(classify, "_verdicts", None)
-    if cache is None:
-        cache = {}
-        classify._verdicts = cache
-    if level not in cache:
-        cache[level] = classify(level)
-    return cache[level]
+    return _resource_complexity(
+        tester_factory,
+        n,
+        epsilon,
+        trials,
+        target,
+        margin,
+        k_min,
+        k_max,
+        resolution_factor,
+        far_distributions,
+        rng,
+        sprt,
+        sprt_margin,
+        sprt_error_rate,
+        sprt_max_trials,
+    )
+
+
+def _sweep(
+    factories: Sequence[Tuple[str, TesterFactory]],
+    noun: str,
+    rng: RngLike,
+    *,
+    censor: bool,
+    **search: Any,
+) -> Dict[str, SampleComplexityResult]:
+    """One q* search per ``(label, factory)``, all on one root entropy.
+
+    Each search goes through the module-level name
+    :func:`empirical_sample_complexity`.  Empty and duplicated labels are
+    rejected up front.  A search that hits ``q_max`` raises
+    :class:`SearchDivergedError` unless ``censor`` is set; it is then
+    returned censored at the cap.
+    """
+    from ..engine import derive_root_entropy
+
+    if not factories:
+        raise InvalidParameterError(f"need at least one {noun}")
+    seen = set()
+    for label, _ in factories:
+        if label in seen:
+            raise InvalidParameterError(f"duplicate {noun} {label!r}")
+        seen.add(label)
+    root_entropy = derive_root_entropy(rng)
+    results: Dict[str, SampleComplexityResult] = {}
+    for label, factory in factories:
+        try:
+            results[label] = empirical_sample_complexity(
+                factory, rng=root_entropy, **search
+            )
+        except SearchDivergedError:
+            if not censor:
+                raise
+            results[label] = SampleComplexityResult(
+                resource_star=int(search["q_max"]),
+                target=search["target"] + search["margin"],
+                censored=True,
+            )
+    return results
 
 
 def graph_family_complexity_sweep(
@@ -541,31 +491,30 @@ def graph_family_complexity_sweep(
     in the order given.
     """
     from ..core.graphs import graph_tester_factory
-    from ..engine import derive_root_entropy
 
-    if not families:
-        raise InvalidParameterError("need at least one graph family")
-    root_entropy = derive_root_entropy(rng)
-    results: Dict[str, SampleComplexityResult] = {}
-    for family in families:
-        results[family] = empirical_sample_complexity(
-            graph_tester_factory(family, n, epsilon, mode=mode),
-            n=n,
-            epsilon=epsilon,
-            trials=trials,
-            target=target,
-            margin=margin,
-            q_min=q_min,
-            q_max=q_max,
-            resolution_factor=resolution_factor,
-            far_distributions=far_distributions,
-            rng=root_entropy,
-            sprt=sprt,
-            sprt_margin=sprt_margin,
-            sprt_error_rate=sprt_error_rate,
-            sprt_max_trials=sprt_max_trials,
-        )
-    return results
+    factories = [
+        (family, graph_tester_factory(family, n, epsilon, mode=mode))
+        for family in families
+    ]
+    return _sweep(
+        factories,
+        "graph family",
+        rng,
+        censor=False,
+        n=n,
+        epsilon=epsilon,
+        trials=trials,
+        target=target,
+        margin=margin,
+        q_min=q_min,
+        q_max=q_max,
+        resolution_factor=resolution_factor,
+        far_distributions=far_distributions,
+        sprt=sprt,
+        sprt_margin=sprt_margin,
+        sprt_error_rate=sprt_error_rate,
+        sprt_max_trials=sprt_max_trials,
+    )
 
 
 def streaming_memory_complexity_sweep(
@@ -606,102 +555,30 @@ def streaming_memory_complexity_sweep(
     exactly to locate that memory floor.
     """
     from ..core.streaming import StreamingCollisionTester
-    from ..engine import derive_root_entropy
 
-    if not budgets:
-        raise InvalidParameterError("need at least one memory budget")
-    root_entropy = derive_root_entropy(rng)
-    results: Dict[str, SampleComplexityResult] = {}
-    for budget in budgets:
-        label = "exact" if budget is None else f"b{int(budget)}"
-        if label in results:
-            raise InvalidParameterError(f"duplicate memory budget {label!r}")
+    def budget_factory(buckets: Optional[int]) -> TesterFactory:
+        return lambda q: StreamingCollisionTester(n, epsilon, q=q, num_buckets=buckets)
 
-        def factory(q: int, _buckets: Optional[int] = budget) -> Any:
-            return StreamingCollisionTester(
-                n, epsilon, q=q, num_buckets=_buckets
-            )
-
-        try:
-            results[label] = empirical_sample_complexity(
-                factory,
-                n=n,
-                epsilon=epsilon,
-                trials=trials,
-                target=target,
-                margin=margin,
-                q_min=q_min,
-                q_max=q_max,
-                resolution_factor=resolution_factor,
-                far_distributions=far_distributions,
-                rng=root_entropy,
-                sprt=sprt,
-                sprt_margin=sprt_margin,
-                sprt_error_rate=sprt_error_rate,
-                sprt_max_trials=sprt_max_trials,
-            )
-        except SearchDivergedError:
-            results[label] = SampleComplexityResult(
-                resource_star=int(q_max),
-                target=target + margin,
-                censored=True,
-            )
-    return results
-
-
-def empirical_player_complexity(
-    tester_factory: TesterFactory,
-    n: int,
-    epsilon: float,
-    trials: int = 300,
-    target: float = 2.0 / 3.0,
-    margin: float = 0.04,
-    k_min: int = 2,
-    k_max: int = 10_000_000,
-    resolution_factor: float = 1.15,
-    far_distributions: Optional[Sequence[DiscreteDistribution]] = None,
-    rng: RngLike = None,
-    level_rounding: Optional[Callable[[int], int]] = None,
-    sprt: bool = False,
-    sprt_margin: float = 0.05,
-    sprt_error_rate: float = 0.05,
-    sprt_max_trials: Optional[int] = None,
-) -> SampleComplexityResult:
-    """Least k at which ``tester_factory(k)`` clears the success target.
-
-    ``level_rounding`` lets callers snap k to a valid value (e.g. even k
-    for paired protocols) before the factory is invoked.  ``sprt`` and
-    friends behave exactly as in :func:`empirical_sample_complexity`.
-    """
-    root_entropy, alternatives = _search_inputs(rng, n, epsilon, far_distributions)
-    rounding = level_rounding if level_rounding is not None else (lambda k: k)
-    threshold = target + margin
-
-    if sprt:
-        budget = _default_sprt_budget(trials, sprt_max_trials)
-        curve: Dict[int, float] = {}
-
-        def classify(k: int) -> bool:
-            tester = tester_factory(rounding(k))
-            passed, rate = _seeded_classify(
-                tester,
-                alternatives,
-                threshold,
-                sprt_margin,
-                sprt_error_rate,
-                budget,
-                root_entropy,
-                k,
-            )
-            curve[k] = rate
-            return passed
-
-        return _search_classified(
-            classify, threshold, k_min, k_max, resolution_factor, curve
-        )
-
-    def evaluate(k: int) -> float:
-        tester = tester_factory(rounding(k))
-        return _seeded_success(tester, alternatives, trials, root_entropy, k)
-
-    return _search(evaluate, threshold, k_min, k_max, resolution_factor)
+    factories = [
+        ("exact" if budget is None else f"b{int(budget)}", budget_factory(budget))
+        for budget in budgets
+    ]
+    return _sweep(
+        factories,
+        "memory budget",
+        rng,
+        censor=True,
+        n=n,
+        epsilon=epsilon,
+        trials=trials,
+        target=target,
+        margin=margin,
+        q_min=q_min,
+        q_max=q_max,
+        resolution_factor=resolution_factor,
+        far_distributions=far_distributions,
+        sprt=sprt,
+        sprt_margin=sprt_margin,
+        sprt_error_rate=sprt_error_rate,
+        sprt_max_trials=sprt_max_trials,
+    )

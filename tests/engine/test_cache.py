@@ -10,11 +10,7 @@ import numpy as np
 import pytest
 
 import repro
-from repro.engine import (
-    AcceptanceCache,
-    distribution_fingerprint,
-    probe_key,
-)
+from repro.engine import AcceptanceCache, as_kernel, distribution_fingerprint
 from repro.engine import tester_fingerprint as fingerprint_tester
 from repro.engine.cache import (
     CACHE_VERSION,
@@ -28,11 +24,14 @@ from repro.exceptions import InvalidParameterError
 N, EPS = 64, 0.5
 
 
-def _key(trials=100, seed_key=(1, 0, 0), tester=None, dist=None):
+def _key(trials=100, tester=None, dist=None):
     tester = tester or repro.ThresholdRuleTester(N, EPS, k=8, q=12)
     dist = dist or repro.uniform(N)
-    seed = np.random.SeedSequence(entropy=42, spawn_key=seed_key)
-    return probe_key(tester, dist, trials, seed)
+    return kernel_probe_key(as_kernel(tester), dist, {"trials": trials}, 42)
+
+
+def _estimate(rate):
+    return {"rate": rate, "trials_used": 100}
 
 
 class TestFingerprints:
@@ -115,76 +114,96 @@ class TestAcceptanceCache:
     def test_miss_then_hit_roundtrip(self, tmp_path):
         cache = AcceptanceCache(str(tmp_path))
         key = _key()
-        assert cache.get_rate(key) is None
-        cache.put_rate(key, 0.625)
-        assert cache.get_rate(key) == pytest.approx(0.625)
+        assert cache.get_estimate(key) is None
+        cache.put_estimate(key, _estimate(0.625))
+        assert cache.get_estimate(key) == _estimate(0.625)
         assert len(cache) == 1
 
     def test_distinct_keys_do_not_collide(self, tmp_path):
         cache = AcceptanceCache(str(tmp_path))
-        cache.put_rate(_key(trials=100), 0.1)
-        cache.put_rate(_key(trials=200), 0.9)
-        assert cache.get_rate(_key(trials=100)) == pytest.approx(0.1)
-        assert cache.get_rate(_key(trials=200)) == pytest.approx(0.9)
+        cache.put_estimate(_key(trials=100), _estimate(0.1))
+        cache.put_estimate(_key(trials=200), _estimate(0.9))
+        assert cache.get_estimate(_key(trials=100)) == _estimate(0.1)
+        assert cache.get_estimate(_key(trials=200)) == _estimate(0.9)
         assert len(cache) == 2
 
     def test_corrupt_entry_reads_as_miss(self, tmp_path):
         cache = AcceptanceCache(str(tmp_path))
         key = _key()
-        path = cache.put_rate(key, 0.5)
+        path = cache.put_estimate(key, _estimate(0.5))
         with open(path, "w", encoding="utf-8") as handle:
             handle.write("{not json")
-        assert cache.get_rate(key) is None
+        assert cache.get_estimate(key) is None
 
     def test_undecodable_entry_reads_as_miss(self, tmp_path):
         cache = AcceptanceCache(str(tmp_path))
         key = _key()
-        path = cache.put_rate(key, 0.5)
+        path = cache.put_estimate(key, _estimate(0.5))
         with open(path, "wb") as handle:
             handle.write(b"\xff\xfe\x00")
-        assert cache.get_rate(key) is None
+        assert cache.get_estimate(key) is None
+
+    def test_truncated_entry_reads_as_miss(self, tmp_path):
+        cache = AcceptanceCache(str(tmp_path))
+        key = _key()
+        path = cache.put_estimate(key, _estimate(0.5))
+        with open(path, "rb") as handle:
+            stored = handle.read()
+        with open(path, "wb") as handle:
+            handle.write(stored[: len(stored) // 2])
+        assert cache.get_estimate(key) is None
+        cache.put_estimate(key, _estimate(0.5))
+        assert cache.get_estimate(key) == _estimate(0.5)
 
     def test_stale_version_reads_as_miss(self, tmp_path):
         cache = AcceptanceCache(str(tmp_path))
         key = _key()
-        path = cache.put_rate(key, 0.5)
+        path = cache.put_estimate(key, _estimate(0.5))
         with open(path, "r", encoding="utf-8") as handle:
             payload = json.load(handle)
         payload["key"]["version"] = CACHE_VERSION + 1
         with open(path, "w", encoding="utf-8") as handle:
             json.dump(payload, handle)
-        assert cache.get_rate(key) is None
+        assert cache.get_estimate(key) is None
+
+    def test_bare_rate_entry_reads_as_miss(self, tmp_path):
+        # An entry without an estimate payload (e.g. a bare {"rate": ...}).
+        cache = AcceptanceCache(str(tmp_path))
+        key = _key()
+        path = cache.put_estimate(key, _estimate(0.5))
+        with open(path, "w", encoding="utf-8") as handle:
+            json.dump({"key": key, "rate": 0.5}, handle)
+        assert cache.get_estimate(key) is None
 
     def test_non_dict_stored_key_reads_as_miss(self, tmp_path):
         cache = AcceptanceCache(str(tmp_path))
         key = _key()
-        path = cache.put_estimate(key, {"rate": 0.5})
+        path = cache.put_estimate(key, _estimate(0.5))
         with open(path, "w", encoding="utf-8") as handle:
-            json.dump({"key": [1, 2], "rate": 0.5, "estimate": {"rate": 0.5}}, handle)
-        assert cache.get_rate(key) is None
+            json.dump({"key": [1, 2], "estimate": _estimate(0.5)}, handle)
         assert cache.get_estimate(key) is None
-        cache.put_rate(key, 0.25)
-        assert cache.get_rate(key) == pytest.approx(0.25)
+        cache.put_estimate(key, _estimate(0.25))
+        assert cache.get_estimate(key) == _estimate(0.25)
 
     def test_entry_stored_under_another_key_reads_as_miss(self, tmp_path):
         cache = AcceptanceCache(str(tmp_path))
         wanted, other = _key(trials=100), _key(trials=200)
-        path = cache.put_rate(wanted, 0.1)
-        shutil.copy(cache.put_rate(other, 0.9), path)
-        assert cache.get_rate(wanted) is None
+        path = cache.put_estimate(wanted, _estimate(0.1))
+        shutil.copy(cache.put_estimate(other, _estimate(0.9)), path)
         assert cache.get_estimate(wanted) is None
-        assert cache.get_rate(other) == pytest.approx(0.9)
-        cache.put_rate(wanted, 0.1)
-        assert cache.get_rate(wanted) == pytest.approx(0.1)
+        assert cache.get_estimate(other) == _estimate(0.9)
+        cache.put_estimate(wanted, _estimate(0.1))
+        assert cache.get_estimate(wanted) == _estimate(0.1)
 
     def test_tuple_and_list_keys_compare_equal(self, tmp_path):
         cache = AcceptanceCache(str(tmp_path))
-        cache.put_rate({"version": CACHE_VERSION, "spawn": (1, 2)}, 0.5)
-        assert cache.get_rate({"version": CACHE_VERSION, "spawn": [1, 2]}) == 0.5
+        key = _key()
+        cache.put_estimate({**key, "spawn": (1, 2)}, _estimate(0.5))
+        assert cache.get_estimate({**key, "spawn": [1, 2]}) == _estimate(0.5)
 
     def test_len_and_clear_count_calibration_entries(self, tmp_path):
         cache = AcceptanceCache(str(tmp_path))
-        cache.put_rate(_key(), 0.1)
+        cache.put_estimate(_key(), _estimate(0.1))
 
         @cached_calibration(version=1)
         def calibrate(value, rng=0):
@@ -198,8 +217,8 @@ class TestAcceptanceCache:
 
     def test_clear_removes_entries(self, tmp_path):
         cache = AcceptanceCache(str(tmp_path))
-        cache.put_rate(_key(trials=100), 0.1)
-        cache.put_rate(_key(trials=200), 0.2)
+        cache.put_estimate(_key(trials=100), _estimate(0.1))
+        cache.put_estimate(_key(trials=200), _estimate(0.2))
         assert cache.clear() == 2
         assert len(cache) == 0
 
@@ -215,7 +234,7 @@ class TestAcceptanceCache:
 
     def test_atomic_write_leaves_no_temp_files(self, tmp_path):
         cache = AcceptanceCache(str(tmp_path))
-        cache.put_rate(_key(), 0.5)
+        cache.put_estimate(_key(), _estimate(0.5))
         assert not [name for name in os.listdir(tmp_path) if ".tmp." in name]
 
     def test_rejects_empty_dir(self):

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import CentralizedCollisionTester, ThresholdRuleTester
 from repro.distributions import two_level_distribution, uniform
@@ -14,6 +16,7 @@ from repro.stats import (
 )
 from repro.stats.complexity import (
     SampleComplexityResult,
+    _search,
     default_far_distributions,
     success_at,
 )
@@ -120,21 +123,80 @@ class TestPlayerComplexitySearch:
         assert result.resource_star >= 2
 
     def test_level_rounding_applied(self):
-        seen = []
+        probed, built = [], []
 
         def factory(k):
-            seen.append(k)
-            return ThresholdRuleTester(N, EPS, k, q=24)
+            probed.append(k)
+            built.append(k + (k % 2))  # the factory snaps k to even
+            return ThresholdRuleTester(N, EPS, built[-1], q=24)
 
-        empirical_player_complexity(
+        result = empirical_player_complexity(
             factory,
             n=N,
             epsilon=EPS,
             trials=100,
             rng=0,
-            level_rounding=lambda k: k + (k % 2),  # force even
         )
-        assert all(k % 2 == 0 for k in seen)
+        assert all(k % 2 == 0 for k in built)
+        assert list(result.curve) == probed  # keyed by the unrounded levels
+
+
+class TestReversedRange:
+    def _factory(self, calls, build):
+        def factory(level):
+            calls.append(level)
+            return build(level)
+
+        return factory
+
+    def test_sample_search_rejects_q_min_above_q_max(self):
+        calls = []
+        factory = self._factory(calls, lambda q: CentralizedCollisionTester(64, 0.6, q=q))
+        with pytest.raises(InvalidParameterError):
+            empirical_sample_complexity(
+                factory, 64, 0.6, trials=60, q_min=400, q_max=100, rng=0
+            )
+        assert calls == []
+
+    def test_player_search_rejects_k_min_above_k_max(self):
+        calls = []
+        factory = self._factory(calls, lambda k: ThresholdRuleTester(64, 0.6, k, q=16))
+        with pytest.raises(InvalidParameterError):
+            empirical_player_complexity(
+                factory, 64, 0.6, trials=60, k_min=50, k_max=10, rng=0
+            )
+        assert calls == []
+
+
+@given(
+    minimum=st.integers(min_value=1, max_value=200),
+    span=st.integers(min_value=0, max_value=3000),
+    t=st.integers(min_value=1, max_value=4000),
+    resolution_factor=st.floats(min_value=1.0, max_value=2.0),
+)
+@settings(max_examples=300, deadline=None)
+def test_search_brackets_a_monotone_verdict(minimum, span, t, resolution_factor):
+    maximum = minimum + span
+    asked = []
+
+    def passes(level):
+        asked.append(level)
+        return level >= t
+
+    if t > maximum:
+        with pytest.raises(SearchDivergedError):
+            _search(passes, 0.7, minimum, maximum, resolution_factor)
+    else:
+        result = _search(passes, 0.7, minimum, maximum, resolution_factor)
+        low, high = result.bracket_low, result.bracket_high
+        assert result.resource_star == high
+        if t <= minimum:
+            assert low == high == minimum
+        else:
+            assert low < t <= high  # the low end fails, the high end passes
+            assert high <= max(low + 1, int(low * resolution_factor))
+    assert len(asked) == len(set(asked))
+    assert all(minimum <= level <= maximum for level in asked)
 
 
 class TestPowerCurve:
@@ -283,3 +345,9 @@ class TestGraphFamilySweep:
 
         with pytest.raises(InvalidParameterError):
             graph_family_complexity_sweep([], 64, 0.6)
+
+    def test_rejects_duplicate_families(self):
+        from repro.stats import graph_family_complexity_sweep
+
+        with pytest.raises(InvalidParameterError, match="duplicate graph family"):
+            graph_family_complexity_sweep(["complete", "complete"], 64, 0.6)
