@@ -1,7 +1,7 @@
 """Lint-gate benchmark — cold vs warm incremental-cache wall time.
 
 Lints the shipped ``src`` tree twice against a fresh cache directory —
-once cold (every file parsed, all dataflow engines built) and once warm
+once cold (every file parsed, the whole-program analysis built) and once warm
 (every unchanged file replayed from the cache) — and records both wall
 times plus the cache counters in ``BENCH_lint.json`` at the repo root.
 The acceptance criteria pinned here:
@@ -10,8 +10,8 @@ The acceptance criteria pinned here:
   misses == 0) and is **no slower** than the cold run (with slack for
   timer noise on loaded CI runners);
 * diagnostics are **byte-identical** between the two runs with the
-  whole rule catalog active — including the RL6xx/RL7xx whole-program
-  dataflow families, whose per-function summaries must not leak into
+  whole rule catalog active — including the RL7xx whole-program
+  resource family, whose per-function summaries must not leak into
   cache keys.
 """
 
@@ -76,6 +76,6 @@ def test_bench_lint_cold_vs_warm_cache():
     assert cold_stats.misses == cold_stats.files_total > 0, payload
     assert warm_stats.hits == warm_stats.files_total, payload
     assert warm_stats.misses == 0, payload
-    # Warm replay skips parsing and all three dataflow engines; allow
+    # Warm replay skips parsing and the whole-program analysis; allow
     # 1.5x slack for coarse timers and noisy neighbours.
     assert warm_seconds <= cold_seconds * 1.5, payload

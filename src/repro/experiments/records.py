@@ -134,11 +134,7 @@ class ExperimentResult:
                 f"-- provenance: scale={scale} seed={seed} "
                 f"spec={spec_hash[:12]} --"
             )
-        # Reports deliberately preserve the authored insertion order of
-        # ``summary``/``metrics`` (both are populated by straight-line
-        # experiment code, never from unordered iteration), so the joined
-        # output is stable across runs.
-        return "\n".join(lines)  # repro-lint: disable=RL603
+        return "\n".join(lines)
 
 
 def _jsonable(value: Any) -> Any:

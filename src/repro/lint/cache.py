@@ -1,7 +1,8 @@
 """Incremental lint cache: content fingerprints + dependency-aware reuse.
 
-The whole-program dataflow pass makes the linter quadratic-feeling on
-warm edits: touching one file re-analyses every file.  This module
+The whole-program resource pass (RL7xx) makes the linter
+quadratic-feeling on warm edits: touching one file re-analyses every
+file.  This module
 stores, per linted file, a content fingerprint, the module's import
 list, and its final diagnostics.  On the next run a file is **dirty**
 iff its own fingerprint changed or the fingerprint of any *dataflow
@@ -27,7 +28,7 @@ stale output:
 
 Cache layout: one JSON document, ``<cache_dir>/cache.json``::
 
-    {"schema": 1, "rules_key": "...",
+    {"schema": 2, "rules_key": "...",
      "files": {path: {"hash": ..., "module": ..., "imports": [...],
                       "diagnostics": [[line, col, code, message], ...]}}}
 """
@@ -42,8 +43,10 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from .diagnostics import Diagnostic
 
-#: Bump when the entry layout or the diagnostics pipeline changes shape.
-SCHEMA_VERSION = 1
+#: Bump when the entry layout or the diagnostics pipeline changes shape,
+#: or when a rule keeps its code but changes what it flags (2: RL603
+#: became syntactic and RL101 learned explicit ``None`` seeds).
+SCHEMA_VERSION = 2
 
 #: Default cache location, relative to the invocation directory.
 DEFAULT_CACHE_DIR = ".repro-lint-cache"

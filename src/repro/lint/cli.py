@@ -12,11 +12,11 @@ found, ``2`` usage error (missing path, unknown rule code).
 
 Filter precedence: ``--select`` first narrows the rule set (codes or
 prefixes, comma-separated), then ``--ignore`` removes from whatever was
-selected — so ``--select RL6 --ignore RL603`` runs RL601/RL602/RL604,
-and an ignore always beats a select naming the same code.
+selected — so ``--select RL1 --ignore RL103`` runs RL101/RL102/RL104/
+RL105, and an ignore always beats a select naming the same code.
 
 ``--jobs N`` fans per-file rule evaluation out to N worker processes.
-Whole-program dataflow analysis is still built once, in the parent, and
+The whole-program RL7xx analysis is still built once, in the parent, and
 output is byte-identical to the serial pass.
 
 The incremental cache is on by default (``.repro-lint-cache/``): files

@@ -1,7 +1,7 @@
 """Call graph over the resolved program and a bottom-up analysis order.
 
 Summaries compose best when a callee is summarised before its callers,
-so the fixpoint loop in :mod:`.program` walks functions in reverse
+so the fixpoint loop in :mod:`.resources` walks functions in reverse
 call-dependency order (callees first).  Recursion and dynamic dispatch
 make the graph cyclic/incomplete in general; the ordering is therefore a
 heuristic that shortens the fixpoint, not a correctness requirement —

@@ -1,9 +1,8 @@
 """Intraprocedural control-flow graphs with exception edges.
 
-The determinism lattice (RL6xx) gets away with straight-line abstract
-interpretation because its taints only ever *grow*; resource lifecycle
-analysis (RL7xx) cannot — "released on every path" is a property of the
-path set, so it needs an explicit graph.  :func:`build_cfg` turns one
+Resource lifecycle analysis (RL7xx) needs an explicit graph: "released
+on every path" is a property of the path set, which straight-line
+interpretation cannot express.  :func:`build_cfg` turns one
 function body into a statement-level CFG with three features the RL7xx
 rules depend on:
 

@@ -8,10 +8,8 @@ step: given the canonical dotted name a call site resolves to
 chasing ``from x import y`` re-export chains through intermediate
 packages.
 
-Alongside symbols, each module records the facts the dataflow
-interpreter needs about classes: method tables and the *container kind*
-of instance attributes (``self._received`` being a ``dict`` is what lets
-the analysis taint ``self._received.values()`` iteration).
+Alongside symbols, each module records its classes' method tables, so
+``self.method(...)`` calls and ``module.Class.method`` names resolve.
 """
 
 from __future__ import annotations
@@ -20,67 +18,17 @@ import ast
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from ..context import FunctionNode, ModuleContext, dotted_name
-
-#: Annotation / constructor heads that mark an unordered container.
-_DICT_HEADS = frozenset(
-    {"dict", "Dict", "DefaultDict", "defaultdict", "OrderedDict", "Counter",
-     "Mapping", "MutableMapping"}
-)
-_SET_HEADS = frozenset({"set", "Set", "frozenset", "FrozenSet", "AbstractSet",
-                        "MutableSet"})
-
-
-def container_kind_of_annotation(annotation: ast.expr) -> Optional[str]:
-    """``"dict"`` / ``"set"`` when an annotation names an unordered type."""
-    target = annotation
-    if isinstance(target, ast.Subscript):
-        target = target.value
-    name = dotted_name(target)
-    if name is None:
-        return None
-    head = name.split(".")[-1]
-    if head in _DICT_HEADS:
-        return "dict"
-    if head in _SET_HEADS:
-        return "set"
-    return None
-
-
-def container_kind_of_expr(node: ast.expr) -> Optional[str]:
-    """``"dict"`` / ``"set"`` when an expression builds an unordered value.
-
-    A *non-empty* dict literal iterates in authored insertion order and
-    is therefore deterministic; only empty literals (filled in runtime
-    order) and comprehensions count as unordered.
-    """
-    if isinstance(node, ast.DictComp) or (
-        isinstance(node, ast.Dict) and not node.keys
-    ):
-        return "dict"
-    if isinstance(node, (ast.Set, ast.SetComp)):
-        return "set"
-    if isinstance(node, ast.Call):
-        head = dotted_name(node.func)
-        if head is not None:
-            head = head.split(".")[-1]
-            if head in _DICT_HEADS:
-                return "dict"
-            if head in _SET_HEADS:
-                return "set"
-    return None
+from ..context import FunctionNode, ModuleContext
 
 
 @dataclass
 class ClassInfo:
-    """One class definition: methods and instance-attribute kinds."""
+    """One class definition and its method table."""
 
     name: str
     qualname: str
     node: ast.ClassDef
     methods: Dict[str, FunctionNode] = field(default_factory=dict)
-    #: attribute name → "dict" | "set" for unordered instance containers.
-    attr_kinds: Dict[str, str] = field(default_factory=dict)
 
 
 @dataclass
@@ -116,31 +64,6 @@ def _collect_class(info: ModuleInfo, node: ast.ClassDef) -> ClassInfo:
     for stmt in node.body:
         if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
             cls.methods[stmt.name] = stmt
-        elif isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name):
-            # Dataclass-style field annotations in the class body.
-            kind = container_kind_of_annotation(stmt.annotation)
-            if kind is not None:
-                cls.attr_kinds[stmt.target.id] = kind
-    # self.<attr> bindings inside methods (plain or annotated).
-    for method in cls.methods.values():
-        for stmt in ast.walk(method):
-            target: Optional[ast.expr] = None
-            kind: Optional[str] = None
-            if isinstance(stmt, ast.AnnAssign):
-                target = stmt.target
-                kind = container_kind_of_annotation(stmt.annotation)
-                if kind is None and stmt.value is not None:
-                    kind = container_kind_of_expr(stmt.value)
-            elif isinstance(stmt, ast.Assign) and len(stmt.targets) == 1:
-                target = stmt.targets[0]
-                kind = container_kind_of_expr(stmt.value)
-            if (
-                kind is not None
-                and isinstance(target, ast.Attribute)
-                and isinstance(target.value, ast.Name)
-                and target.value.id == "self"
-            ):
-                cls.attr_kinds.setdefault(target.attr, kind)
     return cls
 
 

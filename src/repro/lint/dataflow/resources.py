@@ -1,8 +1,8 @@
 """Resource-lifecycle analysis over the CFG: the RL7xx detectors.
 
-Where the determinism lattice (:mod:`.intra`) asks *what a value is*,
-this pass asks *who still owns it*.  Each function is interpreted over
-its :mod:`.cfg` control-flow graph with a small resource lattice:
+The pass asks *who still owns* each resource.  Each function is
+interpreted over its :mod:`.cfg` control-flow graph with a small
+resource lattice:
 
 * a **resource** is an acquisition site — an ``open()``, a
   ``SharedMemory(create=True)``, a pool/backend construction, a
@@ -18,9 +18,9 @@ its :mod:`.cfg` control-flow graph with a small resource lattice:
 Ownership transfer through calls is resolved with interprocedural
 :class:`ResourceSummary` records (which parameters a callee closes or
 keeps, whether it manufactures a resource its caller adopts), computed
-over the same callees-first worklist as the determinism summaries.
-Unknown callees conservatively *adopt* their arguments — the analysis
-trades leak coverage for zero false positives, mirroring RL6xx.
+over a callees-first worklist.  Unknown callees conservatively *adopt*
+their arguments — the analysis trades leak coverage for zero false
+positives.
 
 Detectors (see ``docs/static-analysis.md`` for the catalog entry):
 
@@ -54,8 +54,18 @@ from typing import (
 from ..context import FunctionNode, dotted_name
 from .callgraph import CallGraph
 from .cfg import WITH_CLEANUP, ControlFlowGraph, build_cfg
-from .intra import RawFinding
 from .modules import ClassInfo, ModuleGraph, ModuleInfo
+
+
+@dataclass(frozen=True)
+class RawFinding:
+    """One detector hit: picklable primitives, later wrapped as a Diagnostic."""
+
+    code: str
+    line: int
+    col: int
+    message: str
+
 
 # --------------------------------------------------------------------- #
 # the resource domain                                                   #
@@ -1071,10 +1081,10 @@ def analyze_resources(
 ) -> Tuple[Dict[str, List[RawFinding]], Dict[str, ResourceSummary]]:
     """Resource findings per path + converged summaries per qualname.
 
-    Reuses the determinism pass's worklist shape: every function is
-    analysed once callees-first, then only the callers of a function
-    whose :class:`ResourceSummary` grew are re-analysed; a function's
-    last run saw converged callee summaries, so its findings are final.
+    Worklist fixpoint: every function is analysed once callees-first,
+    then only the callers of a function whose :class:`ResourceSummary`
+    grew are re-analysed; a function's last run saw converged callee
+    summaries, so its findings are final.
     """
     summaries: Dict[str, ResourceSummary] = {}
 

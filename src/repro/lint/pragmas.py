@@ -15,8 +15,8 @@ to a plain line scan so a pragma still works in partially broken code.
 File-wide pragmas work anywhere a comment does — after a shebang, a
 ``coding:`` declaration, or both — and several codes may share one
 pragma (``disable-file=RL101, RL102``).  Text after the code list is
-free-form justification and is ignored by the parser; RL6xx
-suppressions are expected to carry one.
+free-form justification and is ignored by the parser; RL603 and
+RL7xx suppressions are expected to carry one.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ ALL_CODES = "ALL"
 #: The code list is a strict comma-separated sequence of identifiers —
 #: whitespace is allowed around the commas but cannot join two words
 #: into one "code", so a trailing justification comment
-#: (``disable=RL603 report order is authored``) never corrupts the
+#: (``disable=RL603 listing order is canonical``) never corrupts the
 #: parsed codes.
 _PRAGMA_RE = re.compile(
     r"#\s*repro-lint:\s*(?P<kind>disable(?:-file)?)\s*=\s*"

@@ -12,8 +12,9 @@ Code families
 * ``RL3xx`` — cache purity
 * ``RL4xx`` — paper-anchor citations
 * ``RL5xx`` — mutable default arguments
-* ``RL6xx`` — whole-program determinism dataflow (RNG-stream lineage,
-  nondeterministic iteration order)
+* ``RL6xx`` — iteration over unordered sources (sets, directory listings)
+* ``RL7xx`` — whole-program resource lifecycle and fork safety
+* ``RL8xx`` — kernel dtype hazards
 * ``RL001`` — reserved: file could not be parsed (emitted by the runner)
 """
 

@@ -1,16 +1,55 @@
 """Resource-lifecycle and fork-safety rules (RL701–RL704).
 
-Like the RL6xx family these replay findings computed by the
-whole-program dataflow analysis — here the CFG-based resource pass in
-:mod:`repro.lint.dataflow.resources` — through the ordinary diagnostic
-pipeline, so pragmas, ``--select``/``--ignore`` and output formats all
-behave identically to syntactic rules.
+Unlike the per-file families, these rules replay findings computed by
+the whole-program CFG-based resource pass in
+:mod:`repro.lint.dataflow.resources`: the runner builds one
+:class:`~repro.lint.dataflow.ProgramAnalysis` over every file in the
+invocation and attaches it to each :class:`ModuleContext` as
+``ctx.program``; each rule then emits the findings recorded against its
+own code for the file at hand.  Routing findings through ordinary
+``check()`` calls keeps pragma suppression, ``--select``/``--ignore``
+filtering, sorting, and exit codes identical to every other family.
+
+When a file is linted standalone (``lint_source`` without a program),
+the rules analyse that single file on demand.
 """
 
 from __future__ import annotations
 
-from ..registry import register_rule
-from .streams import _DataflowRule
+from typing import Iterator
+
+from ..context import ModuleContext
+from ..dataflow import ProgramAnalysis, analyze_program
+from ..diagnostics import Diagnostic
+from ..registry import Rule, register_rule
+
+
+def _program_for(ctx: ModuleContext) -> ProgramAnalysis:
+    """The invocation-wide analysis, or an on-demand single-file one."""
+    program = getattr(ctx, "program", None)
+    if isinstance(program, ProgramAnalysis):
+        return program
+    cached = getattr(ctx, "_dataflow_single_file", None)
+    if not isinstance(cached, ProgramAnalysis):
+        cached = analyze_program([(ctx.path, ctx.source)])
+        ctx._dataflow_single_file = cached  # type: ignore[attr-defined]
+    return cached
+
+
+class _DataflowRule(Rule):
+    """Shared replay logic: emit this code's findings for this file."""
+
+    requires_program = True
+
+    def check(self, ctx: ModuleContext) -> Iterator[Diagnostic]:
+        for finding in _program_for(ctx).findings_for(ctx.path, self.code):
+            yield Diagnostic(
+                path=ctx.path,
+                line=finding.line,
+                col=finding.col,
+                code=self.code,
+                message=finding.message,
+            )
 
 
 @register_rule

@@ -76,16 +76,27 @@ def _resolve_call(
     return ctx.call_name(call)
 
 
+def _seed_argument(call: ast.Call) -> Optional[ast.expr]:
+    """The seed expression passed to a generator constructor, if any."""
+    if call.args:
+        return call.args[0]
+    for keyword in call.keywords:
+        if keyword.arg == "seed":
+            return keyword.value
+    return None
+
+
 @register_rule
 class SeedlessDefaultRng(Rule):
-    """Ban ``np.random.default_rng()`` with no seed material."""
+    """Ban ``np.random.default_rng()`` with no (or a ``None``) seed."""
 
     code = "RL101"
     name = "seedless-default-rng"
     summary = "np.random.default_rng() called without seed material"
     rationale = (
-        "A no-argument default_rng() draws OS entropy, so the result can "
-        "never be reproduced, cached, or compared across backends."
+        "default_rng() or ensure_rng() with no seed, or an explicit None, "
+        "draws OS entropy, so the result can never be reproduced, cached, "
+        "or compared across backends."
     )
 
     def check(self, ctx: ModuleContext) -> Iterator[Diagnostic]:
@@ -96,10 +107,11 @@ class SeedlessDefaultRng(Rule):
                 if not isinstance(node, ast.Call):
                     continue
                 name = _resolve_call(ctx, block, node)
-                if (
-                    name in GENERATOR_CONSTRUCTORS
-                    and not node.args
-                    and not node.keywords
+                if name not in GENERATOR_CONSTRUCTORS:
+                    continue
+                seed = _seed_argument(node)
+                if (seed is None and not node.keywords) or (
+                    isinstance(seed, ast.Constant) and seed.value is None
                 ):
                     yield self.diag(
                         ctx,
@@ -201,11 +213,7 @@ class HardCodedSeed(Rule):
                     continue
                 if ctx.call_name(node) not in GENERATOR_CONSTRUCTORS:
                     continue
-                seed = node.args[0] if node.args else None
-                if seed is None:
-                    for keyword in node.keywords:
-                        if keyword.arg == "seed":
-                            seed = keyword.value
+                seed = _seed_argument(node)
                 if (
                     isinstance(seed, ast.Constant)
                     and isinstance(seed.value, int)

@@ -1,118 +1,114 @@
-"""Whole-program determinism dataflow rules (RL601–RL604).
+"""Unordered-iteration rule (RL603).
 
-Unlike the per-file RL1xx–RL5xx families, these rules replay findings
-computed by the :mod:`repro.lint.dataflow` analysis: the runner builds
-one :class:`~repro.lint.dataflow.ProgramAnalysis` over every file in
-the invocation and attaches it to each :class:`ModuleContext` as
-``ctx.program``; each rule then emits the findings recorded against its
-own code for the file at hand.  Routing findings through ordinary
-``check()`` calls keeps pragma suppression, ``--select``/``--ignore``
-filtering, sorting, and exit codes identical to every other family.
-
-When a file is linted standalone (``lint_source`` without a program,
-as the golden-fixture harness does), the rules analyse that single file
-on demand — the hand-written builtin summaries for ``repro.rng`` and
-the engine seed helpers make single-file analysis meaningful.
+A ``set``'s iteration order follows string hashing (salted per process)
+and a directory listing follows the filesystem, so a loop, fold or
+report join driven by either can differ between two runs of the same
+seed.  The rule is syntactic: it flags iteration *directly* over an
+unordered source, the shape every real instance in this repository had
+(``for q in set(counts)``, ``for name in os.listdir(root)``).  An
+unordered value bound to a name and iterated later is out of scope.
 """
 
 from __future__ import annotations
 
-from typing import Iterator
+import ast
+from typing import Iterator, List, Optional, Set
 
 from ..context import ModuleContext
 from ..diagnostics import Diagnostic
 from ..registry import Rule, register_rule
-from ..dataflow import ProgramAnalysis, analyze_program
+
+#: Calls whose result enumerates in an unspecified order.
+UNORDERED_CALLS = frozenset(
+    {"set", "frozenset", "os.listdir", "os.scandir", "glob.glob", "glob.iglob"}
+)
+
+#: ``Path`` methods that enumerate a directory in filesystem order.
+UNORDERED_PATH_METHODS = frozenset({"iterdir", "glob", "rglob"})
+
+#: Order-insensitive consumers: a comprehension passed straight to one
+#: of these is never observed in iteration order.
+ORDER_INSENSITIVE = frozenset(
+    {"sorted", "set", "frozenset", "min", "max", "any", "all", "len"}
+)
+
+#: Order-sensitive folds → position of their iterable argument.
+FOLD_ITERABLE_ARG = {"sum": 0, "numpy.concatenate": 0, "functools.reduce": 1}
+
+_COMPREHENSIONS = (ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
 
 
-def _program_for(ctx: ModuleContext) -> ProgramAnalysis:
-    """The invocation-wide analysis, or an on-demand single-file one."""
-    program = getattr(ctx, "program", None)
-    if isinstance(program, ProgramAnalysis):
-        return program
-    cached = getattr(ctx, "_dataflow_single_file", None)
-    if not isinstance(cached, ProgramAnalysis):
-        cached = analyze_program([(ctx.path, ctx.source)])
-        ctx._dataflow_single_file = cached  # type: ignore[attr-defined]
-    return cached
+def _unordered_source(ctx: ModuleContext, node: ast.expr) -> Optional[str]:
+    """How ``node`` builds an unordered iterable, or ``None``."""
+    if isinstance(node, ast.Set):
+        return "a set literal"
+    if isinstance(node, ast.SetComp):
+        return "a set comprehension"
+    if not isinstance(node, ast.Call):
+        return None
+    name = ctx.call_name(node)
+    if name in UNORDERED_CALLS:
+        return f"{name}(...)"
+    if isinstance(node.func, ast.Attribute) and node.func.attr in UNORDERED_PATH_METHODS:
+        return f"Path.{node.func.attr}(...)"
+    return None
 
 
-class _DataflowRule(Rule):
-    """Shared replay logic: emit this code's findings for this file."""
-
-    requires_program = True
-
-    def check(self, ctx: ModuleContext) -> Iterator[Diagnostic]:
-        for finding in _program_for(ctx).findings_for(ctx.path, self.code):
-            yield Diagnostic(
-                path=ctx.path,
-                line=finding.line,
-                col=finding.col,
-                code=self.code,
-                message=finding.message,
-            )
-
-
-@register_rule
-class SharedStreamAcrossTasks(_DataflowRule):
-    """One RNG stream multiplexed across parallel task payloads."""
-
-    code = "RL601"
-    name = "shared-stream-across-tasks"
-    summary = "same RNG stream reaches several dispatched tasks"
-    rationale = (
-        "Tasks dispatched through map_tasks()/_dispatch() run in "
-        "parallel; if two payloads hold the same Generator, every task "
-        "replays identical draws and the Monte-Carlo estimate silently "
-        "loses independence (and worker-count invariance).  Derive one "
-        "child stream per task with spawn()/jumped() or SeedSequence "
-        "spawn keys."
-    )
-
-
-@register_rule
-class ForkedRngLineage(_DataflowRule):
-    """A function both receives and constructs randomness."""
-
-    code = "RL602"
-    name = "forked-rng-lineage"
-    summary = "function with an rng parameter constructs its own generator"
-    rationale = (
-        "A function that accepts an rng-like parameter participates in "
-        "the seed-threading discipline; constructing a second generator "
-        "from unrelated material forks the lineage, so the caller's seed "
-        "no longer determines the function's output.  Thread the received "
-        "stream (or material derived from it) into every draw."
-    )
+def _fold_iterable(ctx: ModuleContext, call: ast.Call) -> Optional[ast.expr]:
+    """The iterable argument of an order-sensitive fold call, if any."""
+    name = ctx.call_name(call)
+    if name in FOLD_ITERABLE_ARG:
+        index = FOLD_ITERABLE_ARG[name]
+    elif isinstance(call.func, ast.Attribute) and call.func.attr == "join":
+        index = 0  # separator.join(iterable)
+    else:
+        return None
+    return call.args[index] if len(call.args) > index else None
 
 
 @register_rule
-class OrderTaintedAggregation(_DataflowRule):
-    """Nondeterministic iteration order feeds an order-sensitive sink."""
+class UnorderedIteration(Rule):
+    """Iteration directly over a set or a directory listing."""
 
     code = "RL603"
-    name = "order-tainted-aggregation"
-    summary = "unordered iteration feeds an RNG draw or result aggregation"
+    name = "unordered-iteration"
+    summary = "loop, comprehension or fold iterates an unordered source"
     rationale = (
-        "set/dict iteration, os.listdir and glob enumerate in an order "
-        "that is not part of the program's deterministic contract; "
-        "feeding that order into a float fold, a report join, or the "
-        "argument stream of an RNG consumer makes acceptance curves and "
-        "reports differ between runs.  Sort or canonicalise first."
+        "set/frozenset iteration follows per-process string hashing and "
+        "os.listdir/scandir/glob/Path.iterdir follow the filesystem, so "
+        "a loop that consumes RNG draws, a float sum or a report join "
+        "over them differs between runs of one seed.  Wrap the source in "
+        "sorted(...) first."
     )
 
-
-@register_rule
-class EntropyInCachedKernel(_DataflowRule):
-    """A cached engine kernel returns unseeded-generator data."""
-
-    code = "RL604"
-    name = "entropy-in-cached-kernel"
-    summary = "cached engine kernel returns data from an unseeded generator"
-    rationale = (
-        "Kernel results are memoised by the acceptance cache keyed on "
-        "(config, distribution, trials, seed); data drawn from OS "
-        "entropy is not a function of that key, so the cache would "
-        "freeze one arbitrary draw and replay it as if reproducible.  "
-        "Kernels must derive every stream from the dispatched seed."
-    )
+    def check(self, ctx: ModuleContext) -> Iterator[Diagnostic]:
+        sanitised: Set[int] = set()
+        for node in ast.walk(ctx.tree):
+            if (
+                isinstance(node, ast.Call)
+                and ctx.call_name(node) in ORDER_INSENSITIVE
+                and node.args
+                and isinstance(node.args[0], _COMPREHENSIONS)
+            ):
+                sanitised.add(id(node.args[0]))
+        for node in ast.walk(ctx.tree):
+            iterables: List[ast.expr] = []
+            if isinstance(node, (ast.For, ast.AsyncFor)):
+                iterables.append(node.iter)
+            elif isinstance(node, _COMPREHENSIONS):
+                # A set comprehension's own order is never observed.
+                if id(node) not in sanitised and not isinstance(node, ast.SetComp):
+                    iterables.extend(gen.iter for gen in node.generators)
+            elif isinstance(node, ast.Call):
+                iterable = _fold_iterable(ctx, node)
+                if iterable is not None:
+                    iterables.append(iterable)
+            for iterable in iterables:
+                source = _unordered_source(ctx, iterable)
+                if source is not None:
+                    yield self.diag(
+                        ctx,
+                        iterable,
+                        f"iteration over {source} follows an unspecified "
+                        "order; wrap it in sorted(...)",
+                    )

@@ -4,9 +4,10 @@
 dispatched and counted; fixed budgets, SPRT and ``chunked_accepts`` all
 run through it.  These tests pin its contract directly: every estimate
 is a pure function of ``(kernel, distribution, mode, root entropy)``,
-whatever the trial count, tile budget, backend or timing clock, and a
-``consume`` callback sees blocks strictly in index order and stops the
-loop for good.
+whatever the trial count, tile budget, backend or timing clock; the RNG
+blocks of one dispatch (and the sweep points of one experiment) each get
+a stream of their own; and a ``consume`` callback sees blocks strictly
+in index order and stops the loop for good.
 """
 
 from __future__ import annotations
@@ -27,10 +28,12 @@ from repro.engine import (
     SerialBackend,
     SharedMemoryBackend,
     SprtSpec,
+    block_seed,
     collect_metrics,
     derive_root_entropy,
     engine_context,
     estimate_acceptance,
+    point_seed,
 )
 from repro.engine.executor import _dispatch
 from repro.exceptions import InvalidParameterError
@@ -88,6 +91,48 @@ def test_estimate_invariant_to_tiling_backend_and_clock(
     ):
         estimate = _estimate(kernel, mode, trials, seed)
     assert estimate == reference
+
+
+class _StreamRecorder:
+    """Accepts everything; records the initial state of each block stream."""
+
+    elements_per_trial = 1
+
+    def __init__(self):
+        self.streams = []
+
+    def accept_block(self, distribution, trials, rng):
+        state = rng.bit_generator.state["state"]
+        self.streams.append((state["state"], state["inc"]))
+        return np.ones(trials, dtype=bool)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    root=st.integers(0, 2**63 - 1),
+    trials=st.integers(4 * RNG_BLOCK_TRIALS, 8 * RNG_BLOCK_TRIALS + 9),
+    max_elements=st.integers(1, 4 * RNG_BLOCK_TRIALS),
+)
+def test_block_streams_are_pairwise_distinct(root, trials, max_elements):
+    recorder = _StreamRecorder()
+    with engine_context(backend=SerialBackend(), max_elements=max_elements):
+        _dispatch(recorder, DISTRIBUTION, trials, root, 1)
+    assert len(recorder.streams) == -(-trials // RNG_BLOCK_TRIALS)
+    assert len(set(recorder.streams)) == len(recorder.streams)
+
+
+@settings(max_examples=30, deadline=None)
+@given(root=st.integers(0, 2**63 - 1), points=st.integers(2, 48))
+def test_sweep_point_seeds_are_pairwise_distinct(root, points):
+    """Distinct points get distinct seeds, none shared with a batch block.
+
+    An experiment seed may double as the root entropy of a batch, so the
+    sweep-point domain must not collide with the block-seed domain.
+    """
+    point_states = {tuple(point_seed(root, i).generate_state(4)) for i in range(points)}
+    block_states = {tuple(block_seed(root, i).generate_state(4)) for i in range(points)}
+    assert len(point_states) == points
+    assert not point_states & block_states
 
 
 @pytest.mark.parametrize("kind", ["serial", "process", "shm"])

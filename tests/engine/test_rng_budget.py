@@ -1,17 +1,21 @@
 """The runtime kernel contract, checked for every kernel in the library.
 
 Every Monte-Carlo estimate runs through ``accept_block(distribution,
-trials, rng)``, and the engine relies on three things about it: it
+trials, rng)``, and the engine relies on five things about it: it
 returns a ``bool`` array of shape ``(trials,)``, it raises nothing on a
-valid input, and it draws at most ``elements_per_trial × trials`` RNG
-elements (``plan_tiles`` sizes trial blocks from that footprint).  The
-table below runs each kernel at three sizes and two trial counts under a
-:class:`CountingRng` that counts the elements it hands out.
+valid input, it draws at most ``elements_per_trial × trials`` RNG
+elements (``plan_tiles`` sizes trial blocks from that footprint), it
+draws from the generator it was handed (the per-block stream the
+executor derives from the root seed), and the same seed gives the same
+verdicts (the acceptance cache replays them as a function of the seed).
+The table below runs each kernel at three sizes and two trial counts
+under a :class:`CountingRng` that counts the elements it hands out.
 
 :func:`test_contract_table_covers_every_kernel` keeps the table
 complete: every ``src/repro`` class that defines ``accept_block`` and
 every registered streaming plugin must have an entry.  The kernels of
-the ``shapes_violations.py`` lint fixture each break the contract in one
+the ``shapes_violations.py`` lint fixture, plus :class:`EntropyKernel`
+and :class:`ForkedLineageKernel` below, each break the contract in one
 way, and :func:`test_contract_checker_fails_broken_kernels` pins that
 the checker catches all of them.
 """
@@ -164,18 +168,26 @@ TRIALS = (7, 16)
 
 
 def contract_violations(kernel, distribution, trials, seed=2026):
-    """Every way one ``accept_block`` call breaks the kernel contract.
+    """Every way ``accept_block`` breaks the kernel contract at one seed.
 
     Returns a list of messages, each starting with the broken clause
-    (``raised``, ``shape``, ``dtype`` or ``budget``); empty when the
-    call honours the contract.
+    (``raised``, ``shape``, ``dtype``, ``budget``, ``lineage`` or
+    ``determinism``); empty when the kernel honours the contract.
     """
     rng = CountingRng(seed=seed)
+    untouched = rng.bit_generator.state
     try:
         accepts = np.asarray(kernel.accept_block(distribution, trials, rng))
+        again = np.asarray(
+            kernel.accept_block(distribution, trials, CountingRng(seed=seed))
+        )
     except Exception as error:  # any exception breaks the contract
         return [f"raised {type(error).__name__}: {error}"]
     problems = []
+    if rng.bit_generator.state == untouched:
+        problems.append("lineage: drew nothing from the generator it was handed")
+    if not np.array_equal(accepts, again):
+        problems.append("determinism: the same seed gave different accept vectors")
     if accepts.shape != (trials,):
         problems.append(f"shape {accepts.shape} is not ({trials},)")
     if accepts.dtype != np.bool_:
@@ -246,7 +258,28 @@ def test_contract_table_covers_every_kernel():
     assert set(registered_plugins()) - tabled == set()
 
 
-def _golden_violation_kernels():
+class EntropyKernel:
+    """Draws OS entropy: its verdicts are not a function of the seed."""
+
+    elements_per_trial = 1
+
+    def accept_block(self, distribution, trials, rng):
+        return ensure_rng(None).random(trials) < 0.5
+
+
+class ForkedLineageKernel:
+    """Builds its own stream from a salt and ignores the one handed in."""
+
+    elements_per_trial = 1
+
+    def __init__(self, salt):
+        self.salt = salt
+
+    def accept_block(self, distribution, trials, rng):
+        return np.random.default_rng(self.salt).random(trials) < 0.5
+
+
+def _broken_kernels():
     spec = importlib.util.spec_from_file_location(
         "shapes_violations_fixture", GOLDEN_VIOLATIONS
     )
@@ -266,13 +299,16 @@ def _golden_violation_kernels():
         "UnderDeclared": ("budget", module.UnderDeclaredKernel(8)),
         "DitheredGraph": ("budget", dithered),
         "Misaligned": ("raised", module.MisalignedKernel()),
+        "Entropy": ("determinism", EntropyKernel()),
+        "ForkedLineage": ("lineage", ForkedLineageKernel(salt=5)),
     }
 
 
-@pytest.mark.parametrize("name", sorted(_golden_violation_kernels()))
+@pytest.mark.parametrize("name", sorted(_broken_kernels()))
 def test_contract_checker_fails_broken_kernels(name):
-    clause, kernel = _golden_violation_kernels()[name]
-    problems = contract_violations(kernel, uniform(16), 9)
+    clause, kernel = _broken_kernels()[name]
+    # 64 trials: two entropy runs agree on every verdict with odds 2**-64.
+    problems = contract_violations(kernel, uniform(16), 64)
     assert any(problem.startswith(clause) for problem in problems), problems
 
 

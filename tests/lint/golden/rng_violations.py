@@ -4,9 +4,16 @@ import random  # expect: RL103
 
 import numpy as np
 
+from repro.rng import ensure_rng
+
 
 def fresh_generator():
     return np.random.default_rng()  # expect: RL101
+
+
+def explicit_none_generators():
+    coerced = ensure_rng(None)  # expect: RL101
+    return coerced, np.random.default_rng(seed=None)  # expect: RL101
 
 
 def pinned_generator():

@@ -1,48 +1,59 @@
 # lint-path: repro/stats/streams_example_ok.py
-"""Clean counterpart: per-task stream derivation and canonical order."""
+"""Clean counterpart: sorted sources and order-insensitive consumers."""
+import functools
+import glob
 import os
+from pathlib import Path
 
 import numpy as np
 
 
-def spawned_streams(engine, rng, n_tasks):
-    children = rng.spawn(n_tasks)
-    tasks = [(child, index) for index, child in enumerate(children)]
-    return engine.map_tasks(echo_kernel, tasks)
+def calibrate_by_rate(sample_counts, calibrate):
+    return {q: calibrate(q) for q in sorted(set(sample_counts))}
 
 
-def jumped_streams(backend, rng, payloads):
-    jobs = [(rng.jumped(), payload) for payload in payloads]
-    return backend._dispatch(jobs)
+def _entries(cache_dir):
+    return sorted(
+        name
+        for name in os.listdir(cache_dir)
+        if name.startswith("accept-") and name.endswith(".json")
+    )
 
 
-def per_task_roots(engine, seed, n_tasks):
-    tasks = [(np.random.default_rng(seed + index), index) for index in range(n_tasks)]
-    return engine.map_tasks(echo_kernel, tasks)
+def entry_count(cache_dir):
+    return len([name for name in os.listdir(cache_dir) if name.endswith(".json")])
 
 
-def echo_kernel(task):
-    return task
+def clear(cache_dir):
+    for name in sorted(os.listdir(cache_dir)):
+        os.remove(os.path.join(cache_dir, name))
 
 
 def sorted_total(samples):
-    bucket = set(samples)
-    return sum(sorted(bucket))
+    return sum(sorted(set(samples)))
+
+
+def payload_total(received):
+    return sum(received.values())
 
 
 def sorted_digest(root):
     return "|".join(sorted(os.listdir(root)))
 
 
-def canonical_draw(rng, root):
-    files = sorted(os.listdir(root))
-    return rng.choice(files)
+def stacked_rows(rows):
+    return np.concatenate(sorted({tuple(row) for row in rows}))
 
 
-def run_seeded(engine, tasks):
-    return engine.map_tasks(seeded_kernel, tasks)
+def folded(values):
+    return functools.reduce(lambda a, b: a * 0.5 + b, sorted(set(values)))
 
 
-def seeded_kernel(task):
-    rng = np.random.default_rng(task)
-    return rng.standard_normal()
+def order_free(values, root, pattern):
+    largest = max(value for value in set(values))
+    present = any(name.endswith(".json") for name in os.listdir(root))
+    every = all(os.path.exists(path) for path in glob.glob(pattern))
+    unique = frozenset(child.suffix for child in Path(root).iterdir())
+    lowered = {name.lower() for name in os.listdir(root)}
+    return largest, present, every, unique, lowered
+

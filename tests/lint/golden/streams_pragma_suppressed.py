@@ -1,26 +1,23 @@
 #!/usr/bin/env python
 # -*- coding: utf-8 -*-
 # lint-path: repro/stats/streams_pragma_example.py
-# repro-lint: disable-file=RL601, RL604 fixture exercises file-wide multi-code pragmas
-"""RL6xx suppressions: line and file pragmas with justification text."""
+# repro-lint: disable-file=RL101, RL104 fixture exercises file-wide multi-code pragmas
+"""RL603 line pragmas (with justification text) next to file pragmas."""
 import os
 
 import numpy as np
 
-from repro.rng import ensure_rng
-
 
 def justified_digest(root):
-    entries = os.listdir(root)
-    return "|".join(entries)  # repro-lint: disable=RL603 arrival order is canonical here
+    return "|".join(os.listdir(root))  # repro-lint: disable=RL603 order is canonical here
 
 
-def replayed_broadcast(engine, seed, n_tasks):
-    rng = np.random.default_rng(seed)
-    tasks = [(rng, index) for index in range(n_tasks)]
-    return engine.map_tasks(replay_kernel, tasks)
+def justified_loop(values):
+    total = 0
+    for value in set(values):  # repro-lint: disable=RL603 integer sum is order-free
+        total += int(value)
+    return total
 
 
-def replay_kernel(task):
-    rng = ensure_rng(None)
-    return rng.standard_normal()
+def entropy_and_pinned():
+    return np.random.default_rng(None), np.random.default_rng(7)

@@ -156,10 +156,10 @@ def test_jobs_output_byte_identical_to_serial(tmp_path, capsys):
 
 
 def test_jobs_agrees_on_dataflow_rules():
-    """RL6xx findings survive the worker-pickling round trip."""
-    dirty = os.path.join(GOLDEN_DIR, "streams_violations.py")
+    """RL7xx findings survive the worker-pickling round trip."""
+    dirty = os.path.join(GOLDEN_DIR, "resources_violations.py")
     serial = _run_module(["-m", "repro.lint", dirty])
     parallel = _run_module(["-m", "repro.lint", "--jobs", "2", dirty])
     assert serial.returncode == EXIT_VIOLATIONS
     assert parallel.stdout == serial.stdout
-    assert "RL601" in serial.stdout
+    assert "RL701" in serial.stdout

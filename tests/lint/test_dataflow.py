@@ -1,74 +1,52 @@
-"""Cross-module dataflow analysis: resolver, summaries, detectors.
+"""The whole-program substrate under RL7xx: resolver, call graph, driver.
 
 The golden fixtures pin single-file behaviour; these tests exercise the
-whole-program machinery — re-export chasing, inter-procedural summary
-propagation, kernel detection, and the picklability contract the
-``--jobs N`` runner relies on.
+cross-module machinery the resource analysis stands on — re-export
+chasing in :class:`ModuleGraph`, summary convergence over call-graph
+cycles, and the picklability contract the ``--jobs N`` runner relies on.
 """
 
 import pickle
 
-from repro.lint.dataflow import (
-    BUILTIN_SUMMARIES,
-    ProgramAnalysis,
-    analyze_program,
-)
+from repro.lint.dataflow import ProgramAnalysis, analyze_program
 from repro.lint.dataflow.modules import ModuleGraph
 
-HELPER = """\
-import numpy as np
-
-def make_stream(seed):
-    return np.random.default_rng(seed)
+FACTORY = """\
+def open_log(path):
+    return open(path)
 """
 
-DRIVER = """\
-from repro.alpha.helper import make_stream
+CALLER = """\
+from repro.alpha.factory import open_log
 
-def fan_out(engine, seed, n_tasks):
-    rng = make_stream(seed)
-    tasks = [(rng, index) for index in range(n_tasks)]
-    return engine.map_tasks(kernel, tasks)
-
-def kernel(task):
-    return task
+def first_line(path):
+    handle = open_log(path)
+    return handle.readline()
 """
 
-REEXPORT_INIT = "from repro.beta.impl import tainted_listing\n"
-
-REEXPORT_IMPL = """\
-import os
-
-def tainted_listing(root):
-    return os.listdir(root)
-"""
+REEXPORT_INIT = "from repro.beta.impl import open_log\n"
 
 REEXPORT_USE = """\
-from repro.beta import tainted_listing
+from repro.beta import open_log
 
-def digest(root):
-    return "|".join(tainted_listing(root))
+def first_line(path):
+    handle = open_log(path)
+    return handle.readline()
 """
 
 MUTUAL = """\
-def ping(rng, depth):
+def ping(handle, depth):
     if depth == 0:
-        return rng
-    return pong(rng, depth - 1)
+        handle.close()
+        return
+    pong(handle, depth - 1)
 
-def pong(rng, depth):
-    return ping(rng, depth)
-"""
+def pong(handle, depth):
+    ping(handle, depth)
 
-KERNEL_MODULE = """\
-from repro.rng import ensure_rng
-
-def run(engine, tasks):
-    return engine.map_tasks(noisy, tasks)
-
-def noisy(task):
-    rng = ensure_rng(None)
-    return rng.standard_normal()
+def drain(path, depth):
+    handle = open(path)
+    pong(handle, depth)
 """
 
 
@@ -76,79 +54,53 @@ def _analyze(files):
     return analyze_program(list(files.items()))
 
 
-def test_summary_propagates_stream_across_modules():
-    """A stream built in one module is tracked into another's dispatch."""
-    analysis = _analyze(
-        {"repro/alpha/helper.py": HELPER, "repro/alpha/driver.py": DRIVER}
-    )
-    codes = [f.code for f in analysis.findings_for("repro/alpha/driver.py")]
-    assert codes == ["RL601"]
-    assert analysis.findings_for("repro/alpha/helper.py") == ()
-
-
-def test_summary_recorded_for_helper():
-    analysis = _analyze(
-        {"repro/alpha/helper.py": HELPER, "repro/alpha/driver.py": DRIVER}
-    )
-    summary = analysis.summaries["repro.alpha.helper.make_stream"]
-    assert summary.return_tags  # the returned generator is tracked
-
-
 def test_reexport_chain_is_chased():
     """``from repro.beta import name`` resolves through ``__init__``."""
     files = {
         "repro/beta/__init__.py": REEXPORT_INIT,
-        "repro/beta/impl.py": REEXPORT_IMPL,
+        "repro/beta/impl.py": FACTORY,
         "repro/beta/use.py": REEXPORT_USE,
     }
     graph = ModuleGraph(list(files.items()))
-    resolved = graph.resolve_function("repro.beta.tainted_listing")
+    resolved = graph.resolve_function("repro.beta.open_log")
     assert resolved is not None
-    assert resolved[0] == "repro.beta.impl.tainted_listing"
+    assert resolved[0] == "repro.beta.impl.open_log"
 
+    # The factory's summary reaches the caller through the re-export, so
+    # the caller adopts (and leaks) the handle it returns.
     analysis = _analyze(files)
-    codes = [f.code for f in analysis.findings_for("repro/beta/use.py")]
-    assert codes == ["RL603"]
+    assert analysis.resource_summaries["repro.beta.impl.open_log"].returns_kind == "file"
+    hits = [(f.line, f.code) for f in analysis.findings_for("repro/beta/use.py")]
+    assert hits == [(4, "RL701")]
+    assert analysis.findings_for("repro/beta/impl.py") == ()
 
 
 def test_mutual_recursion_converges():
     analysis = _analyze({"repro/gamma/mutual.py": MUTUAL})
-    assert "repro.gamma.mutual.ping" in analysis.summaries
-    assert "repro.gamma.mutual.pong" in analysis.summaries
-    # rng flows through the cycle into both summaries' passthrough sets.
-    assert "rng" in analysis.summaries["repro.gamma.mutual.ping"].passthrough
-
-
-def test_kernel_detection_and_rl604():
-    analysis = _analyze({"repro/delta/kern.py": KERNEL_MODULE})
-    assert analysis.kernels == ("repro.delta.kern.noisy",)
-    codes = [f.code for f in analysis.findings_for("repro/delta/kern.py")]
-    assert codes == ["RL604"]
+    ping = analysis.resource_summaries["repro.gamma.mutual.ping"]
+    pong = analysis.resource_summaries["repro.gamma.mutual.pong"]
+    # The close in ping flows around the cycle into pong's summary, which
+    # discharges the caller's obligation.
+    assert "handle" in ping.closes
+    assert "handle" in pong.closes
+    assert analysis.findings_for("repro/gamma/mutual.py") == ()
 
 
 def test_program_analysis_pickles_unchanged():
     """The --jobs runner ships the analysis to workers via pickle."""
     analysis = _analyze(
-        {"repro/alpha/helper.py": HELPER, "repro/alpha/driver.py": DRIVER}
+        {"repro/alpha/factory.py": FACTORY, "repro/alpha/caller.py": CALLER}
     )
+    assert analysis.findings_for("repro/alpha/caller.py", "RL701")
     clone = pickle.loads(pickle.dumps(analysis))
     assert isinstance(clone, ProgramAnalysis)
     assert clone.findings == analysis.findings
-    assert clone.kernels == analysis.kernels
-
-
-def test_builtin_summaries_win_over_computed():
-    """Hand-written engine models take precedence over analysed bodies."""
-    assert BUILTIN_SUMMARIES  # the table is populated
-    # A file that *redefines* a modelled name still gets the model.
-    source = "def derive_root_entropy(rng):\n    return rng\n"
-    analysis = _analyze({"repro/engine/seeding.py": source})
-    assert analysis.findings == {}
+    assert clone.resource_summaries == analysis.resource_summaries
 
 
 def test_unparsable_file_is_skipped_not_fatal():
     analysis = _analyze(
-        {"repro/alpha/broken.py": "def broken(:\n", "repro/alpha/helper.py": HELPER}
+        {"repro/alpha/broken.py": "def broken(:\n", "repro/alpha/factory.py": FACTORY}
     )
     assert "repro/alpha/broken.py" not in analysis.findings
-    assert "repro.alpha.helper.make_stream" in analysis.summaries
+    assert "repro.alpha.factory.open_log" in analysis.resource_summaries

@@ -22,7 +22,7 @@ def test_registry_exposes_at_least_five_domain_rules():
         "RL301",
         "RL401",
         "RL501",
-        "RL601",
+        "RL603",
         "RL701",
         "RL802",
     ):
