@@ -11,12 +11,18 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Any, Dict, Sequence
 
 import numpy as np
 
 from ..distributions.discrete import DiscreteDistribution, uniform
 from ..distributions.families import PaninskiFamily
+from ..engine import (
+    KERNEL_SCHEMA_VERSION,
+    chunked_accepts,
+    estimate_acceptance,
+    tester_fingerprint,
+)
 from ..exceptions import InvalidParameterError
 from ..rng import RngLike, ensure_rng
 
@@ -41,7 +47,17 @@ class UniformityTester(ABC):
     paper's correctness requirement is two-sided 2/3 confidence:
     completeness ``P[accept | U_n] >= 2/3`` and soundness
     ``P[reject | ε-far] >= 2/3``.
+
+    Every tester is an :class:`~repro.engine.kernels.AcceptKernel`:
+    subclasses implement ``accept_block`` and ``resources``; the base
+    derives ``cache_token`` from the tester's fingerprint and sizes
+    tiles by the total sample budget unless a subclass declares its own
+    ``elements_per_trial``.
     """
+
+    #: Bumped when a subclass's accept_block draw order or statistic
+    #: changes, so stale cached acceptance curves cannot be read.
+    kernel_version = 1
 
     def __init__(self, n: int, epsilon: float):
         if n < 2:
@@ -52,15 +68,36 @@ class UniformityTester(ABC):
         self.epsilon = float(epsilon)
 
     @abstractmethod
-    def accept_batch(
+    def accept_block(
         self, distribution: DiscreteDistribution, trials: int, rng: RngLike = None
     ) -> np.ndarray:
-        """Boolean accept vector over ``trials`` independent executions."""
+        """Boolean accept vector for one RNG block; every draw from ``rng``."""
 
     @property
     @abstractmethod
     def resources(self) -> TesterResources:
         """Players / samples / message bits consumed per execution."""
+
+    @property
+    def cache_token(self) -> Dict[str, Any]:
+        """The kernel identity: fingerprint plus ``kernel_version``."""
+        return {
+            "schema": KERNEL_SCHEMA_VERSION,
+            "kind": "tester",
+            "kernel_version": int(self.kernel_version),
+            **tester_fingerprint(self),
+        }
+
+    @property
+    def elements_per_trial(self) -> int:
+        """Tiling hint: the samples one execution draws."""
+        return int(self.resources.total_samples)
+
+    def accept_batch(
+        self, distribution: DiscreteDistribution, trials: int, rng: RngLike = None
+    ) -> np.ndarray:
+        """Boolean accept vector over ``trials`` independent executions."""
+        return chunked_accepts(self, distribution, trials, rng)
 
     def test(self, distribution: DiscreteDistribution, rng: RngLike = None) -> bool:
         """One execution: ``True`` iff the tester accepts (says uniform)."""
@@ -77,8 +114,6 @@ class UniformityTester(ABC):
         """
         if trials < 1:
             raise InvalidParameterError(f"trials must be >= 1, got {trials}")
-        from ..engine import estimate_acceptance
-
         return estimate_acceptance(self, distribution, trials=trials, rng=rng).rate
 
     def completeness(self, trials: int, rng: RngLike = None) -> float:

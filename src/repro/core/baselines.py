@@ -141,13 +141,6 @@ class EmpiricalDistanceTester(UniformityTester):
         generator = ensure_rng(rng)
         return self._statistics(distribution, trials, generator) <= self.distance_threshold
 
-    def accept_batch(
-        self, distribution: DiscreteDistribution, trials: int, rng: RngLike = None
-    ) -> np.ndarray:
-        from ..engine import chunked_accepts
-
-        return chunked_accepts(self, distribution, trials, rng)
-
     @property
     def resources(self) -> TesterResources:
         return TesterResources(num_players=1, samples_per_player=self.q, message_bits=0)

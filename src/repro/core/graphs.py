@@ -704,13 +704,6 @@ class ComparisonGraphTester(UniformityTester):
             return statistics >= self.statistic_threshold
         return statistics <= self.statistic_threshold
 
-    def accept_batch(
-        self, distribution: DiscreteDistribution, trials: int, rng: RngLike = None
-    ) -> np.ndarray:
-        from ..engine import chunked_accepts
-
-        return chunked_accepts(self, distribution, trials, rng)
-
     @property
     def cache_token(self) -> Dict[str, Any]:
         from ..engine import KERNEL_SCHEMA_VERSION

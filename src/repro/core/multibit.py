@@ -117,13 +117,6 @@ class MultibitThresholdTester(UniformityTester):
         sums = levels.reshape(trials, self.k).sum(axis=1)
         return sums <= self.sum_threshold
 
-    def accept_batch(
-        self, distribution: DiscreteDistribution, trials: int, rng: RngLike = None
-    ) -> np.ndarray:
-        from ..engine import chunked_accepts
-
-        return chunked_accepts(self, distribution, trials, rng)
-
     @property
     def resources(self) -> TesterResources:
         return TesterResources(

@@ -7,24 +7,37 @@ supports:
 
 * exact per-run transcripts (:class:`ProtocolOutcome`) for debugging and
   unit tests;
-* a fully vectorised Monte Carlo path (:meth:`SimultaneousProtocol.
-  acceptance_probability`) that simulates thousands of protocol executions
-  as a single (trials × k × q) tensor — the workhorse of every benchmark;
+* a fully vectorised Monte Carlo path: a protocol is an
+  :class:`~repro.engine.kernels.AcceptKernel` whose ``accept_block``
+  simulates one RNG block of executions as a single (trials·k × q)
+  sample matrix — the workhorse of every benchmark;
 * heterogeneous players (different strategies and different sample counts,
-  needed by the asymmetric-rate model of Section 6.2).
+  needed by the asymmetric-rate model of Section 6.2);
+* :class:`ProtocolTester`, the base of the testers that run one protocol
+  per execution.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Any, Dict, Sequence
 
 import numpy as np
 
 from ..distributions.discrete import DiscreteDistribution
 from ..distributions.sampling import SampleOracle
+from ..engine import (
+    KERNEL_SCHEMA_VERSION,
+    block_seed,
+    chunked_accepts,
+    derive_root_entropy,
+    estimate_acceptance,
+    plan_blocks,
+    tester_fingerprint,
+)
 from ..exceptions import DimensionMismatchError, InvalidParameterError, ProtocolError
 from ..rng import RngLike, ensure_rng
+from .base import UniformityTester
 from .players import PlayerStrategy
 from .referees import DecisionRule
 
@@ -59,6 +72,52 @@ class ProtocolOutcome:
         )
 
 
+def protocol_bits(
+    protocol: "SimultaneousProtocol",
+    distribution: Any,
+    trials: int,
+    generator: np.random.Generator,
+) -> np.ndarray:
+    """The (trials × k) player-bit matrix of one RNG block.
+
+    Draw order: one sample matrix for all players (homogeneous) or one
+    matrix per player (heterogeneous), then the response bits.
+    """
+    k = protocol.num_players
+    if protocol.is_homogeneous:
+        strategy = protocol.players[0].strategy
+        q = protocol.players[0].num_samples
+        samples = distribution.sample_matrix(trials * k, q, generator)
+        return strategy.respond_batch(samples, generator).reshape(trials, k)
+    bits = np.empty((trials, k), dtype=np.int64)
+    for index, player in enumerate(protocol.players):
+        samples = distribution.sample_matrix(trials, player.num_samples, generator)
+        bits[:, index] = player.strategy.respond_batch(samples, generator)
+    return bits
+
+
+def _protocol_accepts(
+    protocol: "SimultaneousProtocol", distribution: Any, trials: int, rng: RngLike
+) -> np.ndarray:
+    """One RNG block of executions: player bits, then the referee.
+
+    Every shipped referee decides row-wise, so blocks concatenate to the
+    verdicts of one big batch.
+    """
+    bits = protocol_bits(protocol, distribution, trials, ensure_rng(rng))
+    return np.asarray(protocol.referee.decide_batch(bits), dtype=bool)
+
+
+def _protocol_token(owner: Any) -> Dict[str, Any]:
+    """The ``kind: "protocol"`` kernel token of a protocol or its tester."""
+    return {
+        "schema": KERNEL_SCHEMA_VERSION,
+        "kind": "protocol",
+        "kernel_version": int(owner.kernel_version),
+        **tester_fingerprint(owner),
+    }
+
+
 class SimultaneousProtocol:
     """k players → one-bit messages → referee decision.
 
@@ -70,6 +129,9 @@ class SimultaneousProtocol:
     referee:
         The decision rule applied to the k bits.
     """
+
+    #: Bumped when the player-bit draw order changes.
+    kernel_version = 1
 
     def __init__(self, players: Sequence[Player], referee: DecisionRule):
         if len(players) == 0:
@@ -119,9 +181,23 @@ class SimultaneousProtocol:
             for player in self.players
         )
 
+    @property
+    def cache_token(self) -> Dict[str, Any]:
+        return _protocol_token(self)
+
+    @property
+    def elements_per_trial(self) -> int:
+        return self.total_samples
+
     # ------------------------------------------------------------------ #
     # execution                                                          #
     # ------------------------------------------------------------------ #
+
+    def accept_block(
+        self, distribution: DiscreteDistribution, trials: int, rng: RngLike = None
+    ) -> np.ndarray:
+        """Boolean accept vector for one RNG block of executions."""
+        return _protocol_accepts(self, distribution, trials, rng)
 
     def run_once(
         self, distribution: DiscreteDistribution, rng: RngLike = None
@@ -162,32 +238,26 @@ class SimultaneousProtocol:
     ) -> np.ndarray:
         """Boolean accept vector over ``trials`` independent executions.
 
-        Execution is delegated to the Monte Carlo engine
-        (:func:`repro.engine.monte_carlo_bits`): trials are cut into
-        memory-bounded tiles with per-block spawned generators, so the
-        result is bit-identical across backends and tile sizes, and the
-        full ``trials·k × q`` sample tensor never has to fit in RAM.
+        Runs through the engine (:func:`repro.engine.chunked_accepts`):
+        trials are cut into memory-bounded tiles with per-block spawned
+        generators, so the result is bit-identical across backends and
+        tile sizes, and the full ``trials·k × q`` sample tensor never has
+        to fit in RAM.
         """
         if trials < 1:
             raise InvalidParameterError(f"trials must be >= 1, got {trials}")
-        from ..engine import monte_carlo_bits
-
-        bits = monte_carlo_bits(self, distribution, trials, rng)
-        return self.referee.decide_batch(bits)
+        return chunked_accepts(self, distribution, trials, rng)
 
     def acceptance_probability(
         self, distribution: DiscreteDistribution, trials: int, rng: RngLike = None
     ) -> float:
         """Monte Carlo estimate of P[referee accepts] against ``distribution``.
 
-        Runs through :func:`repro.engine.estimate_acceptance` (every
-        shipped referee decides row-wise, so the kernel path is
-        bit-identical to :meth:`run_batch` under the same seed).
+        Runs through :func:`repro.engine.estimate_acceptance`, on the same
+        per-block draws as :meth:`run_batch` under the same seed.
         """
         if trials < 1:
             raise InvalidParameterError(f"trials must be >= 1, got {trials}")
-        from ..engine import estimate_acceptance
-
         return estimate_acceptance(self, distribution, trials=trials, rng=rng).rate
 
     def bit_distribution(
@@ -195,19 +265,56 @@ class SimultaneousProtocol:
     ) -> np.ndarray:
         """Per-player empirical P[bit = 1] — the ν(G_j) of Section 4.
 
-        Used by the divergence-accounting experiments (E12) to measure how
-        much information each player's bit actually carries.  Shares the
-        engine execution path with :meth:`run_batch`.
+        Measures how much information each player's bit carries.  The
+        bits are the ones :meth:`run_batch` draws under the same seed:
+        one spawned generator per RNG block.
         """
         if trials < 1:
             raise InvalidParameterError(f"trials must be >= 1, got {trials}")
-        from ..engine import monte_carlo_bits
-
-        bits = monte_carlo_bits(self, distribution, trials, rng)
-        return bits.mean(axis=0)
+        root_entropy = derive_root_entropy(rng)
+        bits = [
+            protocol_bits(
+                self,
+                distribution,
+                block.trials,
+                np.random.default_rng(block_seed(root_entropy, block.index)),
+            )
+            for block in plan_blocks(trials)
+        ]
+        return np.concatenate(bits).mean(axis=0)
 
     def __repr__(self) -> str:
         return (
             f"SimultaneousProtocol(k={self.num_players}, "
             f"total_samples={self.total_samples}, referee={self.referee.name})"
         )
+
+
+class ProtocolTester(UniformityTester):
+    """A tester that runs one simultaneous protocol per execution.
+
+    Subclasses build ``self._protocol`` in ``__init__``; the kernel
+    members run it directly (one ``accept_block`` per RNG block) and key
+    the cache with the ``kind: "protocol"`` token of the tester's
+    fingerprint, which nests the protocol's.
+    """
+
+    _protocol: SimultaneousProtocol
+
+    @property
+    def protocol(self) -> SimultaneousProtocol:
+        """The underlying simultaneous protocol (players + referee)."""
+        return self._protocol
+
+    def accept_block(
+        self, distribution: DiscreteDistribution, trials: int, rng: RngLike = None
+    ) -> np.ndarray:
+        return _protocol_accepts(self._protocol, distribution, trials, rng)
+
+    @property
+    def cache_token(self) -> Dict[str, Any]:
+        return _protocol_token(self)
+
+    @property
+    def elements_per_trial(self) -> int:
+        return self._protocol.total_samples

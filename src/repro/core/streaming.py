@@ -37,10 +37,11 @@ cross pairs against history — so ``Σ_v C(c_v, 2)`` is maintained
 exactly, matching the batch pairwise count for any block partition.
 
 Streaming testers are not :class:`~repro.core.base.UniformityTester`
-subclasses; the :class:`~repro.engine.kernels.StreamingKernel` adapter
-(one more rung on the ``as_kernel`` ladder) turns any of them into an
-:class:`~repro.engine.kernels.AcceptKernel` so estimation, SPRT and the
-acceptance cache work unchanged.
+subclasses, but each is an :class:`~repro.engine.kernels.AcceptKernel`:
+``accept_block`` draws the block's ``(trials × q)`` sample matrix (the
+batch testers' draw, so exact configurations are bit-identical to them)
+and streams it through :func:`run_streaming`, so estimation, SPRT and
+the acceptance cache work unchanged.
 """
 
 from __future__ import annotations
@@ -308,6 +309,18 @@ class StreamingTester(abc.ABC):
         }
         token.update(self._token_extra())
         return token
+
+    @property
+    def elements_per_trial(self) -> int:
+        """Tiling hint: the block's sample row plus the per-trial state."""
+        return self.q + (int(self.state_bytes) + 7) // 8
+
+    def accept_block(
+        self, distribution: Any, trials: int, rng: RngLike = None
+    ) -> np.ndarray:
+        """One RNG block: a ``(trials × q)`` sample matrix, streamed."""
+        matrix = distribution.sample_matrix(trials, self.q, ensure_rng(rng))
+        return run_streaming(self, matrix)
 
     def __repr__(self) -> str:
         return (

@@ -35,7 +35,7 @@ moment/calibration API (bit-identically to the helpers they replaced).
 from __future__ import annotations
 
 import math
-from typing import Optional
+from typing import Any, Dict, Optional
 
 import numpy as np
 
@@ -54,7 +54,7 @@ from .graphs import (
     calibrate_statistic_threshold,
 )
 from .players import DitheredCollisionBitPlayer
-from .protocol import SimultaneousProtocol
+from .protocol import ProtocolTester, SimultaneousProtocol
 from .referees import AndRule, ThresholdRule
 
 __all__ = [
@@ -93,6 +93,11 @@ class AmplifiedTester(UniformityTester):
     "repetition vs larger q" trade-off ablated in the E1 benchmark notes.
     """
 
+    #: v2: the token nests the base's own cache_token, so bases that
+    #: differ only in non-primitive state (a comparison graph) no longer
+    #: share cached curves.
+    kernel_version = 2
+
     def __init__(self, base: UniformityTester, repetitions: int):
         super().__init__(base.n, base.epsilon)
         if repetitions < 1 or repetitions % 2 == 0:
@@ -106,23 +111,18 @@ class AmplifiedTester(UniformityTester):
         self, distribution: DiscreteDistribution, trials: int, rng: RngLike = None
     ) -> np.ndarray:
         """Single-tile kernel: R base-kernel votes on one shared generator."""
-        from ..engine import as_kernel
-
         generator = ensure_rng(rng)
-        kernel = as_kernel(self.base)
         votes = np.zeros(trials, dtype=np.int64)
         for _ in range(self.repetitions):
             votes += np.asarray(
-                kernel.accept_block(distribution, trials, generator), dtype=np.int64
+                self.base.accept_block(distribution, trials, generator),
+                dtype=np.int64,
             )
         return votes * 2 > self.repetitions
 
-    def accept_batch(
-        self, distribution: DiscreteDistribution, trials: int, rng: RngLike = None
-    ) -> np.ndarray:
-        from ..engine import chunked_accepts
-
-        return chunked_accepts(self, distribution, trials, rng)
+    @property
+    def cache_token(self) -> Dict[str, Any]:
+        return {**super().cache_token, "base": self.base.cache_token}
 
     @property
     def resources(self) -> TesterResources:
@@ -184,7 +184,7 @@ def max_alarm_rate_for_threshold(
     return low
 
 
-class ThresholdRuleTester(UniformityTester):
+class ThresholdRuleTester(ProtocolTester):
     """The threshold-rule tester of [7]: optimal for any decision rule.
 
     Every player cuts its collision count at the midpoint between the
@@ -259,23 +259,13 @@ class ThresholdRuleTester(UniformityTester):
         )
 
     @property
-    def protocol(self) -> SimultaneousProtocol:
-        """The underlying simultaneous protocol (players + referee)."""
-        return self._protocol
-
-    def accept_batch(
-        self, distribution: DiscreteDistribution, trials: int, rng: RngLike = None
-    ) -> np.ndarray:
-        return self._protocol.run_batch(distribution, trials, rng)
-
-    @property
     def resources(self) -> TesterResources:
         return TesterResources(
             num_players=self.k, samples_per_player=self.q, message_bits=1
         )
 
 
-class AndRuleTester(UniformityTester):
+class AndRuleTester(ProtocolTester):
     """The AND-rule (local decision) tester of [7].
 
     Each player's bit is calibrated so its false-alarm probability under
@@ -314,16 +304,6 @@ class AndRuleTester(UniformityTester):
         self._protocol = SimultaneousProtocol.homogeneous(
             player, self.k, self.q, AndRule(num_players=self.k)
         )
-
-    @property
-    def protocol(self) -> SimultaneousProtocol:
-        """The underlying simultaneous protocol (players + referee)."""
-        return self._protocol
-
-    def accept_batch(
-        self, distribution: DiscreteDistribution, trials: int, rng: RngLike = None
-    ) -> np.ndarray:
-        return self._protocol.run_batch(distribution, trials, rng)
 
     @property
     def resources(self) -> TesterResources:
@@ -387,13 +367,6 @@ class PairwiseHashTester(UniformityTester):
         # Hash agreement within a group is the complete-graph comparison
         # statistic on the group's messages.
         self._group_graph = complete_graph(self.group_size)
-
-    def accept_batch(
-        self, distribution: DiscreteDistribution, trials: int, rng: RngLike = None
-    ) -> np.ndarray:
-        from ..engine import chunked_accepts
-
-        return chunked_accepts(self, distribution, trials, rng)
 
     #: v2: public hashes drawn as one batched argsort of uniform keys
     #: (same law — a uniform random permutation of the balanced bucket
@@ -469,13 +442,6 @@ class SimulationTester(UniformityTester):
         if k < 1:
             raise InvalidParameterError(f"k must be >= 1, got {k}")
         self.k = int(k)
-
-    def accept_batch(
-        self, distribution: DiscreteDistribution, trials: int, rng: RngLike = None
-    ) -> np.ndarray:
-        from ..engine import chunked_accepts
-
-        return chunked_accepts(self, distribution, trials, rng)
 
     def accept_block(
         self, distribution: DiscreteDistribution, trials: int, rng: RngLike = None

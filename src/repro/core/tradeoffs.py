@@ -16,14 +16,13 @@ from typing import List, Sequence
 
 import numpy as np
 
-from ..distributions.discrete import DiscreteDistribution
 from ..exceptions import InvalidParameterError
 from ..rng import RngLike
 from .graphs import GraphStatisticPlayer, complete_graph, statistic_alarm_probabilities
 from .players import ConstantPlayer
-from .protocol import Player, SimultaneousProtocol
+from .protocol import Player, ProtocolTester, SimultaneousProtocol
 from .referees import WeightedCountRule
-from .testers import TesterResources, UniformityTester
+from .testers import TesterResources
 
 
 def rate_profile_norm(rates: Sequence[float]) -> float:
@@ -44,7 +43,7 @@ def optimal_time_budget(n: int, epsilon: float, rates: Sequence[float], multipli
     return multiplier * math.sqrt(n) / (epsilon**2 * norm)
 
 
-class AsymmetricRateTester(UniformityTester):
+class AsymmetricRateTester(ProtocolTester):
     """Uniformity testing with heterogeneous sampling rates.
 
     Player i draws ``q_i = round(rates[i] · tau)`` samples and sends the
@@ -125,16 +124,6 @@ class AsymmetricRateTester(UniformityTester):
         # Accept iff (# accept bits) > k - cutoff, i.e. (# alarms) < cutoff.
         referee = WeightedCountRule(np.ones(k), threshold=k - reject_cutoff + 1e-9)
         self._protocol = SimultaneousProtocol(players, referee)
-
-    @property
-    def protocol(self) -> SimultaneousProtocol:
-        """The underlying heterogeneous protocol."""
-        return self._protocol
-
-    def accept_batch(
-        self, distribution: DiscreteDistribution, trials: int, rng: RngLike = None
-    ) -> np.ndarray:
-        return self._protocol.run_batch(distribution, trials, rng)
 
     @property
     def resources(self) -> TesterResources:

@@ -40,17 +40,13 @@ from .executor import (
     block_seed,
     chunked_accepts,
     derive_root_entropy,
-    monte_carlo_bits,
 )
 from .kernels import (
     KERNEL_SCHEMA_VERSION,
     AcceptKernel,
     BernoulliKernel,
-    ProtocolKernel,
-    StreamingKernel,
-    TesterKernel,
-    as_kernel,
     kernel_label,
+    require_kernel,
 )
 from .metrics import EngineMetrics, collect_metrics, monotonic_clock
 from .sweep import (
@@ -75,11 +71,8 @@ __all__ = [
     "AcceptKernel",
     "KERNEL_SCHEMA_VERSION",
     "BernoulliKernel",
-    "TesterKernel",
-    "ProtocolKernel",
-    "StreamingKernel",
-    "as_kernel",
     "kernel_label",
+    "require_kernel",
     "AcceptanceEstimate",
     "SprtSpec",
     "estimate_acceptance",
@@ -94,7 +87,6 @@ __all__ = [
     "engine_context",
     "get_engine",
     "set_engine",
-    "monte_carlo_bits",
     "chunked_accepts",
     "block_seed",
     "derive_root_entropy",

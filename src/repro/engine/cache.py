@@ -78,7 +78,7 @@ def protocol_fingerprint(protocol: Any) -> Dict[str, Any]:
     """Stable description of a :class:`SimultaneousProtocol`.
 
     A homogeneous protocol (one shared strategy object and sample count,
-    the test :func:`~repro.engine.kernels.protocol_bits` uses to draw one
+    the test :func:`~repro.core.protocol.protocol_bits` uses to draw one
     ``trials·k × q`` matrix) is one entry naming ``k``; any other lists
     every player, so the key also states the draw layout.
     """
@@ -111,12 +111,6 @@ def tester_fingerprint(tester: Any) -> Dict[str, Any]:
         parts.update(protocol_fingerprint(tester))
         return parts
     parts.update(_primitive_items(tester))
-    base = getattr(tester, "base", None)
-    if base is not None:
-        parts["base"] = tester_fingerprint(base)
-    inner = getattr(tester, "uniformity_tester", None)
-    if inner is not None:
-        parts["inner"] = tester_fingerprint(inner)
     protocol = getattr(tester, "_protocol", None)
     if protocol is not None:
         parts["protocol"] = protocol_fingerprint(protocol)

@@ -43,7 +43,7 @@ from .cache import cacheable_seed, kernel_probe_key
 from .chunking import Block
 from .config import get_engine
 from .executor import _dispatch, derive_root_entropy
-from .kernels import AcceptKernel, as_kernel, kernel_label
+from .kernels import AcceptKernel, kernel_label, require_kernel
 
 
 @dataclass(frozen=True)
@@ -206,16 +206,16 @@ def estimate_acceptance(
     """Estimate P[accept] of a kernel against a distribution.
 
     Exactly one of ``trials`` (fixed budget) and ``sprt`` (sequential
-    classification) must be given.  ``kernel`` may be anything
-    :func:`~repro.engine.kernels.as_kernel` adapts — a native kernel, a
-    chunked tester, or a protocol-backed tester.
+    classification) must be given.  ``kernel`` must be an
+    :class:`~repro.engine.kernels.AcceptKernel` (every tester, protocol
+    and streaming tester is one).
 
     Determinism: the result is a pure function of ``(kernel cache_token,
     distribution, mode, root entropy)``.  Integer and ``SeedSequence``
     seeds are additionally memoised in the active acceptance cache
     (generator seeds produce one-off roots and skip the cache).
     """
-    resolved = as_kernel(kernel)
+    require_kernel(kernel)
     if (trials is None) == (sprt is None):
         raise InvalidParameterError(
             "pass exactly one of trials= (fixed budget) or sprt= (SprtSpec)"
@@ -237,7 +237,7 @@ def estimate_acceptance(
 
     key: Optional[Dict[str, Any]] = None
     if cacheable and config.cache is not None:
-        key = kernel_probe_key(resolved, distribution, mode, root_entropy)
+        key = kernel_probe_key(kernel, distribution, mode, root_entropy)
         payload = config.cache.get_estimate(key)
         if payload is not None:
             cached = _estimate_from_payload(payload)
@@ -248,19 +248,16 @@ def estimate_acceptance(
 
     if trials is not None:
         accepts = _dispatch(
-            resolved, distribution, trials, root_entropy, resolved.elements_per_trial
+            kernel, distribution, trials, root_entropy, kernel.elements_per_trial
         )
         successes = int(np.asarray(accepts, dtype=bool).sum())
         estimate = AcceptanceEstimate(
             rate=successes / trials, trials_used=trials, successes=successes
         )
-        metrics.count(f"kernel:{kernel_label(resolved)}:trials", trials)
     else:
         assert sprt is not None
-        estimate = _estimate_sequential(resolved, distribution, sprt, root_entropy)
-        metrics.count(
-            f"kernel:{kernel_label(resolved)}:trials", estimate.trials_used
-        )
+        estimate = _estimate_sequential(kernel, distribution, sprt, root_entropy)
+    metrics.count(f"kernel:{kernel_label(kernel)}:trials", estimate.trials_used)
 
     if key is not None and config.cache is not None:
         config.cache.put_estimate(key, _estimate_payload(estimate))

@@ -1,15 +1,13 @@
 """The shared Monte Carlo execution layer.
 
-All batched protocol/tester execution funnels through here:
+All batched execution funnels through here:
 
 * :func:`_dispatch` — the one accept-tile loop.  Fixed-budget and
   sequential estimates (:func:`~repro.engine.estimate.estimate_acceptance`)
   and :func:`chunked_accepts` all run through it;
-* :func:`chunked_accepts` — the boolean accept vector of any tester that
-  implements ``accept_block``;
-* :func:`monte_carlo_bits` — the (trials × k) player-bit matrix of a
-  :class:`~repro.core.protocol.SimultaneousProtocol`, computed in
-  memory-bounded tiles on the active backend's ``map_tasks``.
+* :func:`chunked_accepts` — the boolean accept vector of any
+  :class:`~repro.engine.kernels.AcceptKernel` (every tester and protocol
+  implements ``accept_batch``/``run_batch`` with it).
 
 Determinism contract
 --------------------
@@ -34,7 +32,7 @@ from ..exceptions import InvalidParameterError
 from ..rng import RngLike, ensure_rng
 from .chunking import RNG_BLOCK_TRIALS, Block, plan_blocks, plan_tiles, tile_trials
 from .config import get_engine
-from .kernels import protocol_bits
+from .kernels import require_kernel
 from .metrics import EngineMetrics
 
 #: Result arrays flowing through the engine (dtype varies by kernel).
@@ -71,20 +69,6 @@ def _block_generator(root_entropy: int, block: Block) -> np.random.Generator:
 
 def _join(pieces: Sequence[Array]) -> Array:
     return pieces[0] if len(pieces) == 1 else np.concatenate(pieces)
-
-
-def _protocol_bits_tile(
-    protocol: Any, distribution: Any, tile: Sequence[Block], root_entropy: int
-) -> Array:
-    """Player-bit matrix for one tile (module-level: must pickle)."""
-    return _join(
-        [
-            protocol_bits(
-                protocol, distribution, block.trials, _block_generator(root_entropy, block)
-            )
-            for block in tile
-        ]
-    )
 
 
 def _accepts_tile(
@@ -190,39 +174,20 @@ def _dispatch(
     return _join(kept)
 
 
-def monte_carlo_bits(
-    protocol: Any, distribution: Any, trials: int, rng: RngLike = None
-) -> Array:
-    """(trials × k) player-bit matrix, tiled over the active backend.
-
-    Bit matrices cannot travel over the bit-packed accept transport, so
-    their tiles go through ``map_tasks`` rather than :func:`_dispatch`.
-    """
-    config = get_engine()
-    elements = protocol.total_samples
-    root_entropy = derive_root_entropy(rng)
-    tiles = plan_tiles(plan_blocks(trials), elements, config.max_elements)
-    tasks = [(protocol, distribution, tile, root_entropy) for tile in tiles]
-    with config.metrics.timed():
-        pieces = config.backend.map_tasks(_protocol_bits_tile, tasks)
-    _count_wave(config.metrics, tiles, elements)
-    return _join([np.asarray(piece) for piece in pieces])
-
-
 def chunked_accepts(
     runner: Any, distribution: Any, trials: int, rng: RngLike = None
 ) -> Array:
-    """Boolean accept vector of an ``accept_block`` runner, tiled.
+    """Boolean accept vector of an accept kernel, tiled.
 
-    ``runner`` must expose ``accept_block(distribution, trials,
-    generator)`` — the single-tile kernel — plus either an
-    ``elements_per_trial`` hint (native kernels) or a ``resources``
-    record whose ``total_samples`` sizes the tiles.  The runner is
-    shipped to workers whole, so it must be picklable.
+    ``runner`` must be an :class:`~repro.engine.kernels.AcceptKernel`;
+    its ``elements_per_trial`` sizes the tiles.  The runner is shipped
+    to workers whole, so it must be picklable.
     """
-    elements = getattr(runner, "elements_per_trial", None)
-    if elements is None:
-        elements = runner.resources.total_samples
+    require_kernel(runner)
     return _dispatch(
-        runner, distribution, trials, derive_root_entropy(rng), int(elements)
+        runner,
+        distribution,
+        trials,
+        derive_root_entropy(rng),
+        int(runner.elements_per_trial),
     )

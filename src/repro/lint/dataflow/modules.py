@@ -135,7 +135,7 @@ class ModuleGraph:
 
         Returns ``(qualified_name, module, node)`` — for module-level
         functions and for methods addressed as ``module.Class.method``.
-        Re-export chains (``from .executor import monte_carlo_bits`` in a
+        Re-export chains (``from .executor import chunked_accepts`` in a
         package ``__init__``) are chased up to a small fixed depth.
         """
         if canonical is None or _depth > 8:

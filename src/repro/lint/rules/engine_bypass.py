@@ -14,7 +14,7 @@ alike) whose body invokes a per-execution decision method (``.test`` /
 ``.run``).  Kernel implementations themselves (functions named
 ``accept_block``) and everything under ``repro/engine`` are exempt; the
 reference oracles used for differential testing carry an explicit
-pragma (see :mod:`repro.core.oracles`).
+pragma (see ``tests/oracles.py``).
 """
 
 from __future__ import annotations

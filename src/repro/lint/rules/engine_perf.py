@@ -13,7 +13,7 @@ alike) inside batch kernels, recognised three ways:
 
 * functions named ``accept_block`` or ``l1_errors_block`` — or ending
   with either, which catches the reference oracles of
-  :mod:`repro.core.oracles`; those per-trial transcriptions are the
+  ``tests/oracles.py``; those per-trial transcriptions are the
   sanctioned exception and carry explicit pragmas;
 * any ``*_block`` method of a class that implements the
   :class:`~repro.engine.kernels.AcceptKernel` protocol (defines both
@@ -21,11 +21,11 @@ alike) inside batch kernels, recognised three ways:
   with the engine, so every block method on them is hot-path;
 * the ``update`` / ``update_block`` / ``finalize`` methods of a
   streaming-tester-shaped class (defines ``init_state``, ``update`` and
-  ``finalize`` — the :class:`~repro.core.streaming.StreamingTester`
-  duck check mirrored by ``as_kernel``).  ``update`` runs once per
-  sample block of every trial, so besides trial-indexed loops the rule
-  also flags loops that iterate the incoming sample block itself (the
-  per-*sample* Python loop the streaming contract bans).
+  ``finalize``, like :class:`~repro.core.streaming.StreamingTester`).
+  ``update`` runs once per sample block of every trial, so besides
+  trial-indexed loops the rule also flags loops that iterate the
+  incoming sample block itself (the per-*sample* Python loop the
+  streaming contract bans).
 
 Fallback loops over third-party objects that expose no batch API are
 likewise allowed via pragma with a justification.
@@ -65,10 +65,10 @@ def _is_kernel_function(name: str) -> bool:
 def _is_streaming_tester_class(node: ast.ClassDef) -> bool:
     """Whether ``node`` is streaming-tester-shaped.
 
-    Mirrors the ``as_kernel`` duck check for
-    :class:`~repro.core.streaming.StreamingTester`: a class defining
-    ``init_state``, ``update`` and ``finalize`` is adapter-registrable,
-    so its update/finalize methods are hot-path.
+    A class defining ``init_state``, ``update`` and ``finalize`` has the
+    shape of :class:`~repro.core.streaming.StreamingTester`, whose
+    ``accept_block`` streams every block through them, so its
+    update/finalize methods are hot-path.
     """
     defined = {
         stmt.name

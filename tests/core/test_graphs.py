@@ -130,7 +130,7 @@ class TestConstruction:
             1024, 0.5, k=16, q=4096, calibration_trials=200
         )
         assert tester.protocol.players[0].strategy.graph.num_edges == 4096 * 4095 // 2
-        assert repro.engine.as_kernel(tester).cache_token["kind"] == "protocol"
+        assert tester.cache_token["kind"] == "protocol"
 
     def test_family_edge_counts(self):
         assert complete_graph(8).num_edges == 28

@@ -47,8 +47,6 @@ from repro.core.testers import CentralizedCollisionTester
 from repro.distributions.discrete import DiscreteDistribution, uniform
 from repro.distributions.generators import two_level_distribution
 from repro.engine import (
-    StreamingKernel,
-    as_kernel,
     close_warm_backends,
     engine_context,
     estimate_acceptance,
@@ -178,8 +176,7 @@ class TestPluginBatchEquivalence:
             pytest.skip("serial backend is single-worker")
         references = {}
         for plugin in registered_plugins().values():
-            kernel = as_kernel(plugin.factory(N, EPS))
-            assert isinstance(kernel, StreamingKernel)
+            kernel = plugin.factory(N, EPS)
             references[plugin.name] = estimate_acceptance(
                 kernel, uniform(N), trials=300, rng=11
             )
@@ -187,7 +184,7 @@ class TestPluginBatchEquivalence:
         try:
             with engine_context(backend=backend):
                 for plugin in registered_plugins().values():
-                    kernel = as_kernel(plugin.factory(N, EPS))
+                    kernel = plugin.factory(N, EPS)
                     estimate = estimate_acceptance(
                         kernel, uniform(N), trials=300, rng=11
                     )
@@ -242,31 +239,18 @@ class TestMemoryBounds:
         assert exact_bytes[64] < exact_bytes[4096]
 
 
-class TestStreamingKernelAdapter:
-    def test_as_kernel_rung_and_cache_token(self):
+class TestStreamingKernel:
+    def test_cache_token_and_footprint(self):
         tester = StreamingCollisionTester(N, EPS)
-        kernel = as_kernel(tester)
-        assert isinstance(kernel, StreamingKernel)
-        token = kernel.cache_token
+        token = tester.cache_token
         assert token["kind"] == "streaming"
         assert token["class"] == "StreamingCollisionTester"
-        # Matrix-mode draws are partition invariant, so the chunk width
-        # must NOT key the cache.
-        other = StreamingKernel(tester, chunk=3)
-        assert other.cache_token == token
+        state_elements = -(-tester.state_bytes // 8)
+        assert tester.elements_per_trial == tester.q + state_elements
 
-    def test_chunked_draw_mode_keys_the_cache(self):
-        tester = StreamingCollisionTester(N, EPS)
-        kernel = StreamingKernel(tester, chunk=8, draw="chunked")
-        token = kernel.cache_token
-        assert token["draw"] == "chunked"
-        assert token["chunk"] == 8
-        with pytest.raises(InvalidParameterError):
-            StreamingKernel(tester, draw="chunked")  # chunk required
-
-    def test_matrix_mode_bit_identical_to_batch_kernel(self):
-        streaming = as_kernel(StreamingCollisionTester(N, EPS))
-        batch = as_kernel(CentralizedCollisionTester(N, EPS))
+    def test_accept_block_bit_identical_to_batch_kernel(self):
+        streaming = StreamingCollisionTester(N, EPS)
+        batch = CentralizedCollisionTester(N, EPS)
         for seed in (0, 5):
             mine = streaming.accept_block(uniform(N), 150, ensure_rng(seed))
             theirs = batch.accept_block(uniform(N), 150, ensure_rng(seed))

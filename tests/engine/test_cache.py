@@ -8,9 +8,17 @@ import shutil
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import repro
-from repro.engine import AcceptanceCache, as_kernel, distribution_fingerprint
+from repro.core.graphs import GRAPH_FAMILIES, random_regular_graph
+from repro.core.streaming import (
+    StreamingCollisionTester,
+    StreamingDistinctTester,
+    StreamingGraphTester,
+)
+from repro.engine import AcceptanceCache, distribution_fingerprint
 from repro.engine import tester_fingerprint as fingerprint_tester
 from repro.engine.cache import (
     CACHE_VERSION,
@@ -27,7 +35,7 @@ N, EPS = 64, 0.5
 def _key(trials=100, tester=None, dist=None):
     tester = tester or repro.ThresholdRuleTester(N, EPS, k=8, q=12)
     dist = dist or repro.uniform(N)
-    return kernel_probe_key(as_kernel(tester), dist, {"trials": trials}, 42)
+    return kernel_probe_key(tester, dist, {"trials": trials}, 42)
 
 
 def _estimate(rate):
@@ -94,7 +102,7 @@ class TestFingerprints:
         def length_without_k_digits(k):
             tester = repro.ThresholdRuleTester(1024, EPS, k=k, q=48)
             key = kernel_probe_key(
-                repro.engine.as_kernel(tester), repro.uniform(1024), {"trials": 100}, 0
+                tester, repro.uniform(1024), {"trials": 100}, 0
             )
             digits = len(str(k)) + len(str(tester.reject_threshold))
             return len(_canonical(key)) - 3 * digits
@@ -289,3 +297,132 @@ class TestProtocolLayoutKeys:
                 for protocol in self._protocols()
             ]
         assert cached == uncached
+
+
+class TestAmplifiedKeys:
+    """Bases that differ only in their comparison graph share every
+    primitive attribute (here the analytic cut 0.158203125); the
+    amplified token must still key them apart."""
+
+    @staticmethod
+    def _amplified(seed):
+        graph = random_regular_graph(24, 3, seed=seed)
+        return repro.AmplifiedTester(
+            repro.ComparisonGraphTester(256, 0.5, graph), repetitions=3
+        )
+
+    def test_graph_seed_enters_the_key(self):
+        first, second = self._amplified(1), self._amplified(2)
+        assert first.base.statistic_threshold == second.base.statistic_threshold
+        keys = [
+            kernel_probe_key(tester, None, {"trials": 100}, 0)
+            for tester in (first, second)
+        ]
+        assert keys[0] != keys[1]
+
+    def test_cached_rate_equals_uncached_rate(self, tmp_path):
+        far = repro.two_level_distribution(256, 0.5)
+        testers = [self._amplified(1), self._amplified(2)]
+        uncached = [t.acceptance_probability(far, 400, rng=0) for t in testers]
+        assert uncached[0] != uncached[1]
+        with repro.engine.engine_context(cache=AcceptanceCache(str(tmp_path))):
+            cached = [t.acceptance_probability(far, 400, rng=0) for t in testers]
+        assert cached == uncached
+
+
+def _probe_key(kernel):
+    return _canonical(kernel_probe_key(kernel, None, {"trials": 100}, 0))
+
+
+def _one_field_apart(fields):
+    """Two parameter dicts that differ in exactly one field."""
+
+    @st.composite
+    def pairs(draw):
+        base = {name: draw(strategy) for name, strategy in fields.items()}
+        changed = draw(st.sampled_from(sorted(fields)))
+        value = draw(fields[changed].filter(lambda v: v != base[changed]))
+        return base, {**base, changed: value}
+
+    return pairs()
+
+
+#: Even sizes are valid for every registered graph family.
+EVEN_Q = st.integers(2, 8).map(lambda half: 2 * half)
+
+GRAPH_FIELDS = {
+    "n": st.integers(8, 96),
+    "epsilon": st.sampled_from([0.25, 0.5, 0.75]),
+    "family": st.sampled_from(sorted(GRAPH_FAMILIES)),
+    "q": EVEN_Q,
+    "mode": st.sampled_from(["edges", "distinct"]),
+}
+
+THRESHOLD_RULE_FIELDS = {
+    "n": st.integers(8, 96),
+    "epsilon": st.sampled_from([0.25, 0.5, 0.75]),
+    "k": st.integers(3, 12),
+    "q": st.integers(2, 16),
+    "forced_T": st.sampled_from([None, 1, 2, 3]),
+}
+
+STREAMING_FIELDS = {
+    "kind": st.sampled_from(["collision", "distinct"]),
+    "n": st.integers(8, 96),
+    "epsilon": st.sampled_from([0.25, 0.5, 0.75]),
+    "q": EVEN_Q,
+    "num_buckets": st.sampled_from([None, 4, 16]),
+}
+
+
+def _graph_tester(p, cls=repro.ComparisonGraphTester):
+    graph = GRAPH_FAMILIES[p["family"]](p["q"])
+    return cls(p["n"], p["epsilon"], graph, mode=p["mode"], calibration_trials=200)
+
+
+def _threshold_rule_tester(p):
+    return repro.ThresholdRuleTester(
+        p["n"],
+        p["epsilon"],
+        k=p["k"],
+        q=p["q"],
+        forced_T=p["forced_T"],
+        calibration_trials=200,
+    )
+
+
+def _streaming_tester(p):
+    n, epsilon, q, buckets = p["n"], p["epsilon"], p["q"], p["num_buckets"]
+    if p["kind"] == "collision":
+        return StreamingCollisionTester(n, epsilon, q=q, num_buckets=buckets)
+    return StreamingDistinctTester(
+        n, epsilon, q=q, num_buckets=buckets, calibration_trials=200
+    )
+
+
+class TestProbeKeyInjectivity:
+    """Changing any one constructor parameter changes the probe key."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(pair=_one_field_apart(GRAPH_FIELDS))
+    def test_graph_testers(self, pair):
+        first, second = (_graph_tester(p) for p in pair)
+        assert _probe_key(first) != _probe_key(second)
+
+    @settings(max_examples=25, deadline=None)
+    @given(pair=_one_field_apart(THRESHOLD_RULE_FIELDS))
+    def test_threshold_rule_testers(self, pair):
+        first, second = (_threshold_rule_tester(p) for p in pair)
+        assert _probe_key(first) != _probe_key(second)
+
+    @settings(max_examples=40, deadline=None)
+    @given(pair=_one_field_apart(STREAMING_FIELDS))
+    def test_streaming_testers(self, pair):
+        first, second = (_streaming_tester(p) for p in pair)
+        assert _probe_key(first) != _probe_key(second)
+
+    @settings(max_examples=40, deadline=None)
+    @given(pair=_one_field_apart(GRAPH_FIELDS))
+    def test_streaming_graph_testers(self, pair):
+        first, second = (_graph_tester(p, StreamingGraphTester) for p in pair)
+        assert _probe_key(first) != _probe_key(second)

@@ -1,10 +1,11 @@
-"""The AcceptKernel substrate: adaptation, tokens, and the entry point.
+"""The AcceptKernel substrate: one kernel protocol, tokens, entry point.
 
 Everything that estimates an acceptance probability flows through
-``estimate_acceptance`` on an :class:`~repro.engine.AcceptKernel`; these
-tests pin the adaptation ladder (native kernel → tester → protocol), the
-bit-equality of adapted paths with the pre-substrate ones, and the cache
-keying that keeps distinct kernels from colliding.
+``estimate_acceptance`` on an :class:`~repro.engine.AcceptKernel`, and
+every tester, protocol and streaming tester is one itself; these tests
+pin that flat protocol, the bit-equality of the protocol path with its
+per-block reference, and the cache keying that keeps distinct kernels
+from colliding.
 """
 
 from __future__ import annotations
@@ -13,16 +14,17 @@ import numpy as np
 import pytest
 
 import repro
+from repro.core.protocol import protocol_bits
 from repro.engine import (
-    AcceptKernel,
     BernoulliKernel,
-    ProtocolKernel,
-    TesterKernel as _TesterKernel,
-    as_kernel,
+    block_seed,
     chunked_accepts,
+    engine_context,
     estimate_acceptance,
     kernel_label,
     kernel_probe_key,
+    plan_blocks,
+    require_kernel,
 )
 from repro.exceptions import InvalidParameterError
 
@@ -38,61 +40,82 @@ def make_protocol():
     )
 
 
-class TestAsKernel:
-    def test_native_kernel_passes_through(self):
-        kernel = BernoulliKernel(0.5)
-        assert as_kernel(kernel) is kernel
+class _TokenRaises:
+    """Has every kernel member, but evaluating its token fails."""
 
-    def test_chunked_tester_wraps_in_tester_kernel(self):
-        tester = repro.EmpiricalDistanceTester(N, EPS)
-        kernel = as_kernel(tester)
-        assert isinstance(kernel, _TesterKernel)
-        assert isinstance(kernel, AcceptKernel)
+    elements_per_trial = 1
 
-    def test_graph_testers_are_native_kernels(self):
-        """Since the comparison-graph refactor the collision tester carries
-        its own cache_token and passes through as_kernel unwrapped."""
-        for tester in (
-            repro.CentralizedCollisionTester(N, EPS),
-            repro.UniqueElementsTester(N, EPS),
-            repro.ComparisonGraphTester(N, EPS, repro.cycle_graph(24)),
-        ):
-            assert as_kernel(tester) is tester
+    @property
+    def cache_token(self):
+        raise AssertionError("cache_token evaluated")
 
-    def test_protocol_tester_wraps_in_protocol_kernel(self):
+    def accept_block(self, distribution, trials, rng=None):
+        return np.ones(trials, dtype=bool)
+
+
+class TestKernelProtocol:
+    def test_non_kernel_is_rejected_by_both_entry_points(self):
+        with pytest.raises(InvalidParameterError, match="lacks accept_block"):
+            estimate_acceptance(object(), repro.uniform(N), trials=10, rng=0)
+        with pytest.raises(InvalidParameterError, match="lacks accept_block"):
+            chunked_accepts(object(), repro.uniform(N), 10, 0)
+
+    def test_membership_check_reads_the_type_not_the_token(self):
+        require_kernel(_TokenRaises())
+        accepts = chunked_accepts(_TokenRaises(), None, 10, 0)
+        assert accepts.all()
+
+    def test_protocol_backed_kernels_carry_protocol_tokens(self):
         tester = repro.ThresholdRuleTester(N, EPS, k=8)
-        kernel = as_kernel(tester)
-        assert isinstance(kernel, ProtocolKernel)
-
-    def test_bare_protocol_wraps(self):
-        kernel = as_kernel(make_protocol())
-        assert isinstance(kernel, ProtocolKernel)
-
-    def test_unadaptable_object_raises(self):
-        with pytest.raises(InvalidParameterError):
-            as_kernel(object())
+        assert tester.cache_token["kind"] == "protocol"
+        assert tester.cache_token["class"] == "ThresholdRuleTester"
+        assert tester.elements_per_trial == tester.protocol.total_samples
+        protocol = make_protocol()
+        assert protocol.cache_token["kind"] == "protocol"
+        assert protocol.elements_per_trial == 6 * 12
 
     def test_labels_are_short_and_stable(self):
         assert kernel_label(BernoulliKernel(0.25)) == "BernoulliKernel"
-        label = kernel_label(as_kernel(repro.CentralizedCollisionTester(N, EPS)))
+        label = kernel_label(repro.CentralizedCollisionTester(N, EPS))
         assert label == "CentralizedCollisionTester"
 
 
 class TestProtocolKernelEquality:
     def test_kernel_stream_matches_run_batch(self):
-        """The adapted kernel replays the protocol's exact draw order."""
+        """run_batch replays the per-block player bits under any tiling."""
         protocol = make_protocol()
-        kernel = as_kernel(protocol)
         dist = repro.two_level_distribution(N, EPS)
-        direct = protocol.run_batch(dist, 300, rng=42)
-        adapted = chunked_accepts(kernel, dist, 300, 42)
-        assert np.array_equal(np.asarray(direct, dtype=bool), adapted)
+        bits = np.concatenate(
+            [
+                protocol_bits(
+                    protocol,
+                    dist,
+                    block.trials,
+                    np.random.default_rng(block_seed(42, block.index)),
+                )
+                for block in plan_blocks(300)
+            ]
+        )
+        reference = np.asarray(protocol.referee.decide_batch(bits), dtype=bool)
+        with engine_context(max_elements=500):
+            tiled = protocol.run_batch(dist, 300, rng=42)
+        assert np.array_equal(protocol.run_batch(dist, 300, rng=42), reference)
+        assert np.array_equal(tiled, reference)
+        assert np.array_equal(protocol.bit_distribution(dist, 300, 42), bits.mean(0))
+
+    def test_protocol_tester_matches_its_protocol(self):
+        tester = repro.ThresholdRuleTester(N, EPS, k=8)
+        dist = repro.two_level_distribution(N, EPS)
+        assert np.array_equal(
+            tester.accept_batch(dist, 300, rng=5),
+            tester.protocol.run_batch(dist, 300, rng=5),
+        )
 
     def test_fixed_estimate_matches_chunked_mean(self):
         tester = repro.ThresholdRuleTester(N, EPS, k=8)
         dist = repro.uniform(N)
         estimate = estimate_acceptance(tester, dist, trials=200, rng=11)
-        accepts = chunked_accepts(as_kernel(tester), dist, 200, 11)
+        accepts = chunked_accepts(tester, dist, 200, 11)
         assert estimate.rate == pytest.approx(float(accepts.mean()))
         assert estimate.trials_used == 200
 
@@ -116,7 +139,7 @@ class TestCacheKeys:
         n, q, seed = 64, 32, 123
         closeness = repro.ClosenessTester(n, EPS, q=q)
         kernels = [
-            as_kernel(repro.CentralizedCollisionTester(n, EPS, q=q)),
+            repro.CentralizedCollisionTester(n, EPS, q=q),
             closeness.against(repro.uniform(n)),
             closeness.as_uniformity_tester(),
             repro.IndependenceTester(8, 8, EPS, q=q),

@@ -10,10 +10,14 @@ executor derives from the root seed), and the same seed gives the same
 verdicts (the acceptance cache replays them as a function of the seed).
 The table below runs each kernel at three sizes and two trial counts
 under a :class:`CountingRng` that counts the elements it hands out.
+Every entry is a native kernel: the engine adapts nothing.
 
 :func:`test_contract_table_covers_every_kernel` keeps the table
-complete: every ``src/repro`` class that defines ``accept_block`` and
-every registered streaming plugin must have an entry.  The kernels of
+complete: every ``src/repro`` class that defines ``accept_block`` must
+be the class (or a base class) of an entry, and every registered
+streaming plugin must have one.  :func:`test_cache_tokens_are_pinned`
+holds each entry's ``cache_token`` to ``kernel_tokens.json``, so a
+change that moves a token (and orphans cached curves) must say so.  The kernels of
 the ``shapes_violations.py`` lint fixture, plus :class:`EntropyKernel`
 and :class:`ForkedLineageKernel` below, each break the contract in one
 way, and :func:`test_contract_checker_fails_broken_kernels` pins that
@@ -24,6 +28,7 @@ from __future__ import annotations
 
 import ast
 import importlib.util
+import json
 import os
 
 import numpy as np
@@ -35,7 +40,7 @@ from repro.core.independence import IndependenceTester
 from repro.core.learning import LearningSuccessKernel
 from repro.core.plugins import get_plugin, registered_plugins
 from repro.distributions.discrete import uniform
-from repro.engine import BernoulliKernel, as_kernel
+from repro.engine import BernoulliKernel, require_kernel
 from repro.network.local_model import LocalUniformityTester
 from repro.rng import ensure_rng
 
@@ -102,14 +107,23 @@ class CountingRng(np.random.Generator):
 
 
 def _plugin(name):
-    """A registered streaming plugin, run through ``StreamingKernel``."""
+    """A registered streaming plugin's tester."""
     return lambda n, k: get_plugin(name).factory(n, EPS)
 
 
+def _protocol(n, k):
+    """A raw homogeneous protocol: k collision-bit players, T = 2."""
+    return repro.SimultaneousProtocol.homogeneous(
+        repro.GraphStatisticPlayer(repro.complete_graph(4), 0),
+        num_players=k,
+        num_samples=4,
+        referee=repro.ThresholdRule(2, num_players=k),
+    )
+
+
 #: Every kernel family, parameterized by the sweep sizes ``(n, k)``.
-#: Entries run through :func:`as_kernel`, so testers reach the engine
-#: the way estimates do (``TesterKernel``/``ProtocolKernel``/
-#: ``StreamingKernel`` adapters included).
+#: Entries are handed to the contract checker as built: every one is a
+#: native kernel, exactly as the engine receives it.
 KERNEL_FACTORIES = {
     "bernoulli": lambda n, k: BernoulliKernel(0.625),
     "centralized": lambda n, k: repro.CentralizedCollisionTester(n, EPS),
@@ -118,6 +132,11 @@ KERNEL_FACTORIES = {
     ),
     "threshold-rule": lambda n, k: repro.ThresholdRuleTester(n, EPS, k=k),
     "and-rule": lambda n, k: repro.AndRuleTester(n, EPS, k=k),
+    "asymmetric-rate": lambda n, k: repro.AsymmetricRateTester(
+        n, EPS, rates=[1.0 + (i % 3) for i in range(k)], tau=4.0,
+        calibration_trials=400,
+    ),
+    "protocol": _protocol,
     "pairwise-hash": lambda n, k: repro.PairwiseHashTester(n, EPS, k),
     "simulation": lambda n, k: repro.SimulationTester(n, EPS, k),
     "unique-elements": lambda n, k: repro.UniqueElementsTester(n, EPS),
@@ -207,7 +226,8 @@ def contract_violations(kernel, distribution, trials, seed=2026):
 def test_elements_per_trial_covers_actual_draws(name):
     factory = KERNEL_FACTORIES[name]
     for n, k in SIZES:
-        kernel = as_kernel(factory(n, k))
+        kernel = factory(n, k)
+        require_kernel(kernel)
         assert int(kernel.elements_per_trial) >= 1
         distribution = uniform(n)
         for trials in TRIALS:
@@ -238,15 +258,16 @@ def _accept_block_classes():
     return found
 
 
-def _qualified(obj):
-    return f"{type(obj).__module__}.{type(obj).__qualname__}"
+def _qualified(cls):
+    return f"{cls.__module__}.{cls.__qualname__}"
 
 
 def test_contract_table_covers_every_kernel():
     covered = set()
     for factory in KERNEL_FACTORIES.values():
         built = factory(*SIZES[0])
-        covered.update({_qualified(built), _qualified(as_kernel(built))})
+        require_kernel(built)
+        covered.update(_qualified(cls) for cls in type(built).__mro__)
     kernels = _accept_block_classes()
     assert NOT_KERNELS <= kernels
     assert kernels - NOT_KERNELS - covered == set()
@@ -256,6 +277,34 @@ def test_contract_table_covers_every_kernel():
         if name.startswith("plugin:")
     }
     assert set(registered_plugins()) - tabled == set()
+
+
+TOKEN_FIXTURE = os.path.join(os.path.dirname(__file__), "kernel_tokens.json")
+
+#: Entries whose token deliberately moved since the fixture was captured,
+#: each mapped to the expected token given the captured one.
+TOKEN_CHANGES = {
+    # kernel_version 2: the base enters by its own cache_token (the
+    # fingerprint dropped a comparison graph's edges).
+    "amplified": lambda captured, kernel: {
+        **captured,
+        "kernel_version": 2,
+        "base": kernel.base.cache_token,
+    },
+}
+
+
+@pytest.mark.parametrize("name", sorted(KERNEL_FACTORIES))
+def test_cache_tokens_are_pinned(name):
+    """Tokens key every cached curve: an unannounced move orphans them."""
+    with open(TOKEN_FIXTURE, encoding="utf-8") as handle:
+        captured = json.load(handle)[name]
+    for (n, k), expected in zip(SIZES, captured):
+        kernel = KERNEL_FACTORIES[name](n, k)
+        if name in TOKEN_CHANGES:
+            expected = TOKEN_CHANGES[name](expected, kernel)
+        token = json.loads(json.dumps(kernel.cache_token))
+        assert token == json.loads(json.dumps(expected)), f"{name} at (n={n}, k={k})"
 
 
 class EntropyKernel:

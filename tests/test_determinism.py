@@ -86,10 +86,10 @@ class TestHarnessDeterminism:
 class TestWorkerCountInvariance:
     """The engine's worker count must not influence any acceptance curve.
 
-    ``monte_carlo_bits`` derives per-block spawned generators from one
-    root entropy value, so cutting the same trials into tiles and
-    mapping them over 1 vs 4 workers must reproduce the exact bit
-    matrix — and therefore the exact acceptance curve — for every
+    The engine's dispatch loop derives per-block spawned generators from
+    one root entropy value, so cutting the same trials into tiles and
+    mapping them over 1 vs 4 workers must reproduce the exact accept
+    vector — and therefore the exact acceptance curve — for every
     referee decision rule (AND, threshold, arbitrary truth table).
     """
 
