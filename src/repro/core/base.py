@@ -17,12 +17,7 @@ import numpy as np
 
 from ..distributions.discrete import DiscreteDistribution, uniform
 from ..distributions.families import PaninskiFamily
-from ..engine import (
-    KERNEL_SCHEMA_VERSION,
-    chunked_accepts,
-    estimate_acceptance,
-    tester_fingerprint,
-)
+from ..engine import KernelBase, tester_fingerprint
 from ..exceptions import InvalidParameterError
 from ..rng import RngLike, ensure_rng
 
@@ -40,7 +35,7 @@ class TesterResources:
         return self.num_players * self.samples_per_player
 
 
-class UniformityTester(ABC):
+class UniformityTester(KernelBase, ABC):
     """Base interface shared by every uniformity tester.
 
     Decisions are boolean with ``True`` = accept = "looks uniform".  The
@@ -52,11 +47,11 @@ class UniformityTester(ABC):
     subclasses implement ``accept_block`` and ``resources``; the base
     derives ``cache_token`` from the tester's fingerprint and sizes
     tiles by the total sample budget unless a subclass declares its own
-    ``elements_per_trial``.
+    ``elements_per_trial``.  ``accept_batch``, ``test`` and
+    ``acceptance_probability`` come from
+    :class:`~repro.engine.estimate.KernelBase`.
     """
 
-    #: Bumped when a subclass's accept_block draw order or statistic
-    #: changes, so stale cached acceptance curves cannot be read.
     kernel_version = 1
 
     def __init__(self, n: int, epsilon: float):
@@ -81,40 +76,12 @@ class UniformityTester(ABC):
     @property
     def cache_token(self) -> Dict[str, Any]:
         """The kernel identity: fingerprint plus ``kernel_version``."""
-        return {
-            "schema": KERNEL_SCHEMA_VERSION,
-            "kind": "tester",
-            "kernel_version": int(self.kernel_version),
-            **tester_fingerprint(self),
-        }
+        return {**self._token_header("tester"), **tester_fingerprint(self)}
 
     @property
     def elements_per_trial(self) -> int:
         """Tiling hint: the samples one execution draws."""
         return int(self.resources.total_samples)
-
-    def accept_batch(
-        self, distribution: DiscreteDistribution, trials: int, rng: RngLike = None
-    ) -> np.ndarray:
-        """Boolean accept vector over ``trials`` independent executions."""
-        return chunked_accepts(self, distribution, trials, rng)
-
-    def test(self, distribution: DiscreteDistribution, rng: RngLike = None) -> bool:
-        """One execution: ``True`` iff the tester accepts (says uniform)."""
-        return bool(self.accept_batch(distribution, 1, rng)[0])
-
-    def acceptance_probability(
-        self, distribution: DiscreteDistribution, trials: int, rng: RngLike = None
-    ) -> float:
-        """Monte Carlo estimate of P[accept] against ``distribution``.
-
-        Runs through the engine's kernel substrate
-        (:func:`repro.engine.estimate_acceptance`), which supplies chunked
-        streaming, caching and metrics for every tester uniformly.
-        """
-        if trials < 1:
-            raise InvalidParameterError(f"trials must be >= 1, got {trials}")
-        return estimate_acceptance(self, distribution, trials=trials, rng=rng).rate
 
     def completeness(self, trials: int, rng: RngLike = None) -> float:
         """P[accept | U_n], estimated."""

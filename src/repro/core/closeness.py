@@ -26,6 +26,7 @@ from typing import Optional
 import numpy as np
 
 from ..distributions.discrete import DiscreteDistribution, uniform
+from ..engine import KernelBase, distribution_fingerprint
 from ..exceptions import InvalidParameterError
 from ..rng import RngLike, ensure_rng
 
@@ -109,21 +110,13 @@ class ClosenessTester:
         rng: RngLike = None,
     ) -> np.ndarray:
         """Boolean accept vector over independent executions."""
-        if p.n != self.n or r.n != self.n:
-            raise InvalidParameterError(
-                f"both distributions must live on n={self.n}"
-            )
-        if trials < 1:
-            raise InvalidParameterError(f"trials must be >= 1, got {trials}")
-        from ..engine import chunked_accepts
-
-        return chunked_accepts(self.against(r), p, trials, rng)
+        return self.against(r).accept_batch(p, trials, rng)
 
     def test(
         self, p: DiscreteDistribution, r: DiscreteDistribution, rng: RngLike = None
     ) -> bool:
         """One execution: True iff the tester says "p = r"."""
-        return bool(self.accept_batch(p, r, 1, rng)[0])
+        return self.against(r).test(p, rng)
 
     def acceptance_probability(
         self,
@@ -133,13 +126,7 @@ class ClosenessTester:
         rng: RngLike = None,
     ) -> float:
         """Monte Carlo estimate of P[accept], via the engine entry point."""
-        if p.n != self.n:
-            raise InvalidParameterError(
-                f"both distributions must live on n={self.n}"
-            )
-        from ..engine import estimate_acceptance
-
-        return estimate_acceptance(self.against(r), p, trials=trials, rng=rng).rate
+        return self.against(r).acceptance_probability(p, trials, rng)
 
     def as_uniformity_tester(self) -> "UniformityViaCloseness":
         """Uniformity testing as the special case r = U_n (§1's framing)."""
@@ -149,7 +136,7 @@ class ClosenessTester:
         return f"ClosenessTester(n={self.n}, eps={self.epsilon}, q={self.q})"
 
 
-class ClosenessAcceptKernel:
+class ClosenessAcceptKernel(KernelBase):
     """Accept kernel of a :class:`ClosenessTester` with the reference bound.
 
     The engine's kernel interface takes *one* distribution, so the
@@ -160,20 +147,16 @@ class ClosenessAcceptKernel:
     sharing (n, q) — can never collide.
     """
 
+    kernel_version = 1
+
     def __init__(self, closeness: ClosenessTester, reference: DiscreteDistribution):
         self.closeness = closeness
         self.reference = reference
 
     @property
     def cache_token(self) -> dict:
-        from ..engine import KERNEL_SCHEMA_VERSION
-        from ..engine.cache import distribution_fingerprint
-
         return {
-            "schema": KERNEL_SCHEMA_VERSION,
-            "kind": "closeness",
-            "class": "ClosenessAcceptKernel",
-            "kernel_version": 1,
+            **self._token_header("closeness"),
             "n": self.closeness.n,
             "epsilon": self.closeness.epsilon,
             "q": self.closeness.q,
@@ -189,6 +172,10 @@ class ClosenessAcceptKernel:
         self, distribution: DiscreteDistribution, trials: int, rng: RngLike = None
     ) -> np.ndarray:
         """Single-tile kernel: Poissonized counts for both sides, vectorised."""
+        if distribution.n != self.closeness.n:
+            raise InvalidParameterError(
+                f"both distributions must live on n={self.closeness.n}"
+            )
         generator = ensure_rng(rng)
         q = float(self.closeness.q)
         shape = (trials, self.closeness.n)
@@ -206,7 +193,7 @@ class ClosenessAcceptKernel:
         return f"ClosenessAcceptKernel({self.closeness!r})"
 
 
-class UniformityViaCloseness:
+class UniformityViaCloseness(KernelBase):
     """Adapter: run the closeness tester against explicit uniform samples.
 
     This is deliberately wasteful (the uniform side is known, yet we spend
@@ -235,20 +222,3 @@ class UniformityViaCloseness:
         self, distribution: DiscreteDistribution, trials: int, rng: RngLike = None
     ) -> np.ndarray:
         return self._kernel.accept_block(distribution, trials, rng)
-
-    def accept_batch(
-        self, distribution: DiscreteDistribution, trials: int, rng: RngLike = None
-    ) -> np.ndarray:
-        from ..engine import chunked_accepts
-
-        return chunked_accepts(self, distribution, trials, rng)
-
-    def acceptance_probability(
-        self, distribution: DiscreteDistribution, trials: int, rng: RngLike = None
-    ) -> float:
-        from ..engine import estimate_acceptance
-
-        return estimate_acceptance(self, distribution, trials=trials, rng=rng).rate
-
-    def test(self, distribution: DiscreteDistribution, rng: RngLike = None) -> bool:
-        return self.closeness.test(distribution, uniform(self.n), rng)

@@ -706,13 +706,8 @@ class ComparisonGraphTester(UniformityTester):
 
     @property
     def cache_token(self) -> Dict[str, Any]:
-        from ..engine import KERNEL_SCHEMA_VERSION
-
         return {
-            "schema": KERNEL_SCHEMA_VERSION,
-            "kind": "tester",
-            "class": type(self).__name__,
-            "kernel_version": int(self.kernel_version),
+            **self._token_header("tester"),
             "n": self.n,
             "epsilon": self.epsilon,
             "q": self.q,

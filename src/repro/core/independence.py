@@ -28,6 +28,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from ..distributions.discrete import DiscreteDistribution
+from ..engine import KernelBase
 from ..exceptions import InvalidParameterError
 from ..rng import RngLike, ensure_rng
 def _validate_shape(n1: int, n2: int) -> None:
@@ -96,7 +97,7 @@ def correlated_joint(n: int, correlation: float) -> DiscreteDistribution:
     return joint_from_matrix(matrix)
 
 
-class IndependenceTester:
+class IndependenceTester(KernelBase):
     """Test independence of a joint distribution on [n1] × [n2].
 
     Accept ⟺ "the joint is a product distribution".  Uses Poissonized
@@ -113,6 +114,10 @@ class IndependenceTester:
         Expected joint-side sample count; default follows the closeness
         budget on the n1·n2 domain at proximity ε/3.
     """
+
+    #: v2: counts drawn directly as independent Poissons (same law as
+    #: the pairing construction, different stream).
+    kernel_version = 2
 
     def __init__(self, n1: int, n2: int, epsilon: float, q: Optional[int] = None):
         _validate_shape(n1, n2)
@@ -135,34 +140,10 @@ class IndependenceTester:
         """Expected joint samples consumed per execution (joint + synthesis)."""
         return 3 * self.q
 
-    def _counts(
-        self, joint: DiscreteDistribution, rng: np.random.Generator
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """Poissonized counts for the joint side and the synthesized
-        product side."""
-        joint_count = int(rng.poisson(self.q))
-        joint_samples = joint.sample(joint_count, rng)
-        joint_counts = np.bincount(joint_samples, minlength=self.n)
-
-        product_count = int(rng.poisson(self.q))
-        source_x = joint.sample(product_count, rng)
-        source_y = joint.sample(product_count, rng)
-        x_part = source_x // self.n2
-        y_part = source_y % self.n2
-        product_counts = np.bincount(x_part * self.n2 + y_part, minlength=self.n)
-        return joint_counts, product_counts
-
     @property
     def cache_token(self) -> dict:
-        from ..engine import KERNEL_SCHEMA_VERSION
-
         return {
-            "schema": KERNEL_SCHEMA_VERSION,
-            "kind": "independence",
-            "class": "IndependenceTester",
-            # v2: counts drawn directly as independent Poissons (same law
-            # as the pairing construction, different stream).
-            "kernel_version": 2,
+            **self._token_header("independence"),
             "n1": self.n1,
             "n2": self.n2,
             "epsilon": self.epsilon,
@@ -180,11 +161,15 @@ class IndependenceTester:
         """Single-tile kernel: Poissonized counts for every trial at once.
 
         Both sides are drawn directly as independent per-cell Poissons —
-        equal in law to the sequential :meth:`_counts` construction
-        (Poisson total + multinomial split on the joint side; Poisson
-        total of marginal-paired samples on the product side), since
+        equal in law to the sequential pairing construction (Poisson
+        total + multinomial split on the joint side; Poisson total of
+        marginal-paired samples on the product side), since
         Poissonization makes cell counts independent Poissons either way.
         """
+        if joint.n != self.n:
+            raise InvalidParameterError(
+                f"joint has domain {joint.n}, expected {self.n}"
+            )
         generator = ensure_rng(rng)
         q = float(self.q)
         shape = (trials, self.n)
@@ -200,36 +185,6 @@ class IndependenceTester:
             difference * difference - joint_counts - product_counts
         ).sum(axis=1)
         return statistics <= self.threshold
-
-    def accept_batch(
-        self, joint: DiscreteDistribution, trials: int, rng: RngLike = None
-    ) -> np.ndarray:
-        """Boolean accept vector (True = "independent")."""
-        if joint.n != self.n:
-            raise InvalidParameterError(
-                f"joint has domain {joint.n}, expected {self.n}"
-            )
-        if trials < 1:
-            raise InvalidParameterError(f"trials must be >= 1, got {trials}")
-        from ..engine import chunked_accepts
-
-        return chunked_accepts(self, joint, trials, rng)
-
-    def test(self, joint: DiscreteDistribution, rng: RngLike = None) -> bool:
-        """One execution of the independence test."""
-        return bool(self.accept_batch(joint, 1, rng)[0])
-
-    def acceptance_probability(
-        self, joint: DiscreteDistribution, trials: int, rng: RngLike = None
-    ) -> float:
-        """Monte Carlo estimate of P[accept], via the engine entry point."""
-        if joint.n != self.n:
-            raise InvalidParameterError(
-                f"joint has domain {joint.n}, expected {self.n}"
-            )
-        from ..engine import estimate_acceptance
-
-        return estimate_acceptance(self, joint, trials=trials, rng=rng).rate
 
     def __repr__(self) -> str:
         return (

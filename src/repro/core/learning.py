@@ -31,6 +31,7 @@ import numpy as np
 
 from ..distributions.discrete import DiscreteDistribution
 from ..distributions.distances import l1_distance
+from ..engine import KernelBase, tester_fingerprint
 from ..exceptions import InvalidParameterError
 from ..rng import RngLike, ensure_rng
 
@@ -299,41 +300,43 @@ class FrequencyDitheringLearner:
         return self.n * self.window * math.sqrt(self.n / self.k)
 
 
-class LearningSuccessKernel:
+class LearningSuccessKernel(KernelBase):
     """Accept kernel: one learning run succeeds iff ``l1_error <= delta``.
 
-    Lifts any learner exposing ``learn(distribution, rng) ->
-    LearningOutcome`` onto the engine's kernel substrate, so
+    Lifts any learner exposing the batched ``l1_errors_block(distribution,
+    trials, rng)`` onto the engine's kernel substrate, so its
+    ``acceptance_probability`` — P[l1_error <= delta] — and
     success-probability sweeps (e.g. empirical player-complexity searches
     for Theorem 1.4) share the cache, chunked streaming and sequential
     early stopping with every other estimator.
     """
 
+    #: v2: learners expose a batched l1_errors_block, drawing every run's
+    #: samples in one matrix (same per-run law, different stream layout
+    #: than the per-trial learn() loop).
+    kernel_version = 2
+
     def __init__(self, learner: object, delta: float):
         if delta <= 0.0:
             raise InvalidParameterError(f"delta must be > 0, got {delta}")
-        if not hasattr(learner, "learn"):
+        if not hasattr(learner, "l1_errors_block"):
             raise InvalidParameterError(
-                f"{type(learner).__name__} exposes no learn() protocol"
+                f"{type(learner).__name__} exposes no l1_errors_block() protocol"
             )
         self.learner = learner
         self.delta = float(delta)
 
     @property
     def cache_token(self) -> dict:
-        from ..engine import KERNEL_SCHEMA_VERSION
-        from ..engine.cache import tester_fingerprint
-
-        return {
-            "schema": KERNEL_SCHEMA_VERSION,
-            "kind": "learning",
-            # v2: learners expose a batched l1_errors_block, drawing every
-            # run's samples in one matrix (same per-run law, different
-            # stream layout than the per-trial learn() loop).
-            "kernel_version": 2,
+        token = {
+            **self._token_header("learning"),
             "delta": self.delta,
             "learner": tester_fingerprint(self.learner),
         }
+        # Learning tokens were pinned without a class; the metrics label
+        # stays "learning".
+        del token["class"]
+        return token
 
     @property
     def elements_per_trial(self) -> int:
@@ -346,29 +349,10 @@ class LearningSuccessKernel:
     def accept_block(
         self, distribution: DiscreteDistribution, trials: int, rng: RngLike = None
     ) -> np.ndarray:
-        """Single-tile kernel: all learning runs of the block, batched.
-
-        Learners exposing ``l1_errors_block`` run every trial through one
-        vectorized pass; third-party learners without it fall back to one
-        ``learn()`` call per trial.
-        """
-        generator = ensure_rng(rng)
-        batch = getattr(self.learner, "l1_errors_block", None)
-        if batch is not None:
-            return np.asarray(batch(distribution, trials, generator)) <= self.delta
-        accepts = np.empty(trials, dtype=bool)
-        for index in range(trials):  # repro-lint: disable=RL303 third-party learner fallback
-            outcome = self.learner.learn(distribution, generator)
-            accepts[index] = outcome.l1_error <= self.delta
-        return accepts
-
-    def success_probability(
-        self, distribution: DiscreteDistribution, trials: int, rng: RngLike = None
-    ) -> float:
-        """P[l1_error <= delta], via the engine entry point."""
-        from ..engine import estimate_acceptance
-
-        return estimate_acceptance(self, distribution, trials=trials, rng=rng).rate
+        """Single-tile kernel: all learning runs of the block, one
+        vectorized ``l1_errors_block`` pass."""
+        errors = self.learner.l1_errors_block(distribution, trials, ensure_rng(rng))
+        return np.asarray(errors) <= self.delta
 
     def __repr__(self) -> str:
         return (

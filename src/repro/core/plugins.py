@@ -1,4 +1,4 @@
-"""Streaming-tester plugin registry: decorator + entry-point discovery.
+"""Streaming-tester plugin registry.
 
 Mirrors the experiment-registry pattern (PR-4): plugins register at
 import time through :func:`register_plugin`, the registry is the single
@@ -7,13 +7,6 @@ discovery meta-test pins the invariant that **no streaming tester class
 can exist unregistered** — every concrete
 :class:`~repro.core.streaming.StreamingTester` subclass in the library
 must be constructible through at least one registered plugin.
-
-Third-party packages can contribute plugins without touching this file
-by exposing a ``repro.streaming_plugins`` entry point whose target is a
-callable; loading the entry point is expected to run the module's
-:func:`register_plugin` decorators.  Discovery is lazy (first registry
-read) and tolerant: a broken external entry point is skipped, never
-fatal — the built-in battery must not be hostage to a foreign package.
 """
 
 from __future__ import annotations
@@ -29,9 +22,6 @@ from .streaming import (
     StreamingGraphTester,
     StreamingTester,
 )
-
-#: Entry-point group external packages use to contribute plugins.
-ENTRY_POINT_GROUP = "repro.streaming_plugins"
 
 #: Bucket count used by the built-in sketched plugin variants.
 SKETCH_BUCKETS = 64
@@ -57,7 +47,6 @@ class StreamingPlugin:
 
 
 _REGISTRY: Dict[str, StreamingPlugin] = {}
-_ENTRY_POINTS_LOADED = False
 
 
 def register_plugin(
@@ -82,27 +71,8 @@ def register_plugin(
     return decorator
 
 
-def _load_entry_point_plugins() -> None:
-    """Load third-party plugins once; never fatal (see module docstring)."""
-    global _ENTRY_POINTS_LOADED
-    if _ENTRY_POINTS_LOADED:
-        return
-    _ENTRY_POINTS_LOADED = True
-    try:
-        from importlib.metadata import entry_points
-
-        for entry_point in entry_points(group=ENTRY_POINT_GROUP):
-            try:
-                entry_point.load()
-            except Exception:  # pragma: no cover - foreign package breakage
-                continue
-    except Exception:  # pragma: no cover - metadata backend unavailable
-        return
-
-
 def registered_plugins() -> Dict[str, StreamingPlugin]:
-    """All registered plugins, name-sorted (triggers lazy discovery)."""
-    _load_entry_point_plugins()
+    """All registered plugins, name-sorted."""
     return dict(sorted(_REGISTRY.items()))
 
 

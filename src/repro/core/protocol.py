@@ -27,11 +27,9 @@ import numpy as np
 from ..distributions.discrete import DiscreteDistribution
 from ..distributions.sampling import SampleOracle
 from ..engine import (
-    KERNEL_SCHEMA_VERSION,
+    KernelBase,
     block_seed,
-    chunked_accepts,
     derive_root_entropy,
-    estimate_acceptance,
     plan_blocks,
     tester_fingerprint,
 )
@@ -108,17 +106,12 @@ def _protocol_accepts(
     return np.asarray(protocol.referee.decide_batch(bits), dtype=bool)
 
 
-def _protocol_token(owner: Any) -> Dict[str, Any]:
+def _protocol_token(owner: KernelBase) -> Dict[str, Any]:
     """The ``kind: "protocol"`` kernel token of a protocol or its tester."""
-    return {
-        "schema": KERNEL_SCHEMA_VERSION,
-        "kind": "protocol",
-        "kernel_version": int(owner.kernel_version),
-        **tester_fingerprint(owner),
-    }
+    return {**owner._token_header("protocol"), **tester_fingerprint(owner)}
 
 
-class SimultaneousProtocol:
+class SimultaneousProtocol(KernelBase):
     """k players → one-bit messages → referee decision.
 
     Parameters
@@ -233,44 +226,15 @@ class SimultaneousProtocol:
             accepted=self.referee.decide(bits), bits=bits, samples_drawn=drawn
         )
 
-    def run_batch(
-        self, distribution: DiscreteDistribution, trials: int, rng: RngLike = None
-    ) -> np.ndarray:
-        """Boolean accept vector over ``trials`` independent executions.
-
-        Runs through the engine (:func:`repro.engine.chunked_accepts`):
-        trials are cut into memory-bounded tiles with per-block spawned
-        generators, so the result is bit-identical across backends and
-        tile sizes, and the full ``trials·k × q`` sample tensor never has
-        to fit in RAM.
-        """
-        if trials < 1:
-            raise InvalidParameterError(f"trials must be >= 1, got {trials}")
-        return chunked_accepts(self, distribution, trials, rng)
-
-    def acceptance_probability(
-        self, distribution: DiscreteDistribution, trials: int, rng: RngLike = None
-    ) -> float:
-        """Monte Carlo estimate of P[referee accepts] against ``distribution``.
-
-        Runs through :func:`repro.engine.estimate_acceptance`, on the same
-        per-block draws as :meth:`run_batch` under the same seed.
-        """
-        if trials < 1:
-            raise InvalidParameterError(f"trials must be >= 1, got {trials}")
-        return estimate_acceptance(self, distribution, trials=trials, rng=rng).rate
-
     def bit_distribution(
         self, distribution: DiscreteDistribution, trials: int, rng: RngLike = None
     ) -> np.ndarray:
         """Per-player empirical P[bit = 1] — the ν(G_j) of Section 4.
 
         Measures how much information each player's bit carries.  The
-        bits are the ones :meth:`run_batch` draws under the same seed:
+        bits are the ones :meth:`accept_batch` draws under the same seed:
         one spawned generator per RNG block.
         """
-        if trials < 1:
-            raise InvalidParameterError(f"trials must be >= 1, got {trials}")
         root_entropy = derive_root_entropy(rng)
         bits = [
             protocol_bits(

@@ -37,11 +37,13 @@ cross pairs against history — so ``Σ_v C(c_v, 2)`` is maintained
 exactly, matching the batch pairwise count for any block partition.
 
 Streaming testers are not :class:`~repro.core.base.UniformityTester`
-subclasses, but each is an :class:`~repro.engine.kernels.AcceptKernel`:
+subclasses, but each is an :class:`~repro.engine.kernels.AcceptKernel`
+with the shared :class:`~repro.engine.estimate.KernelBase` front-end:
 ``accept_block`` draws the block's ``(trials × q)`` sample matrix (the
 batch testers' draw, so exact configurations are bit-identical to them)
-and streams it through :func:`run_streaming`, so estimation, SPRT and
-the acceptance cache work unchanged.
+and streams it through :func:`run_streaming`, so ``accept_batch``,
+``acceptance_probability``, SPRT and the acceptance cache work
+unchanged.
 """
 
 from __future__ import annotations
@@ -53,6 +55,7 @@ import numpy as np
 
 from ..distributions.discrete import DiscreteDistribution, uniform
 from ..distributions.generators import two_level_distribution
+from ..engine import KernelBase
 from ..engine.cache import cached_calibration
 from ..exceptions import InvalidParameterError
 from ..rng import RngLike, ensure_rng
@@ -217,7 +220,7 @@ def _sketch_midpoint(tester: Any) -> float:
     )
 
 
-class StreamingTester(abc.ABC):
+class StreamingTester(KernelBase, abc.ABC):
     """Contract for constant-memory streaming uniformity testers.
 
     A streaming tester sees each trial's ``q`` samples as a sequence of
@@ -295,13 +298,8 @@ class StreamingTester(abc.ABC):
 
     @property
     def cache_token(self) -> Dict[str, Any]:
-        from ..engine import KERNEL_SCHEMA_VERSION
-
         token: Dict[str, Any] = {
-            "schema": KERNEL_SCHEMA_VERSION,
-            "kind": "streaming",
-            "class": type(self).__name__,
-            "kernel_version": int(self.kernel_version),
+            **self._token_header("streaming"),
             "n": self.n,
             "epsilon": self.epsilon,
             "q": self.q,

@@ -35,7 +35,7 @@ from .config import (
     get_engine,
     set_engine,
 )
-from .estimate import AcceptanceEstimate, SprtSpec, estimate_acceptance
+from .estimate import AcceptanceEstimate, KernelBase, SprtSpec, estimate_acceptance
 from .executor import (
     block_seed,
     chunked_accepts,
@@ -44,7 +44,6 @@ from .executor import (
 from .kernels import (
     KERNEL_SCHEMA_VERSION,
     AcceptKernel,
-    BernoulliKernel,
     kernel_label,
     require_kernel,
 )
@@ -70,10 +69,10 @@ __all__ = [
     "kernel_probe_key",
     "AcceptKernel",
     "KERNEL_SCHEMA_VERSION",
-    "BernoulliKernel",
     "kernel_label",
     "require_kernel",
     "AcceptanceEstimate",
+    "KernelBase",
     "SprtSpec",
     "estimate_acceptance",
     "Block",

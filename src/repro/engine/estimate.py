@@ -16,6 +16,11 @@ Both modes run the executor's one accept-tile loop
 (:func:`~repro.engine.executor._dispatch`): a fixed budget sums the
 accept vector it returns; SPRT passes a ``consume`` callback.
 
+:class:`KernelBase` is the estimator front-end every kernel in the
+library inherits: ``accept_batch``, ``test`` and
+``acceptance_probability`` defined once over the engine, plus the shared
+header of a hand-built ``cache_token``.
+
 Block-granular early stopping
 -----------------------------
 In sequential mode the loop dispatches tiles in waves (one tile per
@@ -42,8 +47,8 @@ from ..rng import RngLike
 from .cache import cacheable_seed, kernel_probe_key
 from .chunking import Block
 from .config import get_engine
-from .executor import _dispatch, derive_root_entropy
-from .kernels import AcceptKernel, kernel_label, require_kernel
+from .executor import Array, _dispatch, chunked_accepts, derive_root_entropy
+from .kernels import KERNEL_SCHEMA_VERSION, AcceptKernel, kernel_label, require_kernel
 
 
 @dataclass(frozen=True)
@@ -262,3 +267,50 @@ def estimate_acceptance(
     if key is not None and config.cache is not None:
         config.cache.put_estimate(key, _estimate_payload(estimate))
     return estimate
+
+
+class KernelBase:
+    """The front-end of an accept kernel, defined once over the engine.
+
+    Subclasses define the kernel members themselves (``accept_block``,
+    ``cache_token``, ``elements_per_trial``; the base supplies none, so
+    :func:`~repro.engine.kernels.require_kernel` still reads each class)
+    and a ``kernel_version``.  In return they get the three ways to run
+    it: one verdict, a tiled accept vector, and an engine estimate with
+    caching, metrics and chunked streaming.
+    """
+
+    #: Bumped when the kernel's draw order or statistic changes, so
+    #: stale cached acceptance curves cannot be read.
+    kernel_version: int
+
+    def _token_header(self, kind: str) -> Dict[str, Any]:
+        """The ``{schema, kind, class, kernel_version}`` head of a token."""
+        return {
+            "schema": KERNEL_SCHEMA_VERSION,
+            "kind": kind,
+            "class": type(self).__name__,
+            "kernel_version": int(self.kernel_version),
+        }
+
+    def accept_batch(
+        self, distribution: Any, trials: int, rng: RngLike = None
+    ) -> Array:
+        """Boolean accept vector over ``trials`` independent executions.
+
+        Tiled by :func:`~repro.engine.executor.chunked_accepts`: one
+        spawned generator per RNG block, so the vector is bit-identical
+        across backends and tile sizes and never held as one sample
+        tensor.
+        """
+        return chunked_accepts(self, distribution, trials, rng)
+
+    def test(self, distribution: Any, rng: RngLike = None) -> bool:
+        """One execution: ``True`` iff the kernel accepts."""
+        return bool(self.accept_batch(distribution, 1, rng)[0])
+
+    def acceptance_probability(
+        self, distribution: Any, trials: int, rng: RngLike = None
+    ) -> float:
+        """Monte Carlo estimate of P[accept], via :func:`estimate_acceptance`."""
+        return estimate_acceptance(self, distribution, trials=trials, rng=rng).rate

@@ -6,8 +6,8 @@ All batched execution funnels through here:
   sequential estimates (:func:`~repro.engine.estimate.estimate_acceptance`)
   and :func:`chunked_accepts` all run through it;
 * :func:`chunked_accepts` — the boolean accept vector of any
-  :class:`~repro.engine.kernels.AcceptKernel` (every tester and protocol
-  implements ``accept_batch``/``run_batch`` with it).
+  :class:`~repro.engine.kernels.AcceptKernel` (the shared
+  ``accept_batch`` of :class:`~repro.engine.estimate.KernelBase`).
 
 Determinism contract
 --------------------
@@ -184,6 +184,9 @@ def chunked_accepts(
     to workers whole, so it must be picklable.
     """
     require_kernel(runner)
+    if trials < 1:
+        # Before the root draw: a rejected call leaves ``rng`` untouched.
+        raise InvalidParameterError(f"trials must be >= 1, got {trials}")
     return _dispatch(
         runner,
         distribution,

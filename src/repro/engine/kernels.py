@@ -35,6 +35,9 @@ uniformity testers (defaults on :class:`~repro.core.base.UniformityTester`),
 on one, the streaming testers, and the closeness, independence, network
 and learning kernels.  The engine does not adapt anything:
 :func:`require_kernel` rejects an object whose type lacks a member.
+Each of them inherits its front-end (``accept_batch``, ``test``,
+``acceptance_probability``) and its token header from
+:class:`~repro.engine.estimate.KernelBase`.
 """
 
 from __future__ import annotations
@@ -44,7 +47,7 @@ from typing import Any, Dict, Protocol, runtime_checkable
 import numpy as np
 
 from ..exceptions import InvalidParameterError
-from ..rng import RngLike, ensure_rng
+from ..rng import RngLike
 
 #: Bump when the kernel-token layout itself changes incompatibly.
 KERNEL_SCHEMA_VERSION = 1
@@ -96,41 +99,3 @@ def kernel_label(kernel: AcceptKernel) -> str:
     token = kernel.cache_token
     label = token.get("class") or token.get("kind") or "kernel"
     return str(label)
-
-
-class BernoulliKernel:
-    """A calibrated fixture kernel with *known* acceptance probability.
-
-    Accepts each trial independently with probability ``probability``,
-    ignoring the distribution argument.  This is the canonical
-    calibration instrument for the engine's sequential tests: the true
-    rate is exact, so SPRT verdicts and error rates can be checked
-    against ground truth.
-    """
-
-    def __init__(self, probability: float):
-        if not 0.0 <= probability <= 1.0:
-            raise InvalidParameterError(
-                f"probability must be in [0,1], got {probability}"
-            )
-        self.probability = float(probability)
-
-    @property
-    def cache_token(self) -> Dict[str, Any]:
-        return {
-            "schema": KERNEL_SCHEMA_VERSION,
-            "kind": "bernoulli",
-            "class": "BernoulliKernel",
-            "kernel_version": 1,
-            "probability": self.probability,
-        }
-
-    @property
-    def elements_per_trial(self) -> int:
-        return 1
-
-    def accept_block(
-        self, distribution: Any, trials: int, rng: RngLike = None
-    ) -> BoolArray:
-        generator = ensure_rng(rng)
-        return generator.random(trials) < self.probability

@@ -33,11 +33,6 @@ import numpy as np
 _REGISTRY: Dict[str, Tuple[Any, Any]] = {}
 
 
-def registry_size() -> int:
-    """Number of shipments this process can serve without attaching."""
-    return len(_REGISTRY)
-
-
 def register_shipment(token: str, kernel: Any, distribution: Any) -> None:
     """Record a shipment in this process's registry (parent side)."""
     _REGISTRY[token] = (kernel, distribution)

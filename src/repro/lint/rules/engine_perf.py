@@ -26,9 +26,6 @@ alike) inside batch kernels, recognised three ways:
   trial-indexed loops the rule also flags loops that iterate the
   incoming sample block itself (the per-*sample* Python loop the
   streaming contract bans).
-
-Fallback loops over third-party objects that expose no batch API are
-likewise allowed via pragma with a justification.
 """
 
 from __future__ import annotations

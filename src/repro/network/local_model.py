@@ -26,6 +26,7 @@ import numpy as np
 
 from ..core.tradeoffs import AsymmetricRateTester, optimal_time_budget
 from ..distributions.discrete import DiscreteDistribution
+from ..engine import KernelBase
 from ..exceptions import InvalidParameterError
 from ..rng import RngLike, ensure_rng
 from .aggregation import broadcast_value, convergecast_sum
@@ -48,7 +49,7 @@ class LocalRunReport:
     samples_per_node: list
 
 
-class LocalUniformityTester:
+class LocalUniformityTester(KernelBase):
     """Uniformity testing in the LOCAL/asymmetric-rate network model.
 
     Parameters
@@ -64,6 +65,10 @@ class LocalUniformityTester:
         Sampling time; defaults to the [7] optimum
         ``Θ(√n/(ε²·‖T‖₂))``.
     """
+
+    #: v2: accept_block batches draws per player across all trials
+    #: (same per-trial law, different stream layout).
+    kernel_version = 2
 
     def __init__(
         self,
@@ -140,17 +145,10 @@ class LocalUniformityTester:
 
     @property
     def cache_token(self) -> dict:
-        from ..engine import KERNEL_SCHEMA_VERSION
-
         # Topology-invariant (the aggregation computes the exact alarm
         # sum); the token pins the asymmetric-rate calibration instead.
         return {
-            "schema": KERNEL_SCHEMA_VERSION,
-            "kind": "local",
-            "class": "LocalUniformityTester",
-            # v2: accept_block batches draws per player across all trials
-            # (same per-trial law, different stream layout).
-            "kernel_version": 2,
+            **self._token_header("local"),
             "n": self.n,
             "epsilon": self.epsilon,
             "tau": self.tau,
@@ -183,16 +181,6 @@ class LocalUniformityTester:
             )
             alarm_totals += 1 - bits
         return alarm_totals < self._alarm_threshold
-
-    def acceptance_probability(
-        self, distribution: DiscreteDistribution, trials: int, rng: RngLike = None
-    ) -> float:
-        """Monte Carlo acceptance estimate, via the engine entry point."""
-        if trials < 1:
-            raise InvalidParameterError(f"trials must be >= 1, got {trials}")
-        from ..engine import estimate_acceptance
-
-        return estimate_acceptance(self, distribution, trials=trials, rng=rng).rate
 
     def time_decomposition(self) -> dict:
         """The §6.2 trade-off: sampling time vs aggregation rounds."""

@@ -34,9 +34,9 @@ from ..core.graphs import (
     midpoint_threshold,
     statistic_alarm_probabilities,
 )
-from ..core.streaming import StreamingGraphTester, run_streaming
 from ..core.testers import default_distributed_q
 from ..distributions.discrete import DiscreteDistribution
+from ..engine import KernelBase
 from ..exceptions import InvalidParameterError
 from ..rng import RngLike, ensure_rng
 from .aggregation import broadcast_value, convergecast_sum
@@ -60,7 +60,7 @@ class NetworkRunReport:
     all_nodes_learned_verdict: bool
 
 
-class NetworkUniformityTester:
+class NetworkUniformityTester(KernelBase):
     """Uniformity testing deployed on a network topology.
 
     Parameters
@@ -80,18 +80,11 @@ class NetworkUniformityTester:
         the classical collision bit, calibrated bit-identically to
         :class:`~repro.core.testers.ThresholdRuleTester`.  Passing a
         graph fixes ``q = comparison_graph.num_vertices``.
-    streaming:
-        When True, each node computes its alarm bit through the
-        constant-memory streaming protocol
-        (:class:`~repro.core.streaming.StreamingGraphTester`) instead of
-        materialising its q samples for a batch statistic — the
-        bounded-memory node model.  Verdicts are bit-identical either
-        way (same draw, partition-invariant statistic), so the cache
-        token does not change; what changes is the per-node memory,
-        reported by :attr:`node_state_bytes`.
-    stream_chunk:
-        Column width per streaming update (``None`` = one block).
     """
+
+    #: v2: per-node statistic generalised to an arbitrary comparison
+    #: graph, whose cache token keys the curve.
+    kernel_version = 2
 
     def __init__(
         self,
@@ -103,8 +96,6 @@ class NetworkUniformityTester:
         calibration_rng: RngLike = 0,
         calibration_trials: int = 3000,
         comparison_graph: Optional[ComparisonGraph] = None,
-        streaming: bool = False,
-        stream_chunk: Optional[int] = None,
     ):
         validate_topology(graph)
         self.graph = graph
@@ -148,50 +139,9 @@ class NetworkUniformityTester:
         self._player = GraphStatisticPlayer(
             comparison_graph, self.player_statistic_threshold
         )
-        if stream_chunk is not None and stream_chunk < 1:
-            raise InvalidParameterError(
-                f"stream_chunk must be >= 1, got {stream_chunk}"
-            )
-        self.streaming = bool(streaming)
-        self.stream_chunk = stream_chunk
-        self._streaming_tester: Optional[StreamingGraphTester] = None
         # The spanning tree is topology state, built once (rebuilding per
         # execution only re-derives the same tree deterministically).
         self.parents, self.levels, self._bfs_stats = build_bfs_tree(graph, root)
-
-    @property
-    def streaming_tester(self) -> StreamingGraphTester:
-        """The per-node streaming statistic (same graph, same cut)."""
-        if self._streaming_tester is None:
-            self._streaming_tester = StreamingGraphTester(
-                self.n,
-                self.epsilon,
-                self.comparison_graph,
-                threshold=self.player_statistic_threshold,
-            )
-        return self._streaming_tester
-
-    @property
-    def node_state_bytes(self) -> int:
-        """Per-node streaming state bound (the bounded-memory node cost)."""
-        return int(self.streaming_tester.state_bytes)
-
-    def _accept_bits(self, samples: np.ndarray, generator) -> np.ndarray:
-        """Per-row accept bits — batch player or streaming state, same bits.
-
-        The streaming path folds each row's samples through the node's
-        constant-memory state in ``stream_chunk``-wide blocks; the
-        statistic is partition-invariant, so the bits match the batch
-        player's exactly (and neither path consumes the generator).
-        """
-        if self.streaming:
-            accepts = run_streaming(
-                self.streaming_tester, samples, self.stream_chunk
-            )
-            return accepts.astype(np.int64)
-        return np.asarray(
-            self._player.respond_batch(samples, generator), dtype=np.int64
-        )
 
     def local_alarms(
         self, distribution: DiscreteDistribution, rng: RngLike = None
@@ -199,8 +149,8 @@ class NetworkUniformityTester:
         """Per-node alarm bits for one execution (1 = alarm/reject)."""
         generator = ensure_rng(rng)
         samples = distribution.sample_matrix(self.k, self.q, generator)
-        accept_bits = self._accept_bits(samples, generator)
-        return (1 - accept_bits).astype(np.int64)
+        accept_bits = self._player.respond_batch(samples, generator)
+        return 1 - np.asarray(accept_bits, dtype=np.int64)
 
     def run(
         self, distribution: DiscreteDistribution, rng: RngLike = None
@@ -247,19 +197,12 @@ class NetworkUniformityTester:
 
     @property
     def cache_token(self) -> dict:
-        from ..engine import KERNEL_SCHEMA_VERSION
-
         # The verdict is topology-invariant (convergecast computes the
         # exact alarm sum on any connected graph), so the token carries
         # only the statistical configuration — curves are shared across
         # topologies but can never collide with protocol-kernel curves.
-        # v2: per-node statistic generalised to an arbitrary comparison
-        # graph, whose cache token keys the curve.
         return {
-            "schema": KERNEL_SCHEMA_VERSION,
-            "kind": "network",
-            "class": "NetworkUniformityTester",
-            "kernel_version": 2,
+            **self._token_header("network"),
             "n": self.n,
             "epsilon": self.epsilon,
             "k": self.k,
@@ -284,19 +227,11 @@ class NetworkUniformityTester:
         """
         generator = ensure_rng(rng)
         samples = distribution.sample_matrix(trials * self.k, self.q, generator)
-        accept_bits = self._accept_bits(samples, generator)
+        accept_bits = np.asarray(
+            self._player.respond_batch(samples, generator), dtype=np.int64
+        )
         alarm_counts = (1 - accept_bits).reshape(trials, self.k).sum(axis=1)
         return alarm_counts < self.reject_threshold
-
-    def acceptance_probability(
-        self, distribution: DiscreteDistribution, trials: int, rng: RngLike = None
-    ) -> float:
-        """Monte Carlo acceptance estimate, via the engine entry point."""
-        if trials < 1:
-            raise InvalidParameterError(f"trials must be >= 1, got {trials}")
-        from ..engine import estimate_acceptance
-
-        return estimate_acceptance(self, distribution, trials=trials, rng=rng).rate
 
     def __repr__(self) -> str:
         return (

@@ -138,14 +138,14 @@ class TestFrequencyDithering:
 
 
 class TestLearningSuccessKernel:
-    def test_success_probability_tracks_learner_quality(self):
+    def test_acceptance_probability_tracks_learner_quality(self):
         from repro.core import LearningSuccessKernel
 
         target = two_level_distribution(16, 0.5)
         good = LearningSuccessKernel(HitCountingLearner(n=16, k=4096, q=2), delta=0.25)
         bad = LearningSuccessKernel(HitCountingLearner(n=16, k=16, q=2), delta=0.25)
-        assert good.success_probability(target, 80, rng=1) > 0.9
-        assert bad.success_probability(target, 80, rng=1) < 0.5
+        assert good.acceptance_probability(target, 80, rng=1) > 0.9
+        assert bad.acceptance_probability(target, 80, rng=1) < 0.5
 
     def test_engine_determinism_across_tile_sizes(self):
         from repro.core import LearningSuccessKernel
@@ -165,3 +165,10 @@ class TestLearningSuccessKernel:
             LearningSuccessKernel(HitCountingLearner(n=8, k=16, q=2), delta=0.0)
         with pytest.raises(InvalidParameterError):
             LearningSuccessKernel(object(), delta=0.1)
+
+        class PerRunLearner:  # learn() only, no batched l1_errors_block
+            def learn(self, distribution, rng):
+                raise AssertionError("never called")
+
+        with pytest.raises(InvalidParameterError):
+            LearningSuccessKernel(PerRunLearner(), delta=0.1)

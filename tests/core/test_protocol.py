@@ -84,9 +84,9 @@ class TestExecution:
         with pytest.raises(ProtocolError):
             protocol.run_with_oracles([SampleOracle(uniform(8))])
 
-    def test_run_batch_shape(self):
+    def test_accept_batch_shape(self):
         protocol = make_protocol(k=4, q=4)
-        accepts = protocol.run_batch(uniform(256), trials=50, rng=0)
+        accepts = protocol.accept_batch(uniform(256), trials=50, rng=0)
         assert accepts.shape == (50,)
         assert accepts.dtype == bool
 
@@ -105,7 +105,7 @@ class TestExecution:
             Player(GraphStatisticPlayer(complete_graph(16), 0), 16),
         ]
         protocol = SimultaneousProtocol(players, ThresholdRule(2, num_players=2))
-        accepts = protocol.run_batch(uniform(16), trials=30, rng=0)
+        accepts = protocol.accept_batch(uniform(16), trials=30, rng=0)
         assert accepts.shape == (30,)
 
     def test_random_players_uninformative(self):
@@ -126,10 +126,10 @@ class TestExecution:
 
     def test_trials_must_be_positive(self):
         with pytest.raises(InvalidParameterError):
-            make_protocol().run_batch(uniform(8), trials=0)
+            make_protocol().accept_batch(uniform(8), trials=0)
 
     def test_reproducible_with_seed(self):
         protocol = make_protocol(k=4, q=4)
-        a = protocol.run_batch(uniform(64), trials=20, rng=42)
-        b = protocol.run_batch(uniform(64), trials=20, rng=42)
+        a = protocol.accept_batch(uniform(64), trials=20, rng=42)
+        b = protocol.accept_batch(uniform(64), trials=20, rng=42)
         assert np.array_equal(a, b)

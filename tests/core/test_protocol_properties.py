@@ -89,12 +89,12 @@ def test_constant_players_make_decisions_deterministic(k, q, seed):
     protocol = SimultaneousProtocol.homogeneous(
         ConstantPlayer(1), k, q, AndRule()
     )
-    accepts = protocol.run_batch(repro.uniform(16), trials=10, rng=seed)
+    accepts = protocol.accept_batch(repro.uniform(16), trials=10, rng=seed)
     assert accepts.all()
     protocol0 = SimultaneousProtocol.homogeneous(
         ConstantPlayer(0), k, q, AndRule()
     )
-    rejects = protocol0.run_batch(repro.uniform(16), trials=10, rng=seed)
+    rejects = protocol0.accept_batch(repro.uniform(16), trials=10, rng=seed)
     assert not rejects.any()
 
 

@@ -145,15 +145,3 @@ class TestKernelContracts:
         assert pairwise.elements_per_trial >= pairwise.num_groups * N
         empirical = EmpiricalDistanceTester(N, EPS, q=500)
         assert empirical.elements_per_trial == 500 + N
-
-    def test_fallback_learner_without_batch_api(self):
-        class MinimalLearner:
-            n, k, q = 8, 32, 1
-
-            def learn(self, distribution, rng):
-                return HitCountingLearner(8, 32, 1).learn(distribution, rng)
-
-        kernel = LearningSuccessKernel(MinimalLearner(), delta=1.5)
-        accepts = kernel.accept_block(uniform(8), 16, default_rng(0))
-        assert accepts.shape == (16,)
-        assert accepts.dtype == bool

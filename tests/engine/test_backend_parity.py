@@ -17,7 +17,6 @@ import repro
 from repro.core.testers import CentralizedCollisionTester
 from repro.distributions.discrete import uniform
 from repro.engine import (
-    BernoulliKernel,
     SerialBackend,
     SprtSpec,
     chunked_accepts,
@@ -26,6 +25,7 @@ from repro.engine import (
     estimate_acceptance,
     make_backend,
 )
+from tests.oracles import BernoulliKernel
 
 WIDTHS = (1, 2, 4)
 KINDS = ("process", "shm")

@@ -20,6 +20,7 @@ from repro.engine import (
 )
 from repro.engine.backend import ExecutionBackend
 from repro.exceptions import InvalidParameterError
+from tests.oracles import BernoulliKernel
 
 _REPO_ROOT = os.path.dirname(
     os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -126,7 +127,6 @@ class TestSharedMemoryBackend:
 
     def test_close_unlinks_shipments(self):
         from repro.engine import (
-            BernoulliKernel,
             derive_root_entropy,
             plan_blocks,
             plan_tiles,
@@ -153,7 +153,7 @@ class TestShipmentLifetime:
 
     def test_distinct_kernels_leave_one_segment_and_registry_entry(self):
         from repro.distributions.discrete import uniform
-        from repro.engine import BernoulliKernel, engine_context, estimate_acceptance
+        from repro.engine import engine_context, estimate_acceptance
 
         backend = SharedMemoryBackend(max_workers=2)
         names = set()
@@ -189,12 +189,12 @@ class TestNestedDispatch:
             """
             from repro.distributions.discrete import uniform
             from repro.engine import (
-                BernoulliKernel,
                 SprtSpec,
                 configure_engine,
                 estimate_acceptance,
                 map_sweep_points,
             )
+            from tests.oracles import BernoulliKernel
 
             def task(point, params, generator):
                 kernel = BernoulliKernel(point["p"])
@@ -214,7 +214,7 @@ class TestNestedDispatch:
             """
         )
         env = dict(os.environ)
-        env["PYTHONPATH"] = os.path.join(_REPO_ROOT, "src")
+        env["PYTHONPATH"] = os.pathsep.join([os.path.join(_REPO_ROOT, "src"), _REPO_ROOT])
         # Own session: a hang is killed with its pool workers, not orphaned.
         child = subprocess.Popen(
             [sys.executable, "-c", script],
@@ -321,11 +321,11 @@ class TestWarmPoolAtexitTeardown:
             """
             from repro.distributions.discrete import uniform
             from repro.engine import (
-                BernoulliKernel,
                 engine_context,
                 estimate_acceptance,
                 make_backend,
             )
+            from tests.oracles import BernoulliKernel
 
             backend = make_backend(2, kind="shm")
             with engine_context(backend=backend):
@@ -339,7 +339,7 @@ class TestWarmPoolAtexitTeardown:
             """
         )
         env = dict(os.environ)
-        env["PYTHONPATH"] = os.path.join(_REPO_ROOT, "src")
+        env["PYTHONPATH"] = os.pathsep.join([os.path.join(_REPO_ROOT, "src"), _REPO_ROOT])
         result = subprocess.run(
             [sys.executable, "-c", script],
             env=env,

@@ -23,7 +23,6 @@ from repro.distributions.discrete import uniform
 from repro.engine import (
     RNG_BLOCK_TRIALS,
     AcceptanceCache,
-    BernoulliKernel,
     ProcessPoolBackend,
     SerialBackend,
     SharedMemoryBackend,
@@ -37,6 +36,7 @@ from repro.engine import (
 )
 from repro.engine.executor import _dispatch
 from repro.exceptions import InvalidParameterError
+from tests.oracles import BernoulliKernel
 
 DISTRIBUTION = uniform(8)
 

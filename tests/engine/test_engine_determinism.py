@@ -54,10 +54,10 @@ class TestProtocolDeterminism:
     def test_chunk_size_invariance(self, make):
         protocol = make()
         dist = repro.uniform(N)
-        baseline = protocol.run_batch(dist, 300, rng=7)
+        baseline = protocol.accept_batch(dist, 300, rng=7)
         for max_elements in (64, 777, 10_000, 10**7):
             with engine_context(max_elements=max_elements):
-                chunked = protocol.run_batch(dist, 300, rng=7)
+                chunked = protocol.accept_batch(dist, 300, rng=7)
             assert np.array_equal(baseline, chunked), max_elements
 
     @pytest.mark.parametrize("make", [homogeneous_protocol, heterogeneous_protocol])
@@ -65,13 +65,13 @@ class TestProtocolDeterminism:
         protocol = make()
         dist = repro.two_level_distribution(N, EPS)
         with engine_context(backend=SerialBackend(), max_elements=500):
-            serial = protocol.run_batch(dist, 300, rng=13)
+            serial = protocol.accept_batch(dist, 300, rng=13)
         with engine_context(backend=pool, max_elements=500):
-            parallel = protocol.run_batch(dist, 300, rng=13)
+            parallel = protocol.accept_batch(dist, 300, rng=13)
         assert np.array_equal(serial, parallel)
 
-    def test_bit_distribution_matches_run_batch_streams(self):
-        """bit_distribution and run_batch share one execution path."""
+    def test_bit_distribution_matches_accept_batch_streams(self):
+        """bit_distribution and accept_batch share one execution path."""
         protocol = homogeneous_protocol()
         dist = repro.uniform(N)
         a = protocol.bit_distribution(dist, 200, rng=3)
@@ -84,7 +84,7 @@ class TestProtocolDeterminism:
         protocol = homogeneous_protocol()
         dist = repro.uniform(N)
         assert np.array_equal(
-            protocol.run_batch(dist, 100, rng=99), protocol.run_batch(dist, 100, rng=99)
+            protocol.accept_batch(dist, 100, rng=99), protocol.accept_batch(dist, 100, rng=99)
         )
 
     def test_generator_seed_advances(self):
@@ -92,8 +92,8 @@ class TestProtocolDeterminism:
         protocol = homogeneous_protocol()
         dist = repro.uniform(N)
         generator = np.random.default_rng(5)
-        first = protocol.run_batch(dist, 200, generator)
-        second = protocol.run_batch(dist, 200, generator)
+        first = protocol.accept_batch(dist, 200, generator)
+        second = protocol.accept_batch(dist, 200, generator)
         assert not np.array_equal(first, second)
 
 

@@ -14,9 +14,9 @@ import numpy as np
 import pytest
 
 import repro
+from repro.core.independence import IndependenceTester
 from repro.core.protocol import protocol_bits
 from repro.engine import (
-    BernoulliKernel,
     block_seed,
     chunked_accepts,
     engine_context,
@@ -27,6 +27,7 @@ from repro.engine import (
     require_kernel,
 )
 from repro.exceptions import InvalidParameterError
+from tests.oracles import BernoulliKernel
 
 N, EPS = 128, 0.5
 
@@ -60,6 +61,14 @@ class TestKernelProtocol:
         with pytest.raises(InvalidParameterError, match="lacks accept_block"):
             chunked_accepts(object(), repro.uniform(N), 10, 0)
 
+    def test_rejected_trial_count_leaves_the_generator_untouched(self):
+        generator = np.random.default_rng(3)
+        state = generator.bit_generator.state
+        for kernel in (repro.CentralizedCollisionTester(N, EPS), make_protocol()):
+            with pytest.raises(InvalidParameterError, match="trials"):
+                kernel.accept_batch(repro.uniform(N), 0, generator)
+        assert generator.bit_generator.state == state
+
     def test_membership_check_reads_the_type_not_the_token(self):
         require_kernel(_TokenRaises())
         accepts = chunked_accepts(_TokenRaises(), None, 10, 0)
@@ -74,6 +83,16 @@ class TestKernelProtocol:
         assert protocol.cache_token["kind"] == "protocol"
         assert protocol.elements_per_trial == 6 * 12
 
+    def test_wrong_domain_input_is_rejected_by_the_kernel(self):
+        """The domain check lives in accept_block, so the engine entry
+        point validates too (not a numpy broadcast error)."""
+        independence = IndependenceTester(2, 4, EPS)
+        with pytest.raises(InvalidParameterError, match="domain"):
+            estimate_acceptance(independence, repro.uniform(12), trials=10, rng=0)
+        closeness = repro.ClosenessTester(8, EPS).against(repro.uniform(8))
+        with pytest.raises(InvalidParameterError, match="n=8"):
+            estimate_acceptance(closeness, repro.uniform(12), trials=10, rng=0)
+
     def test_labels_are_short_and_stable(self):
         assert kernel_label(BernoulliKernel(0.25)) == "BernoulliKernel"
         label = kernel_label(repro.CentralizedCollisionTester(N, EPS))
@@ -81,8 +100,8 @@ class TestKernelProtocol:
 
 
 class TestProtocolKernelEquality:
-    def test_kernel_stream_matches_run_batch(self):
-        """run_batch replays the per-block player bits under any tiling."""
+    def test_kernel_stream_matches_accept_batch(self):
+        """accept_batch replays the per-block player bits under any tiling."""
         protocol = make_protocol()
         dist = repro.two_level_distribution(N, EPS)
         bits = np.concatenate(
@@ -98,8 +117,8 @@ class TestProtocolKernelEquality:
         )
         reference = np.asarray(protocol.referee.decide_batch(bits), dtype=bool)
         with engine_context(max_elements=500):
-            tiled = protocol.run_batch(dist, 300, rng=42)
-        assert np.array_equal(protocol.run_batch(dist, 300, rng=42), reference)
+            tiled = protocol.accept_batch(dist, 300, rng=42)
+        assert np.array_equal(protocol.accept_batch(dist, 300, rng=42), reference)
         assert np.array_equal(tiled, reference)
         assert np.array_equal(protocol.bit_distribution(dist, 300, 42), bits.mean(0))
 
@@ -108,7 +127,7 @@ class TestProtocolKernelEquality:
         dist = repro.two_level_distribution(N, EPS)
         assert np.array_equal(
             tester.accept_batch(dist, 300, rng=5),
-            tester.protocol.run_batch(dist, 300, rng=5),
+            tester.protocol.accept_batch(dist, 300, rng=5),
         )
 
     def test_fixed_estimate_matches_chunked_mean(self):

@@ -86,7 +86,7 @@ class TestCollectMetrics:
             referee=repro.ThresholdRule(2, num_players=4),
         )
         with collect_metrics() as metrics:
-            protocol.run_batch(repro.uniform(N), 200, rng=1)
+            protocol.accept_batch(repro.uniform(N), 200, rng=1)
         assert metrics.get("protocol_trials") == 200
         assert metrics.get("samples_drawn") == 200 * 4 * 8
         assert metrics.get("tiles_executed") >= 1

@@ -40,9 +40,10 @@ from repro.core.independence import IndependenceTester
 from repro.core.learning import LearningSuccessKernel
 from repro.core.plugins import get_plugin, registered_plugins
 from repro.distributions.discrete import uniform
-from repro.engine import BernoulliKernel, require_kernel
+from repro.engine import KernelBase, estimate_acceptance, require_kernel
 from repro.network.local_model import LocalUniformityTester
 from repro.rng import ensure_rng
+from tests.oracles import BernoulliKernel
 
 nx = pytest.importorskip("networkx")
 
@@ -277,6 +278,20 @@ def test_contract_table_covers_every_kernel():
         if name.startswith("plugin:")
     }
     assert set(registered_plugins()) - tabled == set()
+
+
+@pytest.mark.parametrize("name", sorted(set(KERNEL_FACTORIES) - {"bernoulli"}))
+def test_front_end_is_the_engine_on_every_kernel(name):
+    """Every library kernel (the test-only Bernoulli fixture aside)
+    inherits one front-end: ``test`` and ``acceptance_probability`` are
+    exactly the engine's answers."""
+    n, k = SIZES[0]
+    kernel = KERNEL_FACTORIES[name](n, k)
+    assert isinstance(kernel, KernelBase)
+    distribution = uniform(n)
+    assert kernel.test(distribution, 7) == kernel.accept_batch(distribution, 1, 7)[0]
+    expected = estimate_acceptance(kernel, distribution, trials=64, rng=7).rate
+    assert kernel.acceptance_probability(distribution, 64, 7) == expected
 
 
 TOKEN_FIXTURE = os.path.join(os.path.dirname(__file__), "kernel_tokens.json")

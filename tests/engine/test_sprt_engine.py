@@ -4,7 +4,7 @@ The engine's sequential mode only stops or continues at RNG-block
 boundaries, so the verdict *and* the number of trials consumed are pure
 functions of (kernel, distribution, spec, root seed) — never of the
 backend, the worker count, or the tile size.  These tests pin that
-contract on the calibrated :class:`~repro.engine.BernoulliKernel` (whose
+contract on the calibrated :class:`~tests.oracles.BernoulliKernel` (whose
 true acceptance probability is known exactly) and on a real tester.
 """
 
@@ -17,7 +17,6 @@ from hypothesis import strategies as st
 import repro
 from repro.engine import (
     RNG_BLOCK_TRIALS,
-    BernoulliKernel,
     ProcessPoolBackend,
     SerialBackend,
     SprtSpec,
@@ -25,6 +24,7 @@ from repro.engine import (
     estimate_acceptance,
 )
 from repro.exceptions import InvalidParameterError
+from tests.oracles import BernoulliKernel
 
 
 def fingerprint(estimate):

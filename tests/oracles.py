@@ -20,6 +20,9 @@ Three flavours live here:
   law and differential tests compare acceptance rates statistically;
 * :func:`collision_counts_reference` — the original per-column loop
   behind :func:`~repro.core.players.collision_counts`.
+
+:class:`BernoulliKernel` is the ground truth of the engine's own tests: a
+kernel whose acceptance probability is known exactly.
 """
 
 from __future__ import annotations
@@ -29,8 +32,45 @@ import numpy as np
 from repro.core.closeness import closeness_statistic
 from repro.core.players import _validate_sample_matrix, collision_counts
 from repro.distributions.discrete import DiscreteDistribution
+from repro.engine import KERNEL_SCHEMA_VERSION
 from repro.exceptions import InvalidParameterError
 from repro.rng import RngLike, ensure_rng
+
+
+class BernoulliKernel:
+    """A calibrated fixture kernel with *known* acceptance probability.
+
+    Accepts each trial independently with probability ``probability``,
+    ignoring the distribution argument.  This is the canonical
+    calibration instrument for the engine's sequential tests: the true
+    rate is exact, so SPRT verdicts and error rates can be checked
+    against ground truth.
+    """
+
+    def __init__(self, probability: float):
+        if not 0.0 <= probability <= 1.0:
+            raise InvalidParameterError(
+                f"probability must be in [0,1], got {probability}"
+            )
+        self.probability = float(probability)
+
+    @property
+    def cache_token(self) -> dict:
+        return {
+            "schema": KERNEL_SCHEMA_VERSION,
+            "kind": "bernoulli",
+            "class": "BernoulliKernel",
+            "kernel_version": 1,
+            "probability": self.probability,
+        }
+
+    @property
+    def elements_per_trial(self) -> int:
+        return 1
+
+    def accept_block(self, distribution, trials: int, rng: RngLike = None) -> np.ndarray:
+        generator = ensure_rng(rng)
+        return generator.random(trials) < self.probability
 
 
 def graph_statistic_reference(graph, samples, mode: str = "edges") -> np.ndarray:
@@ -241,6 +281,25 @@ def empirical_distance_reference_accept_block(
     return statistics <= tester.distance_threshold
 
 
+def _independence_counts(
+    tester: object, joint: DiscreteDistribution, rng: np.random.Generator
+) -> tuple[np.ndarray, np.ndarray]:
+    """Poissonized counts for the joint side and the synthesized product
+    side: pair the x-coordinate of one joint sample with the y-coordinate
+    of another."""
+    joint_count = int(rng.poisson(tester.q))
+    joint_samples = joint.sample(joint_count, rng)
+    joint_counts = np.bincount(joint_samples, minlength=tester.n)
+
+    product_count = int(rng.poisson(tester.q))
+    source_x = joint.sample(product_count, rng)
+    source_y = joint.sample(product_count, rng)
+    x_part = source_x // tester.n2
+    y_part = source_y % tester.n2
+    product_counts = np.bincount(x_part * tester.n2 + y_part, minlength=tester.n)
+    return joint_counts, product_counts
+
+
 def independence_reference_accept_block(
     tester: object,
     joint: DiscreteDistribution,
@@ -250,14 +309,15 @@ def independence_reference_accept_block(
     """Per-trial transcription of the pre-vectorization
     :class:`~repro.core.independence.IndependenceTester` kernel.
 
-    Uses the sequential Poissonized pairing construction (``_counts``):
-    equal in law to the vectorized per-cell Poisson draws, different
-    stream — compare acceptance rates, not bits.
+    Uses the sequential Poissonized pairing construction
+    (:func:`_independence_counts`): equal in law to the vectorized
+    per-cell Poisson draws, different stream — compare acceptance rates,
+    not bits.
     """
     generator = ensure_rng(rng)
     accepts = np.empty(trials, dtype=bool)
     for index in range(trials):
-        joint_counts, product_counts = tester._counts(joint, generator)
+        joint_counts, product_counts = _independence_counts(tester, joint, generator)
         statistic = closeness_statistic(joint_counts, product_counts)
         accepts[index] = statistic <= tester.threshold
     return accepts

@@ -140,11 +140,11 @@ class TestWorkerCountInvariance:
         tester = self._make_and_rule()
         far = repro.two_level_distribution(64, 0.5)
         with engine_context(backend=SerialBackend(), max_elements=2048):
-            serial_bits = tester.protocol.run_batch(far, 48, rng=11)
+            serial_bits = tester.protocol.accept_batch(far, 48, rng=11)
         pool = ProcessPoolBackend(max_workers=4)
         try:
             with engine_context(backend=pool, max_elements=2048):
-                parallel_bits = tester.protocol.run_batch(far, 48, rng=11)
+                parallel_bits = tester.protocol.accept_batch(far, 48, rng=11)
         finally:
             pool.close()
         assert np.array_equal(serial_bits, parallel_bits)
