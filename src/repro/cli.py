@@ -1,6 +1,6 @@
 """Command-line interface: ``python -m repro <command> ...``.
 
-Four commands cover the common workflows:
+Six commands cover the common workflows:
 
 * ``test`` — run one uniformity tester against a chosen input distribution
   and report acceptance statistics::
@@ -39,11 +39,8 @@ Four commands cover the common workflows:
 
       python -m repro bounds --n 4096 --k 16 --eps 0.5
 
-* ``lint`` — run the project's static-analysis pass (see
-  ``docs/static-analysis.md``); all flags are forwarded to
-  ``python -m repro.lint``::
-
-      python -m repro lint src --format json
+The project's static-analysis pass has its own entry point,
+``python -m repro.lint`` (see ``docs/static-analysis.md``).
 """
 
 from __future__ import annotations
@@ -341,12 +338,6 @@ def _cmd_bounds(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_lint(args: argparse.Namespace) -> int:
-    from .lint.cli import main as lint_main
-
-    return lint_main(args.lint_args)
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro", description="Distributed uniformity testing toolkit"
@@ -446,33 +437,10 @@ def build_parser() -> argparse.ArgumentParser:
     bounds.add_argument("--eps", type=float, default=0.5)
     bounds.set_defaults(func=_cmd_bounds)
 
-    lint = sub.add_parser(
-        "lint",
-        help="run the repro static-analysis pass",
-        description=(
-            "Thin wrapper around `python -m repro.lint`; every argument "
-            "after `lint` is forwarded verbatim."
-        ),
-    )
-    lint.add_argument(
-        "lint_args",
-        nargs=argparse.REMAINDER,
-        help="arguments forwarded to repro.lint (paths, --select, ...)",
-    )
-    lint.set_defaults(func=_cmd_lint)
-
     return parser
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    if argv is None:
-        argv = sys.argv[1:]
-    if argv and argv[0] == "lint":
-        # argparse.REMAINDER swallows a leading option (e.g. `lint
-        # --list-rules`) unreliably; forward everything verbatim instead.
-        from .lint.cli import main as lint_main
-
-        return lint_main(list(argv[1:]))
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

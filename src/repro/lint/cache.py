@@ -15,11 +15,12 @@ interprocedural findings).
 Soundness model
 ---------------
 A file's diagnostics are a pure function of (its source, the sources of
-its transitive import closure, the active rule set).  Two situations
-fall outside that model and degrade to a full re-lint rather than risk
-stale output:
+its transitive import closure, the active rule set, the linter's own
+source).  Two situations fall outside that model and degrade to a full
+re-lint rather than risk stale output:
 
-* the cache was written by a different rule selection or schema
+* the cache was written by a different rule selection or by a linter
+  whose source differs in any ``.py`` file of this package
   (``rules_key`` mismatch — the whole cache is discarded), and
 * module-name collisions (two files claiming the same ``lint-path``),
   where first-definition-wins resolution couples otherwise unrelated
@@ -28,25 +29,21 @@ stale output:
 
 Cache layout: one JSON document, ``<cache_dir>/cache.json``::
 
-    {"schema": 2, "rules_key": "...",
+    {"rules_key": "...",
      "files": {path: {"hash": ..., "module": ..., "imports": [...],
                       "diagnostics": [[line, col, code, message], ...]}}}
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import os
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set
 
 from .diagnostics import Diagnostic
-
-#: Bump when the entry layout or the diagnostics pipeline changes shape,
-#: or when a rule keeps its code but changes what it flags (2: RL603
-#: became syntactic and RL101 learned explicit ``None`` seeds).
-SCHEMA_VERSION = 2
 
 #: Default cache location, relative to the invocation directory.
 DEFAULT_CACHE_DIR = ".repro-lint-cache"
@@ -57,10 +54,33 @@ def fingerprint(source: str) -> str:
     return hashlib.sha256(source.encode("utf-8")).hexdigest()
 
 
+@functools.lru_cache(maxsize=1)
+def _linter_digest() -> str:
+    """SHA-256 over every ``.py`` file of this package, path and bytes.
+
+    Any edit to a rule, the runner or this module changes it, so a
+    cache written by a different linter is never replayed.
+    """
+    package = os.path.dirname(os.path.abspath(__file__))
+    digest = hashlib.sha256()
+    for root, dirnames, filenames in os.walk(package):
+        dirnames[:] = sorted(d for d in dirnames if d != "__pycache__")
+        for filename in sorted(filenames):
+            if not filename.endswith(".py"):
+                continue
+            path = os.path.join(root, filename)
+            digest.update(os.path.relpath(path, package).encode("utf-8"))
+            digest.update(b"\0")
+            with open(path, "rb") as handle:
+                digest.update(handle.read())
+            digest.update(b"\0")
+    return digest.hexdigest()
+
+
 def rules_cache_key(rules: Sequence[object]) -> str:
-    """Cache validity key: schema version + the exact active rule set."""
+    """Cache validity key: the linter's source digest + the active codes."""
     codes = ",".join(sorted(getattr(rule, "code", "?") for rule in rules))
-    return f"{SCHEMA_VERSION}:{codes}"
+    return f"{_linter_digest()}:{codes}"
 
 
 @dataclass
@@ -129,8 +149,8 @@ class LintCache:
             return  # no cache / corrupt cache: start cold
         if not isinstance(raw, dict):
             return
-        if raw.get("schema") != SCHEMA_VERSION or raw.get("rules_key") != self.key:
-            return  # different rule set or layout: discard wholesale
+        if raw.get("rules_key") != self.key:
+            return  # different rule set or linter source: discard wholesale
         files = raw.get("files")
         if isinstance(files, dict):
             self.files = files
@@ -139,7 +159,6 @@ class LintCache:
         """Atomically persist the cache (tmp + rename; crash-safe)."""
         os.makedirs(self.cache_dir, exist_ok=True)
         document = {
-            "schema": SCHEMA_VERSION,
             "rules_key": self.key,
             "files": self.files,
         }

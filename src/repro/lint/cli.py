@@ -2,10 +2,9 @@
 
 Usage::
 
-    python -m repro.lint [paths ...] [--select RL1,RL401] [--ignore RL5]
-                         [--format text|json|github|sarif] [--jobs N]
-                         [--no-cache] [--cache-dir DIR] [--stats]
-                         [--list-rules]
+    python -m repro.lint [paths ...] [--select RL1,RL401] [--ignore RL7]
+                         [--format text|json|github] [--no-cache]
+                         [--cache-dir DIR] [--stats] [--list-rules]
 
 Exit codes follow linter convention: ``0`` clean, ``1`` diagnostics
 found, ``2`` usage error (missing path, unknown rule code).
@@ -15,15 +14,12 @@ prefixes, comma-separated), then ``--ignore`` removes from whatever was
 selected — so ``--select RL1 --ignore RL103`` runs RL101/RL102/RL104/
 RL105, and an ignore always beats a select naming the same code.
 
-``--jobs N`` fans per-file rule evaluation out to N worker processes.
-The whole-program RL7xx analysis is still built once, in the parent, and
-output is byte-identical to the serial pass.
-
 The incremental cache is on by default (``.repro-lint-cache/``): files
 whose content and transitive import closure are unchanged replay their
-recorded diagnostics.  Warm output is byte-identical to a cold run;
-``--stats`` prints hit/miss/timing counters to stderr (never stdout, so
-piped output is unaffected).
+recorded diagnostics, and any edit to the linter itself invalidates it.
+Warm output is byte-identical to a cold run; ``--stats`` prints
+hit/miss/timing counters to stderr (never stdout, so piped output is
+unaffected).
 """
 
 from __future__ import annotations
@@ -34,7 +30,6 @@ import sys
 from typing import List, Optional
 
 from .cache import DEFAULT_CACHE_DIR, CacheStats
-from .diagnostics import sarif_document
 from .registry import rule_classes
 from .runner import LintUsageError, iter_python_files, lint_paths
 from ..engine.metrics import monotonic_clock
@@ -76,18 +71,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--format",
-        choices=("text", "json", "github", "sarif"),
+        choices=("text", "json", "github"),
         default="text",
-        help="diagnostic output format (github = ::error annotations, "
-        "sarif = SARIF 2.1.0 document)",
-    )
-    parser.add_argument(
-        "--jobs",
-        type=int,
-        default=1,
-        metavar="N",
-        help="worker processes for per-file rule evaluation "
-        "(output is byte-identical to serial; default: 1)",
+        help="diagnostic output format (github = ::error annotations)",
     )
     parser.add_argument(
         "--no-cache",
@@ -134,7 +120,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             args.paths,
             select=_split_codes(args.select),
             ignore=_split_codes(args.ignore),
-            jobs=args.jobs,
             cache_dir=None if args.no_cache else args.cache_dir,
             stats=stats,
         )
@@ -154,20 +139,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             print(stats.format(), file=sys.stderr)
     if args.format == "json":
         print(json.dumps([d.to_json() for d in diagnostics], indent=2))
-    elif args.format == "sarif":
-        summaries = {
-            rule_class.code: rule_class.summary
-            for rule_class in rule_classes()
-        }
-        severities = {
-            rule_class.code: rule_class.default_severity
-            for rule_class in rule_classes()
-        }
-        print(
-            json.dumps(
-                sarif_document(diagnostics, summaries, severities), indent=2
-            )
-        )
     elif args.format == "github":
         for diagnostic in diagnostics:
             print(diagnostic.format_github())

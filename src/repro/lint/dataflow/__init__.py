@@ -15,8 +15,7 @@ The package layers bottom-up:
     lattice, ownership-transfer summaries, and the RL701–RL704
     detectors.
 ``program``
-    The driver: module graph, call graph, then the resource pass;
-    results are picklable for the ``--jobs N`` runner.
+    The driver: module graph, call graph, then the resource pass.
 """
 
 from .cfg import ControlFlowGraph, build_cfg

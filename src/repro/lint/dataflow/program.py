@@ -4,12 +4,9 @@
 It parses every file into a :class:`~.modules.ModuleGraph`, builds the
 call graph, and runs the resource analysis (:mod:`.resources`) over
 them; the :class:`~.resources.RawFinding` records it returns are final
-and keyed by file path.
-
-The resulting :class:`ProgramAnalysis` is deliberately a bag of
-picklable primitives: the ``--jobs N`` runner computes it once in the
-parent process and ships it to workers, where per-file rule evaluation
-replays the findings through the ordinary diagnostics/pragma pipeline.
+and keyed by file path.  The runner builds it once per invocation;
+per-file rule evaluation replays the findings through the ordinary
+diagnostics/pragma pipeline.
 """
 
 from __future__ import annotations
@@ -25,11 +22,7 @@ from .resources import RawFinding, ResourceSummary, analyze_resources
 
 @dataclass
 class ProgramAnalysis:
-    """Whole-program results, keyed by file path.
-
-    Only primitives live here (strings, ints, frozen dataclasses), so a
-    built instance can be pickled to worker processes unchanged.
-    """
+    """Whole-program results, keyed by file path."""
 
     #: path → findings sorted by (line, col, code, message).
     findings: Dict[str, Tuple[RawFinding, ...]] = field(default_factory=dict)

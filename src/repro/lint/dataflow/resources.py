@@ -42,11 +42,9 @@ from typing import (
     Callable,
     Dict,
     FrozenSet,
-    Iterable,
     Iterator,
     List,
     Optional,
-    Sequence,
     Set,
     Tuple,
 )

@@ -9,11 +9,7 @@ the order rules ran in, and they render in the conventional
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, List, Mapping, Optional, Sequence
-
-#: SARIF version emitted by ``--format sarif`` (and its schema URI).
-SARIF_VERSION = "2.1.0"
-SARIF_SCHEMA_URI = "https://json.schemastore.org/sarif-2.1.0.json"
+from typing import Any, Dict
 
 
 def _escape_data(text: str) -> str:
@@ -76,64 +72,3 @@ class Diagnostic:
             "code": self.code,
             "message": self.message,
         }
-
-    def to_sarif_result(self) -> Dict[str, Any]:
-        """One SARIF ``result`` object (columns are 1-based in SARIF)."""
-        return {
-            "ruleId": self.code,
-            "level": "error",
-            "message": {"text": self.message},
-            "locations": [
-                {
-                    "physicalLocation": {
-                        "artifactLocation": {
-                            "uri": self.path.replace("\\", "/")
-                        },
-                        "region": {
-                            "startLine": self.line,
-                            "startColumn": self.col + 1,
-                        },
-                    }
-                }
-            ],
-        }
-
-
-def sarif_document(
-    diagnostics: Sequence[Diagnostic],
-    rule_summaries: Mapping[str, str],
-    rule_severities: Optional[Mapping[str, str]] = None,
-) -> Dict[str, Any]:
-    """A SARIF 2.1.0 document for ``--format sarif``.
-
-    The driver's rule table lists every known rule (sorted by code) so
-    viewers can show metadata even for codes with no results this run;
-    ``rule_summaries`` maps code → one-line summary and
-    ``rule_severities`` (optional) maps code → default SARIF level.
-    """
-    rules: List[Dict[str, Any]] = []
-    for code in sorted(rule_summaries):
-        entry: Dict[str, Any] = {
-            "id": code,
-            "shortDescription": {"text": rule_summaries[code]},
-        }
-        if rule_severities and code in rule_severities:
-            entry["defaultConfiguration"] = {
-                "level": rule_severities[code]
-            }
-        rules.append(entry)
-    return {
-        "$schema": SARIF_SCHEMA_URI,
-        "version": SARIF_VERSION,
-        "runs": [
-            {
-                "tool": {
-                    "driver": {
-                        "name": "repro.lint",
-                        "rules": rules,
-                    }
-                },
-                "results": [d.to_sarif_result() for d in diagnostics],
-            }
-        ],
-    }

@@ -11,7 +11,6 @@ Code families
 * ``RL2xx`` — wall-clock / determinism
 * ``RL3xx`` — cache purity
 * ``RL4xx`` — paper-anchor citations
-* ``RL5xx`` — mutable default arguments
 * ``RL6xx`` — iteration over unordered sources (sets, directory listings)
 * ``RL7xx`` — whole-program resource lifecycle and fork safety
 * ``RL8xx`` — kernel dtype hazards
@@ -40,9 +39,8 @@ class Rule(ABC):
     name: str = ""
     #: One-line description of what the rule flags.
     summary: str = ""
-    #: Default severity shown in ``--list-rules`` and SARIF
-    #: ``defaultConfiguration`` ("error" or "warning"); advisory only —
-    #: it never changes the exit code.
+    #: Default severity shown in ``--list-rules`` ("error" or
+    #: "warning"); advisory only — it never changes the exit code.
     default_severity: str = "error"
     #: Why violating the rule breaks the determinism/cache/citation contract.
     rationale: str = ""

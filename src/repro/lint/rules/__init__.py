@@ -2,7 +2,6 @@
 
 from . import (
     citations,
-    defaults,
     engine_bypass,
     engine_perf,
     purity,
@@ -15,7 +14,6 @@ from . import (
 
 __all__ = [
     "citations",
-    "defaults",
     "engine_bypass",
     "engine_perf",
     "purity",

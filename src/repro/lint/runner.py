@@ -1,22 +1,15 @@
 """File discovery and the lint driver loop.
 
-Two execution modes share one pipeline:
-
-* **Serial** (default): every file is linted in-process.
-* **Process-parallel** (``--jobs N``): the whole-program dataflow
-  analysis is still built *once*, in the parent (it needs every file at
-  once anyway), then per-file rule evaluation fans out to worker
-  processes.  Each worker re-instantiates the active rules from the
-  ``select``/``ignore`` spec and replays the pickled analysis, so the
-  merged, globally sorted diagnostics are byte-identical to the serial
-  pass by construction.
+One serial pass: every file is parsed once, the whole-program RL7xx
+analysis is built once over the parsed set (iff an active rule needs
+it), then each file's rules run in-process and the diagnostics are
+merged through one global sort.
 """
 
 from __future__ import annotations
 
 import os
-from concurrent.futures import ProcessPoolExecutor
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .context import ModuleContext
 from .diagnostics import Diagnostic
@@ -112,98 +105,30 @@ def _build_program(
     return analyze_program(files, contexts=contexts)
 
 
-def _strip_for_workers(program: Optional[object]) -> Optional[object]:
-    """A findings-only copy of the analysis for cheap worker pickling."""
-    if program is None:
-        return None
-    from .dataflow import ProgramAnalysis
-
-    assert isinstance(program, ProgramAnalysis)
-    return ProgramAnalysis(findings=program.findings)
-
-
-# ---------------------------------------------------------------------- #
-# process-parallel evaluation                                            #
-# ---------------------------------------------------------------------- #
-
-#: Per-worker state installed by the pool initialiser (rules are cheap
-#: to re-instantiate; the analysis is pickled exactly once per worker).
-_WORKER_STATE: Dict[str, Any] = {}
-
-#: Contexts parsed by the parent, published just before the pool forks.
-#: Workers created with the ``fork`` start method inherit these for free
-#: (no pickling); under ``spawn`` the dict is empty in the child and
-#: :func:`lint_source` simply re-parses.
-_PARENT_CONTEXTS: Dict[str, ModuleContext] = {}
-
-
-def _init_worker(
-    select: Optional[Sequence[str]],
-    ignore: Optional[Sequence[str]],
-    program: Optional[object],
-) -> None:
-    _WORKER_STATE["rules"] = active_rules(select=select, ignore=ignore)
-    _WORKER_STATE["program"] = program
-
-
-def _lint_worker(item: Tuple[str, str]) -> List[Diagnostic]:
-    filename, source = item
-    return lint_source(
-        source,
-        path=filename,
-        rules=_WORKER_STATE["rules"],
-        program=_WORKER_STATE["program"],
-        ctx=_PARENT_CONTEXTS.get(filename),
-    )
-
-
 def _evaluate(
     files: Sequence[Tuple[str, str]],
     rules: Sequence[Rule],
-    select: Optional[Sequence[str]],
-    ignore: Optional[Sequence[str]],
-    jobs: int,
     contexts: Dict[str, ModuleContext],
     program: Optional[object],
 ) -> List[Diagnostic]:
-    """Per-file rule evaluation, serial or fanned out across workers."""
+    """Per-file rule evaluation over already-parsed contexts."""
     findings: List[Diagnostic] = []
-    if jobs == 1 or len(files) <= 1:
-        for filename, source in files:
-            findings.extend(
-                lint_source(
-                    source,
-                    path=filename,
-                    rules=rules,
-                    program=program,
-                    ctx=contexts.get(filename),
-                )
+    for filename, source in files:
+        findings.extend(
+            lint_source(
+                source,
+                path=filename,
+                rules=rules,
+                program=program,
+                ctx=contexts.get(filename),
             )
-        return sorted(findings)
-
-    shipped = _strip_for_workers(program)
-    chunksize = max(1, len(files) // (jobs * 4))
-    _PARENT_CONTEXTS.clear()
-    _PARENT_CONTEXTS.update(contexts)
-    try:
-        with ProcessPoolExecutor(
-            max_workers=jobs,
-            initializer=_init_worker,
-            initargs=(select, ignore, shipped),
-        ) as pool:
-            for result in pool.map(_lint_worker, files, chunksize=chunksize):
-                findings.extend(result)
-    finally:
-        _PARENT_CONTEXTS.clear()
+        )
     return sorted(findings)
 
 
 def _lint_incremental(
     files: Sequence[Tuple[str, str]],
     rules: Sequence[Rule],
-    select: Optional[Sequence[str]],
-    ignore: Optional[Sequence[str]],
-    jobs: int,
     cache_dir: str,
     stats: Optional[object],
 ) -> List[Diagnostic]:
@@ -211,9 +136,10 @@ def _lint_incremental(
 
     Byte-parity with the cold path rests on the cache module's model:
     a file's diagnostics depend only on its own source, its transitive
-    import closure, and the rule set — all captured in the fingerprints
-    and the ``rules_key``.  See :mod:`repro.lint.cache` for the
-    degradation rules when that model does not hold.
+    import closure, the active rules and the linter's own source — all
+    captured in the fingerprints and the ``rules_key``.  See
+    :mod:`repro.lint.cache` for the degradation rules when that model
+    does not hold.
     """
     from .cache import LintCache, fingerprint, plan_incremental, rules_cache_key
     from .dataflow.modules import module_name_from_path
@@ -258,9 +184,7 @@ def _lint_incremental(
     plan.stats.analyzed = len(analysis_files) if program is not None else 0
 
     dirty_files = [item for item in files if item[0] in plan.dirty]
-    findings = _evaluate(
-        dirty_files, rules, select, ignore, jobs, contexts, program
-    )
+    findings = _evaluate(dirty_files, rules, contexts, program)
 
     fresh_by_path: Dict[str, List[Diagnostic]] = {
         path: [] for path, _ in dirty_files
@@ -300,15 +224,10 @@ def lint_paths(
     paths: Sequence[str],
     select: Optional[Sequence[str]] = None,
     ignore: Optional[Sequence[str]] = None,
-    jobs: int = 1,
     cache_dir: Optional[str] = None,
     stats: Optional[object] = None,
 ) -> List[Diagnostic]:
     """Lint every ``.py`` file under ``paths``; returns sorted diagnostics.
-
-    ``jobs > 1`` fans per-file rule evaluation out to that many worker
-    processes; the result is byte-identical to ``jobs == 1`` (the final
-    global sort makes ordering independent of completion order).
 
     ``cache_dir`` opts into the incremental cache: unchanged files whose
     transitive import closure is also unchanged replay their recorded
@@ -316,8 +235,6 @@ def lint_paths(
     when given a :class:`repro.lint.cache.CacheStats`, receives the
     hit/miss counters.
     """
-    if jobs < 1:
-        raise LintUsageError(f"--jobs must be >= 1, got {jobs}")
     try:
         rules = active_rules(select=select, ignore=ignore)
     except ValueError as error:
@@ -325,9 +242,7 @@ def lint_paths(
     files = _read_files(paths)
 
     if cache_dir is not None:
-        return _lint_incremental(
-            files, rules, select, ignore, jobs, cache_dir, stats
-        )
+        return _lint_incremental(files, rules, cache_dir, stats)
 
     contexts: Dict[str, ModuleContext] = {}
     for filename, source in files:
@@ -336,4 +251,4 @@ def lint_paths(
         except SyntaxError:
             pass  # lint_source re-parses and emits RL001
     program = _build_program(rules, files, contexts)
-    return _evaluate(files, rules, select, ignore, jobs, contexts, program)
+    return _evaluate(files, rules, contexts, program)

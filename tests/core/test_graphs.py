@@ -29,7 +29,6 @@ from repro.core.graphs import (
     GraphStatisticPlayer,
     bipartite_graph,
     build_family_graph,
-    calibrate_distinct_threshold,
     complete_graph,
     cycle_graph,
     exact_no_collision_probability,
@@ -37,7 +36,6 @@ from repro.core.graphs import (
     graph_statistic_block,
     graph_tester_factory,
     matching_graph,
-    midpoint_threshold,
     random_regular_graph,
     snap_family_size,
     star_graph,

@@ -14,7 +14,6 @@ from repro.core.independence import (
     distance_from_own_product,
     joint_from_matrix,
     marginals,
-    product_of_marginals,
 )
 from repro.exceptions import InvalidParameterError
 

@@ -7,7 +7,6 @@ its default resource levels, and must degrade gracefully when starved.
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 
 from repro.core import (
@@ -31,7 +30,6 @@ from repro.distributions import (
     PaninskiFamily,
     distance_to_uniform,
     two_level_distribution,
-    uniform,
 )
 from repro.exceptions import InvalidParameterError
 

@@ -8,7 +8,7 @@ import pytest
 from repro.core import AsymmetricRateTester, complete_graph
 from repro.core.graphs import statistic_alarm_probabilities
 from repro.core.tradeoffs import optimal_time_budget, rate_profile_norm
-from repro.distributions import two_level_distribution, uniform
+from repro.distributions import two_level_distribution
 from repro.exceptions import InvalidParameterError
 
 N, EPS = 256, 0.5

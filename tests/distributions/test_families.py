@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from repro.distributions import (
     PaninskiFamily,
     distance_to_uniform,
-    l1_distance,
     perturbed_pair_distribution,
     uniform,
 )

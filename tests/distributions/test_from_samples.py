@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.distributions import DiscreteDistribution, l1_distance, uniform
+from repro.distributions import DiscreteDistribution, l1_distance
 from repro.exceptions import InvalidParameterError
 
 

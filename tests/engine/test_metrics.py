@@ -2,9 +2,6 @@
 
 from __future__ import annotations
 
-import numpy as np
-import pytest
-
 import repro
 from repro.engine import AcceptanceCache, EngineMetrics, collect_metrics, engine_context
 from repro.engine.metrics import COUNTER_NAMES

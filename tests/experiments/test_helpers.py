@@ -11,7 +11,6 @@ import pytest
 
 import repro
 from repro.distributions import distance_to_uniform, l1_distance
-from repro.exceptions import InvalidParameterError
 from repro.experiments.e09_asymmetric import rate_profiles
 from repro.experiments.e11_kkl import function_zoo
 from repro.experiments.e13_identity import _far_from, _targets

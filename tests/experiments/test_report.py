@@ -4,8 +4,6 @@ from __future__ import annotations
 
 import io
 
-import pytest
-
 from repro.experiments.records import ExperimentResult
 from repro.experiments.report import PAPER_CLAIMS, generate_report, render_markdown
 from repro.experiments.registry import experiment_ids

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from itertools import product as iter_product
-from math import comb
 
 import numpy as np
 import pytest

@@ -2,10 +2,14 @@
 
 import json
 import os
+import shutil
+import subprocess
+import sys
 import textwrap
 
 from repro.lint import lint_paths
 from repro.lint.cache import CacheStats, LintCache, rules_cache_key
+from repro.lint.context import ModuleContext
 from repro.lint.registry import active_rules
 
 HELPER_CLOSES = """\
@@ -35,6 +39,21 @@ LEAF = """\
 def double(x):
     return x * 2
 """
+
+#: Reads a clock under the lint-path RL201 allowlists.
+TIMING_PROBE = """\
+# lint-path: repro/experiments/timing.py
+import time
+
+
+def now():
+    return time.perf_counter()
+"""
+
+REPO_SRC = os.path.join(
+    os.path.dirname(os.path.dirname(os.path.dirname(os.path.abspath(__file__)))),
+    "src",
+)
 
 
 def _write_tree(root, helpers=HELPER_CLOSES):
@@ -134,6 +153,83 @@ def test_rule_selection_change_discards_the_cache(tmp_path):
     assert stats.misses == 3
 
 
+def test_cache_from_another_linter_source_is_discarded(tmp_path):
+    """Same active codes, different linter digest: nothing replays."""
+    tree = tmp_path / "tree"
+    tree.mkdir()
+    _write_tree(tree)
+    cache_dir = tmp_path / "cache"
+    cold = lint_paths([str(tree)], cache_dir=str(cache_dir))
+
+    document_path = cache_dir / "cache.json"
+    document = json.loads(document_path.read_text(encoding="utf-8"))
+    digest, codes = document["rules_key"].split(":", 1)
+    document["rules_key"] = f"{'0' * len(digest)}:{codes}"
+    document_path.write_text(json.dumps(document), encoding="utf-8")
+
+    stats = CacheStats()
+    again = lint_paths([str(tree)], cache_dir=str(cache_dir), stats=stats)
+    assert again == cold
+    assert stats.hits == 0
+    assert stats.misses == 3
+
+
+def _count_parses(monkeypatch):
+    """Record the path of every :class:`ModuleContext` built from now on."""
+    parsed = []
+    original = ModuleContext.__init__
+
+    def counting_init(self, source, path, *args, **kwargs):
+        parsed.append(os.path.basename(path))
+        original(self, source, path, *args, **kwargs)
+
+    monkeypatch.setattr(ModuleContext, "__init__", counting_init)
+    return parsed
+
+
+def test_uncached_run_parses_each_file_once(tmp_path, monkeypatch):
+    tree = tmp_path / "tree"
+    tree.mkdir()
+    _write_tree(tree)
+    parsed = _count_parses(monkeypatch)
+    lint_paths([str(tree)])
+    assert sorted(parsed) == ["consumer.py", "helpers.py", "leaf.py"]
+
+
+def test_cold_cached_run_parses_each_file_once(tmp_path, monkeypatch):
+    tree = tmp_path / "tree"
+    tree.mkdir()
+    _write_tree(tree)
+    parsed = _count_parses(monkeypatch)
+    lint_paths([str(tree)], cache_dir=str(tmp_path / "cache"))
+    assert sorted(parsed) == ["consumer.py", "helpers.py", "leaf.py"]
+
+
+def test_warm_run_parses_nothing(tmp_path, monkeypatch):
+    tree = tmp_path / "tree"
+    tree.mkdir()
+    _write_tree(tree)
+    cache_dir = str(tmp_path / "cache")
+    lint_paths([str(tree)], cache_dir=cache_dir)
+    parsed = _count_parses(monkeypatch)
+    lint_paths([str(tree)], cache_dir=cache_dir)
+    assert parsed == []
+
+
+def test_dependency_edit_parses_only_the_dirty_closure(tmp_path, monkeypatch):
+    tree = tmp_path / "tree"
+    tree.mkdir()
+    paths = _write_tree(tree)
+    cache_dir = str(tmp_path / "cache")
+    lint_paths([str(tree)], cache_dir=cache_dir)
+    with open(paths["helpers.py"], "w", encoding="utf-8") as handle:
+        handle.write(HELPER_NEUTRAL)
+
+    parsed = _count_parses(monkeypatch)
+    lint_paths([str(tree)], cache_dir=cache_dir)
+    assert sorted(parsed) == ["consumer.py", "helpers.py"]
+
+
 def test_cached_diagnostics_revive_exactly(tmp_path):
     tree = tmp_path / "tree"
     tree.mkdir()
@@ -208,3 +304,42 @@ def test_corrupt_cache_file_falls_back_to_cold(tmp_path):
     # And the bad document was replaced by a valid one.
     cache = LintCache(str(cache_dir), rules_cache_key(active_rules()))
     assert len(cache.files) == 3
+
+
+def test_editing_a_rule_invalidates_the_cache(tmp_path):
+    """A warm run after a rule edit reports exactly what a cold run does."""
+    src = tmp_path / "src"
+    shutil.copytree(
+        os.path.join(REPO_SRC, "repro"),
+        str(src / "repro"),
+        ignore=shutil.ignore_patterns("__pycache__"),
+    )
+    probe = tmp_path / "probe.py"
+    probe.write_text(TIMING_PROBE, encoding="utf-8")
+    cache_dir = str(tmp_path / "cache")
+    env = dict(os.environ, PYTHONPATH=str(src))
+
+    def lint(*options):
+        return subprocess.run(
+            [sys.executable, "-m", "repro.lint", *options, str(probe)],
+            cwd=str(tmp_path),
+            env=env,
+            capture_output=True,
+            text=True,
+        )
+
+    warm_up = lint("--cache-dir", cache_dir)
+    assert warm_up.returncode == 0, warm_up.stdout + warm_up.stderr
+
+    rule = src / "repro" / "lint" / "rules" / "wallclock.py"
+    text = rule.read_text(encoding="utf-8")
+    assert '"repro/experiments/timing.py",' in text
+    rule.write_text(
+        text.replace('"repro/experiments/timing.py",', ""), encoding="utf-8"
+    )
+
+    warm = lint("--cache-dir", cache_dir)
+    cold = lint("--no-cache")
+    assert cold.returncode == 1, cold.stdout + cold.stderr
+    assert "RL201" in cold.stdout
+    assert (warm.returncode, warm.stdout) == (cold.returncode, cold.stdout)

@@ -1,9 +1,11 @@
-"""CLI behaviour: exit codes, formats, and the module entry points."""
+"""CLI behaviour: exit codes, formats, and the module entry point."""
 
 import json
 import os
 import subprocess
 import sys
+
+import pytest
 
 from repro.lint.cli import EXIT_CLEAN, EXIT_USAGE, EXIT_VIOLATIONS, main
 from repro.lint import rule_codes
@@ -98,12 +100,6 @@ def test_python_dash_m_repro_lint_on_golden_fixture():
     assert "RL101" in result.stdout
 
 
-def test_main_cli_lint_subcommand_forwards_arguments():
-    result = _run_module(["-m", "repro", "lint", "--list-rules"])
-    assert result.returncode == EXIT_CLEAN
-    assert "RL101" in result.stdout
-
-
 def test_shipped_tree_is_lint_clean():
     """The meta-gate: ``python -m repro.lint src`` must exit 0."""
     result = _run_module(["-m", "repro.lint", "src"])
@@ -138,28 +134,79 @@ def test_ignore_beats_select(tmp_path):
     assert main([path, "--select", "RL103", "--ignore", "RL103"]) == EXIT_CLEAN
 
 
-def test_jobs_zero_is_a_usage_error(tmp_path, capsys):
+@pytest.mark.parametrize(
+    "options", [["--jobs", "2"], ["--format", "sarif"]], ids=["jobs", "sarif"]
+)
+def test_removed_options_are_usage_errors(tmp_path, options, capsys):
     path = _write(tmp_path, "clean.py", CLEAN_SOURCE)
-    assert main([path, "--jobs", "0"]) == EXIT_USAGE
-    assert "--jobs" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as raised:
+        main([path, *options])
+    assert raised.value.code == EXIT_USAGE
+    assert options[0] in capsys.readouterr().err
 
 
-def test_jobs_output_byte_identical_to_serial(tmp_path, capsys):
-    for index in range(6):
-        _write(tmp_path, f"dirty_{index}.py", DIRTY_SOURCE)
-    _write(tmp_path, "clean.py", CLEAN_SOURCE)
-    main([str(tmp_path)])
-    serial = capsys.readouterr().out
-    main([str(tmp_path), "--jobs", "2"])
-    parallel = capsys.readouterr().out
-    assert parallel == serial
+@pytest.mark.parametrize(
+    "options", [[], ["--no-cache"]], ids=["cache", "no-cache"]
+)
+def test_stats_leave_stdout_unchanged(tmp_path, options, capsys):
+    path = _write(tmp_path, "dirty.py", DIRTY_SOURCE)
+    cache = ["--cache-dir", str(tmp_path / "cache")]
+    assert main([path, *cache, *options]) == EXIT_VIOLATIONS
+    plain = capsys.readouterr()
+    assert main([path, *cache, *options, "--stats"]) == EXIT_VIOLATIONS
+    with_stats = capsys.readouterr()
+    assert with_stats.out == plain.out
+    assert plain.err == ""
+    assert with_stats.err.startswith("repro.lint: cache ")
 
 
-def test_jobs_agrees_on_dataflow_rules():
-    """RL7xx findings survive the worker-pickling round trip."""
-    dirty = os.path.join(GOLDEN_DIR, "resources_violations.py")
-    serial = _run_module(["-m", "repro.lint", dirty])
-    parallel = _run_module(["-m", "repro.lint", "--jobs", "2", dirty])
-    assert serial.returncode == EXIT_VIOLATIONS
-    assert parallel.stdout == serial.stdout
-    assert "RL701" in serial.stdout
+def _text_findings(out):
+    rows = []
+    for line in out.splitlines():
+        if line.startswith("repro.lint: "):
+            continue
+        location, rest = line.split(": ", 1)
+        path, row, col = location.rsplit(":", 2)
+        rows.append((path, int(row), int(col), rest.split()[0]))
+    return sorted(rows)
+
+
+def _json_findings(out):
+    return sorted(
+        (item["path"], item["line"], item["col"], item["code"])
+        for item in json.loads(out)
+    )
+
+
+def _github_findings(out):
+    rows = []
+    for line in out.splitlines():
+        head = line[len("::error "):].split("::", 1)[0]
+        fields = dict(part.split("=", 1) for part in head.split(","))
+        rows.append(
+            (fields["file"], int(fields["line"]), int(fields["col"]) - 1, fields["title"])
+        )
+    return sorted(rows)
+
+
+@pytest.mark.parametrize(
+    "fmt, parse", [("json", _json_findings), ("github", _github_findings)]
+)
+def test_every_format_reports_the_same_findings(fmt, parse, capsys):
+    """One golden-directory run, rendered three ways, names one finding set."""
+    assert main([GOLDEN_DIR, "--no-cache"]) == EXIT_VIOLATIONS
+    text = _text_findings(capsys.readouterr().out)
+    assert main([GOLDEN_DIR, "--no-cache", "--format", fmt]) == EXIT_VIOLATIONS
+    assert parse(capsys.readouterr().out) == text
+    assert len(text) > 20
+
+
+def test_repro_cli_has_no_lint_subcommand(capsys):
+    """The linter has one entry point, ``python -m repro.lint``."""
+    from repro.cli import main as repro_main
+
+    with pytest.raises(SystemExit) as raised:
+        repro_main(["lint", "src"])
+    assert raised.value.code == 2
+    err = capsys.readouterr().err
+    assert "invalid choice" in err and "lint" in err

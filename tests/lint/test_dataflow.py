@@ -2,26 +2,16 @@
 
 The golden fixtures pin single-file behaviour; these tests exercise the
 cross-module machinery the resource analysis stands on — re-export
-chasing in :class:`ModuleGraph`, summary convergence over call-graph
-cycles, and the picklability contract the ``--jobs N`` runner relies on.
+chasing in :class:`ModuleGraph` and summary convergence over call-graph
+cycles.
 """
 
-import pickle
-
-from repro.lint.dataflow import ProgramAnalysis, analyze_program
+from repro.lint.dataflow import analyze_program
 from repro.lint.dataflow.modules import ModuleGraph
 
 FACTORY = """\
 def open_log(path):
     return open(path)
-"""
-
-CALLER = """\
-from repro.alpha.factory import open_log
-
-def first_line(path):
-    handle = open_log(path)
-    return handle.readline()
 """
 
 REEXPORT_INIT = "from repro.beta.impl import open_log\n"
@@ -84,18 +74,6 @@ def test_mutual_recursion_converges():
     assert "handle" in ping.closes
     assert "handle" in pong.closes
     assert analysis.findings_for("repro/gamma/mutual.py") == ()
-
-
-def test_program_analysis_pickles_unchanged():
-    """The --jobs runner ships the analysis to workers via pickle."""
-    analysis = _analyze(
-        {"repro/alpha/factory.py": FACTORY, "repro/alpha/caller.py": CALLER}
-    )
-    assert analysis.findings_for("repro/alpha/caller.py", "RL701")
-    clone = pickle.loads(pickle.dumps(analysis))
-    assert isinstance(clone, ProgramAnalysis)
-    assert clone.findings == analysis.findings
-    assert clone.resource_summaries == analysis.resource_summaries
 
 
 def test_unparsable_file_is_skipped_not_fatal():

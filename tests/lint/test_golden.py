@@ -68,7 +68,6 @@ def test_every_rule_family_has_a_clean_fixture():
         "wallclock",
         "purity",
         "citations",
-        "defaults",
         "streams",
         "engine_bypass",
         "engine_perf",

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import CentralizedCollisionTester, ThresholdRuleTester
-from repro.distributions import two_level_distribution, uniform
+from repro.distributions import two_level_distribution
 from repro.exceptions import InvalidParameterError, SearchDivergedError
 from repro.stats import (
     empirical_player_complexity,

@@ -9,7 +9,6 @@ from __future__ import annotations
 import importlib.util
 import os
 import py_compile
-import sys
 
 import pytest
 

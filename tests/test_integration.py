@@ -8,7 +8,6 @@ paper's qualitative claims at small scale.
 from __future__ import annotations
 
 import numpy as np
-import pytest
 
 import repro
 from repro.core.graphs import complete_graph, worst_case_statistic_proxy

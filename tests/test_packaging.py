@@ -101,6 +101,29 @@ class TestDependencies:
 
 
 class TestImportCost:
+    def test_experiments_and_cli_do_not_import_the_linter(self):
+        """The experiment layer and ``python -m repro`` never load
+        ``repro.lint``; the linter has its own entry point."""
+        import subprocess
+        import sys
+
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.path.join(REPO_ROOT, "src")
+        script = (
+            "import sys\n"
+            "import repro, repro.experiments, repro.cli\n"
+            "loaded = sorted(m for m in sys.modules if m.startswith('repro.lint'))\n"
+            "assert not loaded, loaded\n"
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", script],
+            cwd=REPO_ROOT,
+            env=env,
+            capture_output=True,
+            text=True,
+        )
+        assert result.returncode == 0, result.stderr
+
     def test_networkx_is_imported_only_when_a_topology_is_built(self):
         """``import repro`` and the experiment registry leave networkx
         unloaded; the network substrate imports it where it is used."""
