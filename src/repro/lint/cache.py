@@ -255,7 +255,6 @@ def plan_incremental(
     files whose fingerprint moved.
     """
     plan = IncrementalPlan()
-    plan.stats.files_total = len(hashes)
 
     changed: Set[str] = set()
     for path, content_hash in hashes.items():

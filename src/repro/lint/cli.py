@@ -31,7 +31,7 @@ from typing import List, Optional
 
 from .cache import DEFAULT_CACHE_DIR, CacheStats
 from .registry import rule_classes
-from .runner import LintUsageError, iter_python_files, lint_paths
+from .runner import LintUsageError, lint_paths
 from ..engine.metrics import monotonic_clock
 
 #: Exit codes (linter convention).
@@ -123,7 +123,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             cache_dir=None if args.no_cache else args.cache_dir,
             stats=stats,
         )
-        scanned = len(iter_python_files(args.paths))
     except LintUsageError as error:
         print(f"repro.lint: error: {error}", file=sys.stderr)
         return EXIT_USAGE
@@ -148,6 +147,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         noun = "issue" if len(diagnostics) == 1 else "issues"
         print(
             f"repro.lint: {len(diagnostics)} {noun} "
-            f"in {scanned} file(s) scanned"
+            f"in {stats.files_total} file(s) scanned"
         )
     return EXIT_VIOLATIONS if diagnostics else EXIT_CLEAN

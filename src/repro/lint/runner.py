@@ -208,7 +208,6 @@ def _lint_incremental(
 
     if stats is not None:
         for name in (
-            "files_total",
             "hits",
             "misses",
             "changed",
@@ -233,13 +232,15 @@ def lint_paths(
     transitive import closure is also unchanged replay their recorded
     diagnostics, everything else is re-linted and re-stored.  ``stats``,
     when given a :class:`repro.lint.cache.CacheStats`, receives the
-    hit/miss counters.
+    number of files read and, with the cache, the hit/miss counters.
     """
     try:
         rules = active_rules(select=select, ignore=ignore)
     except ValueError as error:
         raise LintUsageError(str(error)) from error
     files = _read_files(paths)
+    if stats is not None:
+        stats.files_total = len(files)
 
     if cache_dir is not None:
         return _lint_incremental(files, rules, cache_dir, stats)
