@@ -390,7 +390,10 @@ def build_parser() -> argparse.ArgumentParser:
     complexity.set_defaults(func=_cmd_complexity)
 
     experiment = sub.add_parser("experiment", help="run a registered experiment")
-    experiment.add_argument("experiment_id", help="e01 ... e19")
+    experiment.add_argument(
+        "experiment_id",
+        help="registered experiment id, e.g. e01 (an unknown id lists the known ones)",
+    )
     _add_sweep_options(experiment)
     _add_engine_options(experiment)
     experiment.set_defaults(func=_cmd_experiment)

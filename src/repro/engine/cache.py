@@ -35,6 +35,7 @@ overwritten by the next write.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import hashlib
 import inspect
@@ -259,6 +260,25 @@ def cached_calibration(version: int) -> Callable[[_Calibrator], _Calibrator]:
     return decorate
 
 
+def atomic_write_text(path: str, text: str) -> None:
+    """Write ``text`` to ``path`` through a same-directory temp file and a
+    rename, so no reader ever observes a torn file.
+
+    The temp name carries the pid, keeping concurrent writers apart.  A
+    failed write or rename removes the temp file before re-raising: a
+    leftover would be invisible to ``clear()`` and ``len()``.
+    """
+    tmp = f"{path}.tmp.{os.getpid()}"
+    try:
+        with open(tmp, "w", encoding="utf-8") as handle:
+            handle.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.unlink(tmp)
+        raise
+
+
 def _canonical(key: Any) -> str:
     return json.dumps(key, sort_keys=True, separators=(",", ":"))
 
@@ -314,10 +334,7 @@ class AcceptanceCache:
         concurrent processes never observe a torn entry.
         """
         path = self._path(_canonical(key), prefix)
-        tmp = f"{path}.tmp.{os.getpid()}"
-        with open(tmp, "w", encoding="utf-8") as handle:
-            handle.write(json.dumps(payload, sort_keys=True))
-        os.replace(tmp, path)
+        atomic_write_text(path, json.dumps(payload, sort_keys=True))
         return path
 
     def get_estimate(self, key: Dict[str, Any]) -> Optional[Dict[str, Any]]:

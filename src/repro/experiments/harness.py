@@ -26,7 +26,6 @@ a restored point is indistinguishable from a freshly computed one.
 
 from __future__ import annotations
 
-import contextlib
 import hashlib
 import inspect
 import json
@@ -36,6 +35,7 @@ from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence
 
 from ..engine import get_engine, map_sweep_points
+from ..engine.cache import atomic_write_text
 from ..exceptions import InvalidParameterError
 from .records import SCHEMA_VERSION, ExperimentResult, _jsonable
 
@@ -262,18 +262,7 @@ class SweepCheckpoint:
 
     def _atomic_write(self, path: str, payload: Any) -> None:
         os.makedirs(self.run_dir, exist_ok=True)
-        tmp = f"{path}.tmp"
-        try:
-            with open(tmp, "w", encoding="utf-8") as handle:
-                json.dump(payload, handle, indent=2)
-        except BaseException:
-            # A half-written .tmp (unserialisable payload, full disk)
-            # must not survive: resume() globs the run dir and a stale
-            # tmp would shadow the next attempt's atomic replace.
-            with contextlib.suppress(OSError):
-                os.unlink(tmp)
-            raise
-        os.replace(tmp, path)
+        atomic_write_text(path, json.dumps(payload, indent=2))
 
 
 def run_spec(

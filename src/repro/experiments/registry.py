@@ -61,7 +61,8 @@ def experiment_ids() -> List[str]:
 
 
 def get_spec(experiment_id: str) -> ExperimentSpec:
-    """Look up one experiment's spec by id (``"e01"`` ... ``"e19"``)."""
+    """Look up one experiment's spec by id (e.g. ``"e01"``); an unknown
+    id raises, listing every known one."""
     key = experiment_id.lower()
     if key not in SPECS:
         raise InvalidParameterError(
@@ -77,7 +78,7 @@ def run_experiment(
     checkpoint_dir: Optional[str] = None,
     resume: bool = False,
 ) -> ExperimentResult:
-    """Run one experiment by id (``"e01"`` ... ``"e19"``).
+    """Run one experiment by id (e.g. ``"e01"``; see :func:`get_spec`).
 
     The run executes inside a fresh engine-metrics scope; the collected
     counters (samples drawn, tiles executed, cache hits, wall time) are

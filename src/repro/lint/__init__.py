@@ -4,8 +4,7 @@ An AST-based linter enforcing the discipline the Monte Carlo engine's
 cache replay and serial-vs-parallel equivalence depend on: explicit
 ``SeedSequence``/``Generator`` threading, no wall-clock reads in
 computation paths, pure cacheable kernels, paper-anchored docstrings in
-the lemma/theorem packages, resource release on every path, and
-platform-independent kernel dtypes.
+the lemma/theorem packages, and platform-independent kernel dtypes.
 
 Run it with ``python -m repro.lint src``; suppress a finding with
 ``# repro-lint: disable=<code>``.  The rule catalog lives in

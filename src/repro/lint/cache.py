@@ -1,36 +1,21 @@
-"""Incremental lint cache: content fingerprints + dependency-aware reuse.
+"""Incremental lint cache: one content-fingerprinted entry per file.
 
-The whole-program resource pass (RL7xx) makes the linter
-quadratic-feeling on warm edits: touching one file re-analyses every
-file.  This module
-stores, per linted file, a content fingerprint, the module's import
-list, and its final diagnostics.  On the next run a file is **dirty**
-iff its own fingerprint changed or the fingerprint of any *dataflow
-dependency* — a module it (transitively) imports — changed.  Clean
-files replay their cached diagnostics byte-for-byte; dirty files are
-re-linted against a program analysis built over the dirty set plus its
-transitive dependencies (the modules whose summaries feed its
-interprocedural findings).
+Every rule is per-file, so a file's diagnostics are a pure function of
+(its source, the active rule set, the linter's own source).  The cache
+stores, per linted file, the SHA-256 of its content and its final
+diagnostics.  On the next run a file is **dirty** iff it has no entry or
+its fingerprint changed; dirty files are re-linted and re-stored, every
+other file replays its cached diagnostics byte-for-byte.
 
-Soundness model
----------------
-A file's diagnostics are a pure function of (its source, the sources of
-its transitive import closure, the active rule set, the linter's own
-source).  Two situations fall outside that model and degrade to a full
-re-lint rather than risk stale output:
-
-* the cache was written by a different rule selection or by a linter
-  whose source differs in any ``.py`` file of this package
-  (``rules_key`` mismatch — the whole cache is discarded), and
-* module-name collisions (two files claiming the same ``lint-path``),
-  where first-definition-wins resolution couples otherwise unrelated
-  files; the planner then treats every file as depending on every
-  other.
+The whole cache is discarded when it was written by a different rule
+selection or by a linter whose source differs in any ``.py`` file of
+this package (``rules_key`` mismatch).  A missing or corrupt document
+starts cold.
 
 Cache layout: one JSON document, ``<cache_dir>/cache.json``::
 
     {"rules_key": "...",
-     "files": {path: {"hash": ..., "module": ..., "imports": [...],
+     "files": {path: {"hash": ...,
                       "diagnostics": [[line, col, code, message], ...]}}}
 """
 
@@ -40,8 +25,8 @@ import functools
 import hashlib
 import json
 import os
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Sequence
 
 from .diagnostics import Diagnostic
 
@@ -88,43 +73,15 @@ class CacheStats:
     """Counters surfaced by ``--stats`` (written to stderr)."""
 
     files_total: int = 0
-    hits: int = 0  # diagnostics replayed from cache
-    misses: int = 0  # files re-linted (changed or dep-dirtied)
-    changed: int = 0  # fingerprint differed (or no entry)
-    dep_dirty: int = 0  # unchanged, but a transitive dependency changed
-    analyzed: int = 0  # files fed to the program analysis
-    degraded: bool = False  # module-name collision → full dep graph
+    hits: int = 0  # unchanged files, diagnostics replayed from cache
+    misses: int = 0  # files re-linted (changed, or no entry)
     elapsed_seconds: float = 0.0
 
     def format(self) -> str:
-        parts = [
-            f"files={self.files_total}",
-            f"hits={self.hits}",
-            f"misses={self.misses}",
-            f"changed={self.changed}",
-            f"dep-dirty={self.dep_dirty}",
-            f"analyzed={self.analyzed}",
-        ]
-        if self.degraded:
-            parts.append("degraded=module-collision")
-        parts.append(f"elapsed={self.elapsed_seconds:.3f}s")
-        return "repro.lint: cache " + " ".join(parts)
-
-
-@dataclass
-class IncrementalPlan:
-    """What a warm run must actually do.
-
-    ``dirty`` files are re-linted; every other file replays its cached
-    diagnostics.  ``analysis_paths`` is the superset the program
-    analysis must be built over: the dirty files plus their transitive
-    import closure, whose converged summaries dirty files' findings
-    depend on.
-    """
-
-    dirty: Set[str] = field(default_factory=set)
-    analysis_paths: Set[str] = field(default_factory=set)
-    stats: CacheStats = field(default_factory=CacheStats)
+        return (
+            f"repro.lint: cache files={self.files_total} hits={self.hits} "
+            f"misses={self.misses} elapsed={self.elapsed_seconds:.3f}s"
+        )
 
 
 class LintCache:
@@ -178,35 +135,22 @@ class LintCache:
     # entries                                                            #
     # ------------------------------------------------------------------ #
 
-    def entry(self, path: str) -> Optional[dict]:
+    def replay(self, path: str, content_hash: str) -> Optional[List[Diagnostic]]:
+        """The diagnostics recorded for ``path``, or ``None`` when it has
+        no entry or its content changed since they were recorded."""
         entry = self.files.get(path)
-        return entry if isinstance(entry, dict) else None
-
-    def cached_diagnostics(self, path: str) -> List[Diagnostic]:
-        entry = self.entry(path)
-        if entry is None:
-            return []
-        revived = []
-        for line, col, code, message in entry.get("diagnostics", ()):
-            revived.append(
-                Diagnostic(
-                    path=path, line=line, col=col, code=code, message=message
-                )
-            )
-        return revived
+        if not isinstance(entry, dict) or entry.get("hash") != content_hash:
+            return None
+        return [
+            Diagnostic(path=path, line=line, col=col, code=code, message=message)
+            for line, col, code, message in entry.get("diagnostics", ())
+        ]
 
     def store(
-        self,
-        path: str,
-        content_hash: str,
-        module: Optional[str],
-        imports: Sequence[str],
-        diagnostics: Sequence[Diagnostic],
+        self, path: str, content_hash: str, diagnostics: Sequence[Diagnostic]
     ) -> None:
         self.files[path] = {
             "hash": content_hash,
-            "module": module,
-            "imports": sorted(set(imports)),
             "diagnostics": [
                 [d.line, d.col, d.code, d.message] for d in diagnostics
             ],
@@ -218,106 +162,3 @@ class LintCache:
         for path in list(self.files):
             if path not in live:
                 del self.files[path]
-
-
-# ---------------------------------------------------------------------- #
-# invalidation planning                                                  #
-# ---------------------------------------------------------------------- #
-
-
-def _resolve_deps(
-    imports: Sequence[str], module_to_path: Dict[str, str], self_path: str
-) -> Set[str]:
-    """Map canonical import names to linted files (longest-prefix wins)."""
-    deps: Set[str] = set()
-    for name in imports:
-        parts = name.split(".")
-        for cut in range(len(parts), 0, -1):
-            target = module_to_path.get(".".join(parts[:cut]))
-            if target is not None:
-                if target != self_path:
-                    deps.add(target)
-                break
-    return deps
-
-
-def plan_incremental(
-    cache: LintCache,
-    hashes: Dict[str, str],
-    modules: Dict[str, Optional[str]],
-    imports: Dict[str, Sequence[str]],
-) -> IncrementalPlan:
-    """Decide which files must be re-linted this run.
-
-    ``hashes``/``modules``/``imports`` cover every file in the run —
-    for unchanged files the module name and import list come from the
-    cache entry (same content ⇒ same parse), so the caller only parses
-    files whose fingerprint moved.
-    """
-    plan = IncrementalPlan()
-
-    changed: Set[str] = set()
-    for path, content_hash in hashes.items():
-        entry = cache.entry(path)
-        if entry is None or entry.get("hash") != content_hash:
-            changed.add(path)
-    plan.stats.changed = len(changed)
-
-    # Module map for import resolution; collisions break the "findings
-    # depend only on the import closure" model (first-definition-wins
-    # in the module graph couples unrelated files), so degrade.
-    module_to_path: Dict[str, str] = {}
-    collision = False
-    for path in sorted(hashes):
-        module = modules.get(path)
-        if module is None:
-            continue
-        if module in module_to_path:
-            collision = True
-            break
-        module_to_path[module] = path
-
-    if collision:
-        plan.stats.degraded = True
-        plan.dirty = set(hashes)
-        plan.analysis_paths = set(hashes)
-        plan.stats.misses = len(plan.dirty)
-        plan.stats.dep_dirty = len(plan.dirty) - len(changed & plan.dirty)
-        return plan
-
-    deps_of = {
-        path: _resolve_deps(imports.get(path, ()), module_to_path, path)
-        for path in hashes
-    }
-    importers_of: Dict[str, Set[str]] = {}
-    for path, deps in deps_of.items():
-        for dep in deps:
-            importers_of.setdefault(dep, set()).add(path)
-
-    # Dirty = changed plus everything that (transitively) imports a
-    # changed file: its interprocedural findings may shift.
-    dirty = set(changed)
-    frontier = list(changed)
-    while frontier:
-        path = frontier.pop()
-        for importer in importers_of.get(path, ()):
-            if importer not in dirty:
-                dirty.add(importer)
-                frontier.append(importer)
-
-    # The analysis closure adds the dirty files' transitive imports:
-    # clean themselves, but their summaries feed dirty files' findings.
-    closure = set(dirty)
-    frontier = list(dirty)
-    while frontier:
-        path = frontier.pop()
-        for dep in deps_of.get(path, ()):
-            if dep not in closure:
-                closure.add(dep)
-                frontier.append(dep)
-
-    plan.dirty = dirty
-    plan.analysis_paths = closure
-    plan.stats.misses = len(dirty)
-    plan.stats.dep_dirty = len(dirty - changed)
-    return plan

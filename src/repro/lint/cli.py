@@ -2,7 +2,7 @@
 
 Usage::
 
-    python -m repro.lint [paths ...] [--select RL1,RL401] [--ignore RL7]
+    python -m repro.lint [paths ...] [--select RL1,RL401] [--ignore RL3]
                          [--format text|json|github] [--no-cache]
                          [--cache-dir DIR] [--stats] [--list-rules]
 
@@ -15,8 +15,8 @@ selected — so ``--select RL1 --ignore RL103`` runs RL101/RL102/RL104/
 RL105, and an ignore always beats a select naming the same code.
 
 The incremental cache is on by default (``.repro-lint-cache/``): files
-whose content and transitive import closure are unchanged replay their
-recorded diagnostics, and any edit to the linter itself invalidates it.
+whose content is unchanged replay their recorded diagnostics, and any
+edit to the linter itself invalidates it.
 Warm output is byte-identical to a cold run; ``--stats`` prints
 hit/miss/timing counters to stderr (never stdout, so piped output is
 unaffected).

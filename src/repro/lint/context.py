@@ -154,12 +154,6 @@ class ModuleContext:
         self._package_parts = self._derive_package_parts()
         self.aliases = _import_aliases(self.tree, self._package_parts)
         self._doctests: Optional[List[DoctestBlock]] = None
-        #: Whole-program dataflow results (``repro.lint.dataflow.
-        #: ProgramAnalysis``), attached by the runner when any active
-        #: rule sets ``requires_program``.  ``None`` for standalone
-        #: single-file linting — program rules then analyse the single
-        #: file on demand.  Typed loosely to avoid a circular import.
-        self.program: Optional[object] = None
 
     # ------------------------------------------------------------------ #
     # scoping                                                            #

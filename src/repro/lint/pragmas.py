@@ -15,8 +15,8 @@ to a plain line scan so a pragma still works in partially broken code.
 File-wide pragmas work anywhere a comment does — after a shebang, a
 ``coding:`` declaration, or both — and several codes may share one
 pragma (``disable-file=RL101, RL102``).  Text after the code list is
-free-form justification and is ignored by the parser; RL603 and
-RL7xx suppressions are expected to carry one.
+free-form justification and is ignored by the parser; RL603
+suppressions are expected to carry one.
 """
 
 from __future__ import annotations

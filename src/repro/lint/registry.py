@@ -4,6 +4,9 @@ Every rule is a class with a unique ``code`` (``RLxyz``: ``x`` names the
 rule family, ``yz`` the rule), registered at import time with
 :func:`register_rule`.  The runner instantiates the active subset once
 per invocation and feeds each instance every :class:`ModuleContext`.
+Every rule is per-file: its diagnostics for a file are a function of
+that file's source alone, which is what lets the incremental cache
+replay each file independently.
 
 Code families
 -------------
@@ -12,7 +15,6 @@ Code families
 * ``RL3xx`` — cache purity
 * ``RL4xx`` — paper-anchor citations
 * ``RL6xx`` — iteration over unordered sources (sets, directory listings)
-* ``RL7xx`` — whole-program resource lifecycle and fork safety
 * ``RL8xx`` — kernel dtype hazards
 * ``RL001`` — reserved: file could not be parsed (emitted by the runner)
 """
@@ -44,11 +46,6 @@ class Rule(ABC):
     default_severity: str = "error"
     #: Why violating the rule breaks the determinism/cache/citation contract.
     rationale: str = ""
-    #: Whether the rule consumes whole-program dataflow results
-    #: (``ctx.program``); the runner builds the shared
-    #: :class:`~repro.lint.dataflow.ProgramAnalysis` once per invocation
-    #: iff at least one active rule sets this.
-    requires_program: bool = False
 
     @abstractmethod
     def check(self, ctx: ModuleContext) -> Iterator[Diagnostic]:

@@ -5,7 +5,6 @@ from . import (
     engine_bypass,
     engine_perf,
     purity,
-    resources,
     rng,
     shapes,
     streams,
@@ -17,7 +16,6 @@ __all__ = [
     "engine_bypass",
     "engine_perf",
     "purity",
-    "resources",
     "rng",
     "shapes",
     "streams",

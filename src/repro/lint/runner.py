@@ -1,16 +1,17 @@
 """File discovery and the lint driver loop.
 
-One serial pass: every file is parsed once, the whole-program RL7xx
-analysis is built once over the parsed set (iff an active rule needs
-it), then each file's rules run in-process and the diagnostics are
-merged through one global sort.
+One serial pass: each file is parsed once and checked by every active
+rule, and the diagnostics are merged through one global sort.  Every
+rule is per-file, so with the incremental cache a file whose content is
+unchanged replays its recorded diagnostics instead.
 """
 
 from __future__ import annotations
 
 import os
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
+from .cache import CacheStats, LintCache, fingerprint, rules_cache_key
 from .context import ModuleContext
 from .diagnostics import Diagnostic
 from .registry import SYNTAX_ERROR_CODE, Rule, active_rules
@@ -49,30 +50,24 @@ def lint_source(
     path: str = "<string>",
     module_path: Optional[str] = None,
     rules: Optional[Sequence[Rule]] = None,
-    program: Optional[object] = None,
-    ctx: Optional[ModuleContext] = None,
 ) -> List[Diagnostic]:
     """Lint one in-memory source text; returns sorted diagnostics.
 
     Unparsable sources yield a single ``RL001`` syntax-error diagnostic
-    (suppressible only file-wide, like any other code).  ``program`` is
-    the invocation-wide dataflow analysis, when one was built; ``ctx``
-    an already-parsed context (the runner parses each file only once).
+    (suppressible only file-wide, like any other code).
     """
-    if ctx is None:
-        try:
-            ctx = ModuleContext(source, path, module_path=module_path)
-        except SyntaxError as error:
-            return [
-                Diagnostic(
-                    path=path,
-                    line=error.lineno or 1,
-                    col=max((error.offset or 1) - 1, 0),
-                    code=SYNTAX_ERROR_CODE,
-                    message=f"file does not parse: {error.msg}",
-                )
-            ]
-    ctx.program = program
+    try:
+        ctx = ModuleContext(source, path, module_path=module_path)
+    except SyntaxError as error:
+        return [
+            Diagnostic(
+                path=path,
+                line=error.lineno or 1,
+                col=max((error.offset or 1) - 1, 0),
+                code=SYNTAX_ERROR_CODE,
+                message=f"file does not parse: {error.msg}",
+            )
+        ]
     findings: List[Diagnostic] = []
     for rule in rules if rules is not None else active_rules():
         for diagnostic in rule.check(ctx):
@@ -92,130 +87,36 @@ def _read_files(paths: Sequence[str]) -> List[Tuple[str, str]]:
     return files
 
 
-def _build_program(
-    rules: Sequence[Rule],
-    files: Sequence[Tuple[str, str]],
-    contexts: Optional[Dict[str, ModuleContext]] = None,
-) -> Optional[object]:
-    """The shared dataflow analysis, iff any active rule needs it."""
-    if not any(getattr(rule, "requires_program", False) for rule in rules):
-        return None
-    from .dataflow import analyze_program
-
-    return analyze_program(files, contexts=contexts)
-
-
-def _evaluate(
-    files: Sequence[Tuple[str, str]],
-    rules: Sequence[Rule],
-    contexts: Dict[str, ModuleContext],
-    program: Optional[object],
-) -> List[Diagnostic]:
-    """Per-file rule evaluation over already-parsed contexts."""
-    findings: List[Diagnostic] = []
-    for filename, source in files:
-        findings.extend(
-            lint_source(
-                source,
-                path=filename,
-                rules=rules,
-                program=program,
-                ctx=contexts.get(filename),
-            )
-        )
-    return sorted(findings)
-
-
 def _lint_incremental(
     files: Sequence[Tuple[str, str]],
     rules: Sequence[Rule],
     cache_dir: str,
-    stats: Optional[object],
+    stats: Optional[CacheStats],
 ) -> List[Diagnostic]:
-    """Cache-aware lint: replay clean files, re-lint the dirty closure.
+    """Cache-aware lint: replay unchanged files, re-lint changed ones.
 
-    Byte-parity with the cold path rests on the cache module's model:
-    a file's diagnostics depend only on its own source, its transitive
-    import closure, the active rules and the linter's own source — all
-    captured in the fingerprints and the ``rules_key``.  See
-    :mod:`repro.lint.cache` for the degradation rules when that model
-    does not hold.
+    Byte-parity with the cold path rests on every rule being per-file:
+    a file's diagnostics depend only on its own source, the active rules
+    and the linter's own source, all captured in the content fingerprint
+    and the ``rules_key`` (see :mod:`repro.lint.cache`).
     """
-    from .cache import LintCache, fingerprint, plan_incremental, rules_cache_key
-    from .dataflow.modules import module_name_from_path
-
     cache = LintCache(cache_dir, rules_cache_key(rules))
-    source_of = dict(files)
-    hashes = {path: fingerprint(source) for path, source in files}
-
-    # Parse only files whose fingerprint moved; unchanged files reuse
-    # the module name and import list recorded at their last lint
-    # (same content ⇒ same parse).
-    contexts: Dict[str, ModuleContext] = {}
-    modules: Dict[str, Optional[str]] = {}
-    imports: Dict[str, Sequence[str]] = {}
+    findings: List[Diagnostic] = []
+    hits = 0
     for path, source in files:
-        entry = cache.entry(path)
-        if entry is not None and entry.get("hash") == hashes[path]:
-            modules[path] = entry.get("module")
-            imports[path] = entry.get("imports", ())
-            continue
-        try:
-            ctx = ModuleContext(source, path)
-        except SyntaxError:
-            modules[path] = None
-            imports[path] = ()
-            continue
-        contexts[path] = ctx
-        modules[path] = module_name_from_path(ctx.module_path)
-        imports[path] = sorted(set(ctx.aliases.values()))
-
-    plan = plan_incremental(cache, hashes, modules, imports)
-
-    # Clean dependencies of dirty files still feed the program analysis.
-    for path in sorted(plan.analysis_paths):
-        if path not in contexts:
-            try:
-                contexts[path] = ModuleContext(source_of[path], path)
-            except SyntaxError:
-                pass
-    analysis_files = [item for item in files if item[0] in plan.analysis_paths]
-    program = _build_program(rules, analysis_files, contexts)
-    plan.stats.analyzed = len(analysis_files) if program is not None else 0
-
-    dirty_files = [item for item in files if item[0] in plan.dirty]
-    findings = _evaluate(dirty_files, rules, contexts, program)
-
-    fresh_by_path: Dict[str, List[Diagnostic]] = {
-        path: [] for path, _ in dirty_files
-    }
-    for diagnostic in findings:
-        fresh_by_path[diagnostic.path].append(diagnostic)
-    for path, _ in files:
-        if path in plan.dirty:
-            cache.store(
-                path,
-                hashes[path],
-                modules[path],
-                imports[path],
-                fresh_by_path[path],
-            )
+        content_hash = fingerprint(source)
+        replayed = cache.replay(path, content_hash)
+        if replayed is None:
+            replayed = lint_source(source, path=path, rules=rules)
+            cache.store(path, content_hash, replayed)
         else:
-            plan.stats.hits += 1
-            findings.extend(cache.cached_diagnostics(path))
+            hits += 1
+        findings.extend(replayed)
     cache.prune([path for path, _ in files])
     cache.save()
-
     if stats is not None:
-        for name in (
-            "hits",
-            "misses",
-            "changed",
-            "dep_dirty",
-            "analyzed",
-            "degraded",
-        ):
-            setattr(stats, name, getattr(plan.stats, name))
+        stats.hits = hits
+        stats.misses = len(files) - hits
     return sorted(findings)
 
 
@@ -224,15 +125,14 @@ def lint_paths(
     select: Optional[Sequence[str]] = None,
     ignore: Optional[Sequence[str]] = None,
     cache_dir: Optional[str] = None,
-    stats: Optional[object] = None,
+    stats: Optional[CacheStats] = None,
 ) -> List[Diagnostic]:
     """Lint every ``.py`` file under ``paths``; returns sorted diagnostics.
 
-    ``cache_dir`` opts into the incremental cache: unchanged files whose
-    transitive import closure is also unchanged replay their recorded
-    diagnostics, everything else is re-linted and re-stored.  ``stats``,
-    when given a :class:`repro.lint.cache.CacheStats`, receives the
-    number of files read and, with the cache, the hit/miss counters.
+    ``cache_dir`` opts into the incremental cache: files whose content
+    is unchanged replay their recorded diagnostics, everything else is
+    re-linted and re-stored.  ``stats``, when given, receives the number
+    of files read and, with the cache, the hit/miss counters.
     """
     try:
         rules = active_rules(select=select, ignore=ignore)
@@ -244,12 +144,7 @@ def lint_paths(
 
     if cache_dir is not None:
         return _lint_incremental(files, rules, cache_dir, stats)
-
-    contexts: Dict[str, ModuleContext] = {}
+    findings: List[Diagnostic] = []
     for filename, source in files:
-        try:
-            contexts[filename] = ModuleContext(source, filename)
-        except SyntaxError:
-            pass  # lint_source re-parses and emits RL001
-    program = _build_program(rules, files, contexts)
-    return _evaluate(files, rules, contexts, program)
+        findings.extend(lint_source(source, path=filename, rules=rules))
+    return sorted(findings)

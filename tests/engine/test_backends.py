@@ -180,6 +180,39 @@ class TestShipmentLifetime:
             backend.close()
         assert not any(_segment_exists(name) for name in names)
 
+    def test_failed_ship_unlinks_its_segment(self, monkeypatch):
+        """A ship that fails after creating its segment unlinks it before
+        the error propagates: no shipment owns the segment yet."""
+        from multiprocessing import shared_memory
+
+        from repro.distributions.discrete import uniform
+        from repro.engine import shm
+
+        created = []
+        create = shared_memory.SharedMemory
+
+        def recording(*args, **kwargs):
+            segment = create(*args, **kwargs)
+            created.append(segment.name)
+            return segment
+
+        def refuse(token, kernel, distribution):
+            raise RuntimeError("registry refused")
+
+        monkeypatch.setattr(shared_memory, "SharedMemory", recording)
+        monkeypatch.setattr(shm, "register_shipment", refuse)
+        backend = SharedMemoryBackend(max_workers=2)
+        try:
+            with pytest.raises(RuntimeError, match="registry refused"):
+                backend._ship(BernoulliKernel(0.5), uniform(8))
+            assert not backend._shipments
+        finally:
+            backend.close()
+        monkeypatch.undo()
+        assert len(created) == 1
+        with pytest.raises(FileNotFoundError):
+            shm._attach_segment(created[0]).close()
+
 
 class TestNestedDispatch:
     """Engine calls inside pool workers must not submit to the parent pool."""
@@ -311,7 +344,7 @@ class TestMakeBackend:
 
 
 class TestWarmPoolAtexitTeardown:
-    """Interpreter exit must not leak warm shm segments (RL704 fix)."""
+    """Interpreter exit must not leak warm shm segments."""
 
     def test_exit_with_warm_shm_backend_leaves_no_tracker_warnings(self):
         """A subprocess that uses a warm SharedMemoryBackend and exits

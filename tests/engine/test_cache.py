@@ -245,6 +245,24 @@ class TestAcceptanceCache:
         cache.put_estimate(_key(), _estimate(0.5))
         assert not [name for name in os.listdir(tmp_path) if ".tmp." in name]
 
+    def test_unserialisable_payload_leaves_no_temp_file(self, tmp_path):
+        cache = AcceptanceCache(str(tmp_path))
+        with pytest.raises(TypeError):
+            cache.put_estimate(_key(), {"rate": object()})
+        assert os.listdir(tmp_path) == []
+        assert len(cache) == 0
+
+    def test_failed_rename_leaves_no_temp_file(self, tmp_path, monkeypatch):
+        cache = AcceptanceCache(str(tmp_path))
+
+        def refuse(src, dst):
+            raise OSError("rename refused")
+
+        monkeypatch.setattr(os, "replace", refuse)
+        with pytest.raises(OSError, match="rename refused"):
+            cache.put_estimate(_key(), _estimate(0.5))
+        assert os.listdir(tmp_path) == []
+
     def test_rejects_empty_dir(self):
         with pytest.raises(InvalidParameterError):
             AcceptanceCache("")

@@ -159,7 +159,8 @@ class TestSweepCheckpoint:
     def test_fresh_run_writes_manifest(self, tmp_path):
         checkpoint = self._checkpoint(tmp_path)
         assert checkpoint.begin(resume=False) == {}
-        manifest = json.load(open(os.path.join(checkpoint.run_dir, "manifest.json")))
+        with open(os.path.join(checkpoint.run_dir, "manifest.json")) as handle:
+            manifest = json.load(handle)
         assert manifest["spec_hash"] == "hash"
         assert manifest["total_points"] == 3
 
@@ -189,6 +190,34 @@ class TestSweepCheckpoint:
             handle.write("{truncated")
         restored = self._checkpoint(tmp_path).begin(resume=True)
         assert restored == {0: {"i": 0}}
+
+    def test_unserialisable_point_leaves_no_temp_file(self, tmp_path):
+        checkpoint = self._checkpoint(tmp_path)
+        checkpoint.begin(resume=False)
+        with pytest.raises(TypeError):
+            checkpoint.record(0, {"i": object()})
+        assert sorted(os.listdir(checkpoint.run_dir)) == ["manifest.json"]
+
+    def test_failed_rename_leaves_no_temp_file(self, tmp_path, monkeypatch):
+        checkpoint = self._checkpoint(tmp_path)
+        checkpoint.begin(resume=False)
+
+        def refuse(src, dst):
+            raise OSError("rename refused")
+
+        monkeypatch.setattr(os, "replace", refuse)
+        with pytest.raises(OSError, match="rename refused"):
+            checkpoint.record(0, {"i": 0})
+        assert sorted(os.listdir(checkpoint.run_dir)) == ["manifest.json"]
+
+    def test_checkpoint_bytes_are_indented_json(self, tmp_path):
+        checkpoint = self._checkpoint(tmp_path)
+        checkpoint.begin(resume=False)
+        payload = {"i": 1, "rows": [[0.5, None]]}
+        checkpoint.record(1, payload)
+        with open(checkpoint._point_path(1), "rb") as handle:
+            stored = handle.read()
+        assert stored == json.dumps(payload, indent=2).encode("utf-8")
 
     def test_run_spec_restores_from_disk(self, tmp_path):
         spec = make_spec()

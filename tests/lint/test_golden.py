@@ -71,7 +71,6 @@ def test_every_rule_family_has_a_clean_fixture():
         "streams",
         "engine_bypass",
         "engine_perf",
-        "resources",
         "shapes",
         "streaming",
     )

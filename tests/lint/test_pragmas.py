@@ -61,86 +61,89 @@ def test_pragma_inside_string_literal_is_ignored():
     assert [d.code for d in diagnostics] == ["RL103"]
 
 
-# --- RL7xx lifecycle findings × pragmas -------------------------------------
+# --- Findings reported inside a multi-line statement -----------------------
 #
-# RL7xx diagnostics come from the dataflow resource analyzer, which
-# reports leaks at the *acquisition* site — so that's where the pragma
-# must sit.  These tests pin that interaction, including the
+# RL603 reports at the unordered source, which need not sit on the first
+# line of the statement consuming it — the pragma belongs on the reported
+# line.  These tests pin that interaction, including the
 # trailing-justification regression from the pragma-regex fix (free-form
 # text after the code list must not corrupt the code set).
 
-LEAK_SOURCE = (
-    "def read_config(path):\n"
-    "    handle = open(path){pragma}\n"
-    "    return handle.read()\n"
+LISTING_SOURCE = (
+    "import os\n"
+    "def names(path):\n"
+    "    return [\n"
+    "        name\n"
+    "        for name in os.listdir(path){pragma}\n"
+    "    ]\n"
 )
 
 
-def test_rl701_fires_without_pragma():
-    source = LEAK_SOURCE.format(pragma="")
+def test_rl603_fires_without_pragma():
+    source = LISTING_SOURCE.format(pragma="")
     diagnostics = lint_source(source, path="x.py")
-    assert [(d.line, d.code) for d in diagnostics] == [(2, "RL701")]
+    assert [(d.line, d.code) for d in diagnostics] == [(5, "RL603")]
 
 
-def test_rl701_line_pragma_on_acquisition_site_suppresses():
-    source = LEAK_SOURCE.format(pragma="  # repro-lint: disable=RL701")
+def test_rl603_line_pragma_on_reported_line_suppresses():
+    source = LISTING_SOURCE.format(pragma="  # repro-lint: disable=RL603")
     assert lint_source(source, path="x.py") == []
 
 
-def test_rl701_pragma_with_trailing_justification():
-    """The PR-3 regression case, now on a lifecycle finding: the
-    justification text must not merge into the code list."""
-    source = LEAK_SOURCE.format(
-        pragma="  # repro-lint: disable=RL701 caller owns handle lifetime"
+def test_rl603_pragma_with_trailing_justification():
+    """The justification text must not merge into the code list."""
+    source = LISTING_SOURCE.format(
+        pragma="  # repro-lint: disable=RL603 listing order is canonical here"
     )
     assert lint_source(source, path="x.py") == []
 
 
-def test_rl701_pragma_on_wrong_line_does_not_suppress():
-    """Suppression is per-line: a pragma on the use site doesn't reach
-    the acquisition-site diagnostic."""
-    source = (
-        "def read_config(path):\n"
-        "    handle = open(path)\n"
-        "    return handle.read()  # repro-lint: disable=RL701\n"
-    )
-    diagnostics = lint_source(source, path="x.py")
-    assert [(d.line, d.code) for d in diagnostics] == [(2, "RL701")]
-
-
-def test_rl702_line_pragma_on_release_site():
-    source = (
-        "def close_twice(path):\n"
-        "    handle = open(path)\n"
-        "    handle.close()\n"
-        "    handle.close()  # repro-lint: disable=RL702 idempotent close is intended\n"
-    )
-    assert lint_source(source, path="x.py") == []
-
-
-def test_rl703_multi_code_pragma_with_justification():
-    """One pragma carrying several RL7xx codes plus justification text."""
+def test_rl603_pragma_on_statement_line_does_not_suppress():
+    """Suppression is per-line: a pragma on the statement's first line
+    does not reach a diagnostic reported further down."""
     source = (
         "import os\n"
-        "def fork_with_open(path):\n"
-        "    handle = open(path)  # repro-lint: disable=RL701 closed by child\n"
-        "    pid = os.fork()  # repro-lint: disable=RL703, RL702 fork server owns handles\n"
-        "    handle.close()\n"
-        "    return pid\n"
+        "def names(path):\n"
+        "    return [  # repro-lint: disable=RL603\n"
+        "        name\n"
+        "        for name in os.listdir(path)\n"
+        "    ]\n"
+    )
+    diagnostics = lint_source(source, path="x.py")
+    assert [(d.line, d.code) for d in diagnostics] == [(5, "RL603")]
+
+
+STAMPED_SOURCE = (
+    "import os\n"
+    "import time\n"
+    "def stamped(path):\n"
+    "    start = time.time(){first}\n"
+    "    return [(n, time.time() - start) for n in os.listdir(path)]{second}\n"
+)
+
+
+def test_multi_code_pragma_with_justification():
+    """One pragma carrying several codes plus justification text."""
+    bare = STAMPED_SOURCE.format(first="", second="")
+    assert [(d.line, d.code) for d in lint_source(bare, path="x.py")] == [
+        (4, "RL201"),
+        (5, "RL201"),
+        (5, "RL603"),
+    ]
+    source = STAMPED_SOURCE.format(
+        first="  # repro-lint: disable=RL201 report-only timestamp",
+        second="  # repro-lint: disable=RL603, RL201 stamps only reach the report",
     )
     assert lint_source(source, path="x.py") == []
 
 
-def test_rl704_file_pragma_leaves_other_codes_active():
+def test_file_pragma_with_justification_leaves_other_codes_active():
     source = (
-        "# repro-lint: disable-file=RL704 pools torn down by the harness\n"
+        "# repro-lint: disable-file=RL603 listing order is canonical here\n"
+        "import os\n"
         "import random\n"
-        "_POOLS = {}\n"
-        "from concurrent.futures import ProcessPoolExecutor\n"
-        "def warm(width):\n"
-        "    pool = ProcessPoolExecutor(max_workers=width)\n"
-        "    _POOLS[width] = pool\n"
-        "    return pool\n"
+        "def names(path):\n"
+        "    return [name for name in os.listdir(path)]\n"
     )
     diagnostics = lint_source(source, path="x.py")
     assert [d.code for d in diagnostics] == ["RL103"]

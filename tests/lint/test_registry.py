@@ -22,7 +22,6 @@ def test_registry_exposes_at_least_five_domain_rules():
         "RL301",
         "RL401",
         "RL603",
-        "RL701",
         "RL802",
     ):
         assert code in rule_codes()

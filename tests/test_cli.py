@@ -110,6 +110,14 @@ class TestExperimentCommand:
         assert code == 2
         assert "error:" in capsys.readouterr().err
 
+    def test_unknown_experiment_lists_every_registered_id(self, capsys):
+        """The help text names no id range; the error lists the ids."""
+        from repro.experiments import experiment_ids
+
+        assert main(["experiment", "e99"]) == 2
+        err = capsys.readouterr().err
+        assert all(repr(eid) in err for eid in experiment_ids())
+
 
 class TestWarmReplay:
     def test_warm_replay_matches_cold_run(self, tmp_path, capsys):
