@@ -361,11 +361,14 @@ class TestWarmPoolAtexitTeardown:
             from tests.oracles import BernoulliKernel
 
             backend = make_backend(2, kind="shm")
-            with engine_context(backend=backend):
+            # Small tiles, so the estimate is dispatched to the pool and
+            # its kernel is shipped through a shared-memory segment.
+            with engine_context(backend=backend, max_elements=64):
                 result = estimate_acceptance(
-                    BernoulliKernel(0.7), uniform(8), trials=256, rng=7
+                    BernoulliKernel(0.7), uniform(8), trials=512, rng=7
                 )
-            assert result.trials_used == 256
+            assert result.trials_used == 512
+            assert len(backend._shipments) == 1
             print("RAN", result.successes)
             # Deliberately no backend.close()/close_warm_backends():
             # the registered atexit hook owns warm-pool teardown.
