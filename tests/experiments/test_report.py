@@ -5,7 +5,12 @@ from __future__ import annotations
 import io
 
 from repro.experiments.records import ExperimentResult
-from repro.experiments.report import PAPER_CLAIMS, generate_report, render_markdown
+from repro.experiments.report import (
+    PAPER_CLAIMS,
+    generate_report,
+    main,
+    render_markdown,
+)
 from repro.experiments.registry import experiment_ids
 
 
@@ -43,3 +48,15 @@ class TestGenerateReport:
         assert "## E11" in text
         assert "## E01" not in text
         assert "e10 finished" in log.getvalue()
+
+
+class TestMain:
+    def test_out_file_matches_stdout(self, tmp_path, capsys):
+        argv = ["--scale", "smoke", "--only", "e10"]
+        assert main(argv) == 0
+        printed = capsys.readouterr().out
+        path = tmp_path / "EXPERIMENTS.md"
+        assert main([*argv, "--out", str(path)]) == 0
+        assert capsys.readouterr().out == ""
+        assert path.read_text(encoding="utf-8") == printed
+        assert "## E10" in printed
