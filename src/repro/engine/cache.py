@@ -265,8 +265,9 @@ def atomic_write_text(path: str, text: str) -> None:
     rename, so no reader ever observes a torn file.
 
     The temp name carries the pid, keeping concurrent writers apart.  A
-    failed write or rename removes the temp file before re-raising: a
-    leftover would be invisible to ``clear()`` and ``len()``.
+    failed write or rename removes the temp file before re-raising, since
+    nothing else would: :meth:`AcceptanceCache.clear` and ``len()`` count
+    only finished entries.
     """
     tmp = f"{path}.tmp.{os.getpid()}"
     try:
