@@ -23,6 +23,7 @@ from repro.engine import tester_fingerprint as fingerprint_tester
 from repro.engine.cache import (
     CACHE_VERSION,
     _canonical,
+    atomic_write_text,
     cached_calibration,
     kernel_probe_key,
     seed_fingerprint,
@@ -271,6 +272,64 @@ class TestAcceptanceCache:
         nested = tmp_path / "a" / "b"
         AcceptanceCache(str(nested))
         assert nested.is_dir()
+
+
+class TestAtomicWriteText:
+    """The one temp-file-and-rename writer behind cache entries and sweep
+    checkpoints."""
+
+    def test_writes_the_text_as_utf8(self, tmp_path):
+        path = str(tmp_path / "entry.json")
+        atomic_write_text(path, '{"eps": "\u03b5 = 0.5"}\n')
+        with open(path, "rb") as handle:
+            assert handle.read() == '{"eps": "\u03b5 = 0.5"}\n'.encode("utf-8")
+        assert os.listdir(tmp_path) == ["entry.json"]
+
+    def test_replaces_an_existing_file(self, tmp_path):
+        path = str(tmp_path / "entry.json")
+        atomic_write_text(path, "old")
+        atomic_write_text(path, "new")
+        with open(path, encoding="utf-8") as handle:
+            assert handle.read() == "new"
+        assert os.listdir(tmp_path) == ["entry.json"]
+
+    def test_failed_write_keeps_the_previous_file(self, tmp_path):
+        path = str(tmp_path / "entry.json")
+        atomic_write_text(path, "old")
+        with pytest.raises(UnicodeEncodeError):
+            atomic_write_text(path, "\ud800")  # a lone surrogate has no UTF-8
+        with open(path, encoding="utf-8") as handle:
+            assert handle.read() == "old"
+        assert os.listdir(tmp_path) == ["entry.json"]
+
+    def test_interrupted_rename_removes_the_temp_file(self, tmp_path, monkeypatch):
+        """Cleanup covers ``BaseException``: a Ctrl-C between the write and
+        the rename leaves nothing behind either."""
+
+        def interrupt(src, dst):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(os, "replace", interrupt)
+        with pytest.raises(KeyboardInterrupt):
+            atomic_write_text(str(tmp_path / "entry.json"), "text")
+        assert os.listdir(tmp_path) == []
+
+    def test_temp_file_sits_beside_the_target_and_names_the_pid(
+        self, tmp_path, monkeypatch
+    ):
+        """Same directory, so the rename never crosses a filesystem; the
+        pid suffix keeps concurrent writers' temp files apart."""
+        renames = []
+        original = os.replace
+
+        def recording(src, dst):
+            renames.append((src, dst))
+            original(src, dst)
+
+        monkeypatch.setattr(os, "replace", recording)
+        path = str(tmp_path / "entry.json")
+        atomic_write_text(path, "text")
+        assert renames == [(f"{path}.tmp.{os.getpid()}", path)]
 
 
 class TestProtocolLayoutKeys:

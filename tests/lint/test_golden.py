@@ -13,6 +13,7 @@ import re
 import pytest
 
 from repro.lint import lint_paths, lint_source, rule_codes
+from repro.lint.cache import CacheStats
 from repro.lint.registry import SYNTAX_ERROR_CODE
 
 GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "golden")
@@ -46,6 +47,23 @@ def test_golden_file(name):
     path = os.path.join(GOLDEN_DIR, name)
     actual = {(d.line, d.code) for d in lint_paths([path])}
     assert actual == expected_diagnostics(path)
+
+
+@pytest.mark.parametrize("name", GOLDEN_FILES)
+def test_golden_file_replays_through_the_cache(name, tmp_path):
+    """A cold cached run reports what an uncached run does, and a warm run
+    replays the fixture's one entry to the same bytes without re-linting."""
+    path = os.path.join(GOLDEN_DIR, name)
+    cache_dir = str(tmp_path / "cache")
+    uncached = [d.format() for d in lint_paths([path])]
+
+    cold_stats, warm_stats = CacheStats(), CacheStats()
+    cold = lint_paths([path], cache_dir=cache_dir, stats=cold_stats)
+    warm = lint_paths([path], cache_dir=cache_dir, stats=warm_stats)
+    assert [d.format() for d in cold] == uncached
+    assert [d.format() for d in warm] == uncached
+    assert (cold_stats.hits, cold_stats.misses) == (0, 1)
+    assert (warm_stats.hits, warm_stats.misses) == (1, 0)
 
 
 def test_every_rule_has_a_violating_fixture():

@@ -1,7 +1,14 @@
 """Pragma parsing: placement, multi-code lists, justification text."""
 
+import os
+
+import pytest
+
+from repro.lint import rule_codes
 from repro.lint.pragmas import Pragmas
 from repro.lint.runner import lint_source
+
+GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "golden")
 
 
 def test_file_pragma_after_shebang_and_coding_lines():
@@ -147,3 +154,35 @@ def test_file_pragma_with_justification_leaves_other_codes_active():
     )
     diagnostics = lint_source(source, path="x.py")
     assert [d.code for d in diagnostics] == ["RL103"]
+
+
+# --- Every rule reports through the pragma filter --------------------------
+
+
+def _fixtures_reporting(code):
+    """(path, source, diagnostics) for each golden fixture that fires ``code``."""
+    found = []
+    for name in sorted(os.listdir(GOLDEN_DIR)):
+        if not name.endswith(".py"):
+            continue
+        path = os.path.join(GOLDEN_DIR, name)
+        with open(path, encoding="utf-8") as handle:
+            source = handle.read()
+        diagnostics = lint_source(source, path=path)
+        if any(d.code == code for d in diagnostics):
+            found.append((path, source, diagnostics))
+    return found
+
+
+@pytest.mark.parametrize("code", rule_codes())
+def test_file_pragma_with_justification_silences_only_its_code(code):
+    """A trailing ``disable-file`` pragma naming one code, with free-form
+    justification, removes that code's findings and keeps every other."""
+    fixtures = _fixtures_reporting(code)
+    assert fixtures, f"no golden fixture fires {code}"
+    for path, source, diagnostics in fixtures:
+        pragma = f"# repro-lint: disable-file={code} justified for this check\n"
+        suppressed = lint_source(source.rstrip("\n") + "\n" + pragma, path=path)
+        assert [(d.line, d.code) for d in suppressed] == [
+            (d.line, d.code) for d in diagnostics if d.code != code
+        ], os.path.basename(path)
