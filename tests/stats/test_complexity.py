@@ -2,21 +2,32 @@
 
 from __future__ import annotations
 
+import itertools
+import os
+from dataclasses import replace
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import CentralizedCollisionTester, ThresholdRuleTester
-from repro.distributions import two_level_distribution
+import repro.engine
+from repro.cli import main
+from repro.core import AndRuleTester, CentralizedCollisionTester, ThresholdRuleTester
+from repro.distributions import two_level_distribution, uniform
+from repro.engine import AcceptanceEstimate, SprtSpec, get_engine, set_engine
 from repro.exceptions import InvalidParameterError, SearchDivergedError
 from repro.stats import (
+    complexity,
     empirical_player_complexity,
     empirical_sample_complexity,
+    graph_family_complexity_sweep,
     power_curve,
 )
 from repro.stats.complexity import (
     SampleComplexityResult,
+    _probe_seed,
     _search,
+    _seeded_classify,
     default_far_distributions,
     success_at,
 )
@@ -351,3 +362,225 @@ class TestGraphFamilySweep:
 
         with pytest.raises(InvalidParameterError, match="duplicate graph family"):
             graph_family_complexity_sweep(["complete", "complete"], 64, 0.6)
+
+
+# --- The side short-circuit ------------------------------------------------
+#
+# ``_seeded_classify`` stops probing a level at its first failing side.  The
+# oracle below is the classifier as it was before fixed-budget levels
+# short-circuited: it probes every side of a fixed-budget level (an SPRT
+# level already stopped at its first wrong decision).  Verdicts, q* and
+# passing-level rates must not depend on which of the two runs.
+
+THRESHOLD = 2.0 / 3.0 + 0.04  # the searches' default target + margin
+
+
+def _probe_every_side(tester, alternatives, threshold, trials, sprt, root_entropy, level):
+    from repro.engine import estimate_acceptance
+
+    success = 1.0
+    for side, distribution in enumerate([uniform(tester.n), *alternatives]):
+        seed = _probe_seed(root_entropy, level, side)
+        if sprt is None:
+            estimate = estimate_acceptance(tester, distribution, trials=trials, rng=seed)
+        else:
+            spec = sprt if side == 0 else replace(sprt, target=1.0 - threshold)
+            estimate = estimate_acceptance(tester, distribution, sprt=spec, rng=seed)
+        success = min(success, estimate.rate if side == 0 else 1.0 - estimate.rate)
+        if sprt is not None and estimate.decided_above != (side == 0):
+            return False, success
+    if sprt is not None:
+        return True, success
+    return success >= threshold, success
+
+
+def _with_oracle(monkeypatch, run):
+    with monkeypatch.context() as patch:
+        patch.setattr(complexity, "_seeded_classify", _probe_every_side)
+        return run()
+
+
+def _assert_same_search(short, full):
+    assert short.resource_star == full.resource_star
+    assert (short.bracket_low, short.bracket_high) == (full.bracket_low, full.bracket_high)
+    assert list(short.curve) == list(full.curve)  # same levels, same order
+    for level, rate in full.curve.items():
+        if rate >= THRESHOLD:
+            assert short.curve[level] == rate
+        else:  # a failed level's rate is a min over fewer sides
+            assert rate <= short.curve[level] < THRESHOLD
+
+
+_FACTORIES = {
+    "threshold": lambda n, k, eps: lambda q: ThresholdRuleTester(
+        n, eps, k, q=q, calibration_trials=300
+    ),
+    "and": lambda n, k, eps: lambda q: AndRuleTester(
+        n, eps, k, q=q, calibration_trials=300
+    ),
+    "centralized": lambda n, k, eps: lambda q: CentralizedCollisionTester(n, eps, q=q),
+}
+
+
+class TestShortCircuitEquivalence:
+    @pytest.mark.parametrize("kind", sorted(_FACTORIES))
+    @pytest.mark.parametrize("n, k, eps, seed", [(64, 4, 0.6, 0), (128, 8, 0.5, 5)])
+    def test_search_matches_probe_every_side(self, monkeypatch, kind, n, k, eps, seed):
+        def run():
+            return empirical_sample_complexity(
+                _FACTORIES[kind](n, k, eps), n, eps, trials=60, rng=seed
+            )
+
+        _assert_same_search(run(), _with_oracle(monkeypatch, run))
+
+    def test_graph_family_sweep_matches_probe_every_side(self, monkeypatch):
+        def run():
+            return graph_family_complexity_sweep(
+                ["complete", "cycle"], 64, 0.6, trials=60, rng=4
+            )
+
+        short, full = run(), _with_oracle(monkeypatch, run)
+        assert list(short) == list(full)
+        for family in full:
+            _assert_same_search(short[family], full[family])
+
+
+class _ScriptedTester:
+    """A stand-in tester: ``script[side]`` is what a probe of that side
+    returns — its acceptance rate on a fixed budget, its
+    ``decided_above`` under an SPRT."""
+
+    def __init__(self, n, script):
+        self.n = n
+        self.script = script
+
+
+ROOT, LEVEL, TRIALS = 1234, 7, 100
+ALTERNATIVES = [two_level_distribution(16, 0.5), uniform(16), two_level_distribution(16, 0.8)]
+SPEC = SprtSpec(target=THRESHOLD, margin=0.05, error_rate=0.05, max_trials=400)
+
+
+@pytest.fixture
+def probes(monkeypatch):
+    """Every ``estimate_acceptance`` call, scripted by the stub tester."""
+    calls = []
+
+    def scripted(tester, distribution, *, trials=None, sprt=None, rng=None):
+        side = 0 if not calls else calls[-1]["side"] + 1
+        calls.append(
+            {
+                "side": side,
+                "distribution": distribution,
+                "trials": trials,
+                "sprt": sprt,
+                "seed": (rng.entropy, rng.spawn_key),
+            }
+        )
+        value = tester.script[side]
+        if sprt is None:
+            return AcceptanceEstimate(rate=value, trials_used=trials, successes=0)
+        return AcceptanceEstimate(rate=0.5, trials_used=64, successes=32, decided_above=value)
+
+    monkeypatch.setattr(repro.engine, "estimate_acceptance", scripted)
+    return calls
+
+
+def _classify(classifier, script, sprt=None):
+    tester = _ScriptedTester(16, script)
+    return classifier(tester, ALTERNATIVES, THRESHOLD, TRIALS, sprt, ROOT, LEVEL)
+
+
+def _expected_seed(side):
+    seed = _probe_seed(ROOT, LEVEL, side)
+    return (seed.entropy, seed.spawn_key)
+
+
+class TestProbeCount:
+    # Fixed-budget scripts: uniform's acceptance, then each alternative's.
+    PASS = [0.9, 0.2, 0.1, 0.25]
+
+    def test_passing_level_probes_every_side_in_order(self, probes):
+        assert _classify(_seeded_classify, self.PASS) == (True, 0.75)
+        assert [call["side"] for call in probes] == [0, 1, 2, 3]
+        assert probes[0]["distribution"].pmf.tolist() == [1 / 16] * 16
+        assert all(
+            call["distribution"] is alt for call, alt in zip(probes[1:], ALTERNATIVES)
+        )
+        assert [call["seed"] for call in probes] == [_expected_seed(s) for s in range(4)]
+        assert all(call["trials"] == TRIALS and call["sprt"] is None for call in probes)
+
+    @pytest.mark.parametrize("failing", range(4))
+    def test_failed_level_stops_at_its_first_failing_side(self, probes, failing):
+        script = list(self.PASS)
+        script[failing] = 0.5  # completeness 0.5, or soundness 0.5
+        passed, rate = _classify(_seeded_classify, script)
+        assert not passed and rate == 0.5
+        assert [call["side"] for call in probes] == list(range(failing + 1))
+        assert [call["seed"] for call in probes] == [
+            _expected_seed(s) for s in range(failing + 1)
+        ]
+
+    @pytest.mark.parametrize("decisions", list(itertools.product([True, False], repeat=4)))
+    def test_sprt_calls_are_unchanged(self, probes, decisions):
+        verdict = _classify(_seeded_classify, list(decisions), SPEC)
+        short = [dict(call) for call in probes]
+        probes.clear()
+        assert _classify(_probe_every_side, list(decisions), SPEC) == verdict
+        assert short == probes
+        assert short[0]["sprt"] == SPEC
+        assert all(
+            call["sprt"] == replace(SPEC, target=1.0 - THRESHOLD) for call in short[1:]
+        )
+
+
+def _e01_smoke(cache_dir, capsys, monkeypatch):
+    """Run e01 at smoke scale on ``cache_dir``: (table, engine metrics, estimates)."""
+    estimates = []
+    real = repro.engine.estimate_acceptance
+
+    def counted(*args, **kwargs):
+        estimates.append(1)
+        return real(*args, **kwargs)
+
+    previous = get_engine()
+    try:
+        with monkeypatch.context() as patch:
+            patch.setattr(repro.engine, "estimate_acceptance", counted)
+            argv = ["experiment", "e01", "--scale", "smoke", "--cache-dir", str(cache_dir)]
+            assert main(argv) == 0
+    finally:
+        set_engine(previous)
+    table, block = capsys.readouterr().out.split("-- engine metrics --")
+    metrics = dict(
+        line.strip().split(": ") for line in block.splitlines() if line.startswith("  ")
+    )
+    return table, {name: float(value) for name, value in metrics.items()}, len(estimates)
+
+
+def _estimate_entries(cache_dir):
+    return len([name for name in os.listdir(cache_dir) if name.startswith("accept-")])
+
+
+class TestShortCircuitReplay:
+    def test_cold_run_writes_one_entry_per_estimate_and_warm_run_replays(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        cold, cold_metrics, made = _e01_smoke(tmp_path, capsys, monkeypatch)
+        assert made > 0 and cold_metrics["cache_hits"] == 0
+        assert _estimate_entries(tmp_path) == cold_metrics["cache_misses"] == made
+        warm, warm_metrics, _ = _e01_smoke(tmp_path, capsys, monkeypatch)
+        assert warm == cold
+        assert warm_metrics["cache_misses"] == 0
+        assert warm_metrics["samples_drawn"] == 0
+
+    def test_cache_written_by_probe_every_side_serves_a_short_circuited_run(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        full, _, full_estimates = _with_oracle(
+            monkeypatch, lambda: _e01_smoke(tmp_path, capsys, monkeypatch)
+        )
+        short, metrics, short_estimates = _e01_smoke(tmp_path, capsys, monkeypatch)
+        assert short == full
+        assert short_estimates < full_estimates == _estimate_entries(tmp_path)
+        assert metrics["cache_misses"] == 0
+        assert metrics["samples_drawn"] == 0
