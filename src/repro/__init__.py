@@ -17,8 +17,11 @@ decision rule — and makes the paper's lower-bound machinery executable:
   and the Section 6 information-theoretic argument.
 * :mod:`repro.stats` — Monte Carlo estimation, empirical complexity
   search, and power-law fitting.
-* :mod:`repro.experiments` — the E1–E18 experiment registry reproducing
+* :mod:`repro.experiments` — the E1–E21 experiment registry reproducing
   every theorem-level claim (see DESIGN.md and EXPERIMENTS.md).
+
+``import repro`` imports none of these: each name below is imported from
+its submodule on first access, so a run pays only for what it uses.
 
 Quickstart
 ----------
@@ -28,191 +31,122 @@ Quickstart
 True
 """
 
-from ._version import __version__
-from .exceptions import (
-    ReproError,
-    InvalidDistributionError,
-    InvalidParameterError,
-    DimensionMismatchError,
-    ProtocolError,
-    SearchDivergedError,
-)
-from .rng import ensure_rng, spawn_streams
-from .distributions import (
-    DiscreteDistribution,
-    uniform,
-    point_mass,
-    l1_distance,
-    l2_distance,
-    total_variation,
-    kl_divergence,
-    chi_squared_divergence,
-    distance_to_uniform,
-    is_epsilon_far_from_uniform,
-    PaninskiFamily,
-    perturbed_pair_distribution,
-    zipf_distribution,
-    two_level_distribution,
-    sparse_support_distribution,
-    bimodal_distribution,
-    far_from_uniform_suite,
-    SampleOracle,
-    oracle_for,
-)
-from .fourier import BooleanFunction, walsh_hadamard_transform
-from .core import (
-    AmplifiedTester,
-    AndRule,
-    OrRule,
-    ThresholdRule,
-    MajorityRule,
-    TruthTableRule,
-    WeightedCountRule,
-    SimultaneousProtocol,
-    Player,
-    UniformityTester,
-    ComparisonGraph,
-    ComparisonGraphTester,
-    GraphStatisticPlayer,
-    complete_graph,
-    star_graph,
-    matching_graph,
-    cycle_graph,
-    bipartite_graph,
-    random_regular_graph,
-    build_family_graph,
-    graph_statistic_block,
-    graph_tester_factory,
-    worst_case_statistic_proxy,
-    CentralizedCollisionTester,
-    ThresholdRuleTester,
-    AndRuleTester,
-    PairwiseHashTester,
-    SimulationTester,
-    ClosenessTester,
-    IndependenceTester,
-    correlated_joint,
-    joint_from_matrix,
-    MultibitThresholdTester,
-    UniqueElementsTester,
-    EmpiricalDistanceTester,
-    HitCountingLearner,
-    FrequencyDitheringLearner,
-    AsymmetricRateTester,
-)
-from .reductions import IdentityTester, IdentityTestingReduction
-from .network import NetworkUniformityTester
-from .lowerbounds import (
-    theorem_1_1_q_lower,
-    theorem_1_2_q_lower,
-    theorem_1_3_q_lower,
-    theorem_1_4_k_lower,
-    centralized_q_lower,
-)
-from .stats import (
-    empirical_sample_complexity,
-    empirical_player_complexity,
-    fit_power_law,
-    power_curve,
-)
-from .engine import (
-    AcceptanceCache,
-    EngineConfig,
-    EngineMetrics,
-    ProcessPoolBackend,
-    SerialBackend,
-    configure_engine,
-    engine_context,
-    get_engine,
+from ._lazy import lazy_exports
+
+#: Submodule → the public names it defines, re-exported here on first use.
+_EXPORTS = {
+    "_version": ("__version__",),
+    "exceptions": (
+        "ReproError",
+        "InvalidDistributionError",
+        "InvalidParameterError",
+        "DimensionMismatchError",
+        "ProtocolError",
+        "SearchDivergedError",
+    ),
+    "rng": ("ensure_rng", "spawn_streams"),
+    "distributions": (
+        "DiscreteDistribution",
+        "uniform",
+        "point_mass",
+        "l1_distance",
+        "l2_distance",
+        "total_variation",
+        "kl_divergence",
+        "chi_squared_divergence",
+        "distance_to_uniform",
+        "is_epsilon_far_from_uniform",
+        "PaninskiFamily",
+        "perturbed_pair_distribution",
+        "zipf_distribution",
+        "two_level_distribution",
+        "sparse_support_distribution",
+        "bimodal_distribution",
+        "far_from_uniform_suite",
+        "SampleOracle",
+        "oracle_for",
+    ),
+    "fourier": ("BooleanFunction", "walsh_hadamard_transform"),
+    "core": (
+        "AmplifiedTester",
+        "AndRule",
+        "OrRule",
+        "ThresholdRule",
+        "MajorityRule",
+        "TruthTableRule",
+        "WeightedCountRule",
+        "SimultaneousProtocol",
+        "Player",
+        "UniformityTester",
+        "ComparisonGraph",
+        "ComparisonGraphTester",
+        "GraphStatisticPlayer",
+        "complete_graph",
+        "star_graph",
+        "matching_graph",
+        "cycle_graph",
+        "bipartite_graph",
+        "random_regular_graph",
+        "build_family_graph",
+        "graph_statistic_block",
+        "graph_tester_factory",
+        "worst_case_statistic_proxy",
+        "CentralizedCollisionTester",
+        "ThresholdRuleTester",
+        "AndRuleTester",
+        "PairwiseHashTester",
+        "SimulationTester",
+        "ClosenessTester",
+        "IndependenceTester",
+        "correlated_joint",
+        "joint_from_matrix",
+        "MultibitThresholdTester",
+        "UniqueElementsTester",
+        "EmpiricalDistanceTester",
+        "HitCountingLearner",
+        "FrequencyDitheringLearner",
+        "AsymmetricRateTester",
+    ),
+    "reductions": ("IdentityTester", "IdentityTestingReduction"),
+    "network": ("NetworkUniformityTester",),
+    "lowerbounds": (
+        "theorem_1_1_q_lower",
+        "theorem_1_2_q_lower",
+        "theorem_1_3_q_lower",
+        "theorem_1_4_k_lower",
+        "centralized_q_lower",
+    ),
+    "stats": (
+        "empirical_sample_complexity",
+        "empirical_player_complexity",
+        "fit_power_law",
+        "power_curve",
+    ),
+    "engine": (
+        "AcceptanceCache",
+        "EngineConfig",
+        "EngineMetrics",
+        "ProcessPoolBackend",
+        "SerialBackend",
+        "configure_engine",
+        "engine_context",
+        "get_engine",
+    ),
+}
+
+#: Submodules that resolve as attributes of a bare ``import repro``.
+_SUBMODULES = (
+    "core",
+    "distributions",
+    "engine",
+    "exceptions",
+    "experiments",
+    "fourier",
+    "lowerbounds",
+    "network",
+    "reductions",
+    "rng",
+    "stats",
 )
 
-__all__ = [
-    "AcceptanceCache",
-    "EngineConfig",
-    "EngineMetrics",
-    "ProcessPoolBackend",
-    "SerialBackend",
-    "configure_engine",
-    "engine_context",
-    "get_engine",
-    "__version__",
-    "ReproError",
-    "InvalidDistributionError",
-    "InvalidParameterError",
-    "DimensionMismatchError",
-    "ProtocolError",
-    "SearchDivergedError",
-    "ensure_rng",
-    "spawn_streams",
-    "DiscreteDistribution",
-    "uniform",
-    "point_mass",
-    "l1_distance",
-    "l2_distance",
-    "total_variation",
-    "kl_divergence",
-    "chi_squared_divergence",
-    "distance_to_uniform",
-    "is_epsilon_far_from_uniform",
-    "PaninskiFamily",
-    "perturbed_pair_distribution",
-    "zipf_distribution",
-    "two_level_distribution",
-    "sparse_support_distribution",
-    "bimodal_distribution",
-    "far_from_uniform_suite",
-    "SampleOracle",
-    "oracle_for",
-    "BooleanFunction",
-    "walsh_hadamard_transform",
-    "AmplifiedTester",
-    "AndRule",
-    "OrRule",
-    "ThresholdRule",
-    "MajorityRule",
-    "TruthTableRule",
-    "WeightedCountRule",
-    "SimultaneousProtocol",
-    "Player",
-    "UniformityTester",
-    "ComparisonGraph",
-    "ComparisonGraphTester",
-    "GraphStatisticPlayer",
-    "complete_graph",
-    "star_graph",
-    "matching_graph",
-    "cycle_graph",
-    "bipartite_graph",
-    "random_regular_graph",
-    "build_family_graph",
-    "graph_statistic_block",
-    "graph_tester_factory",
-    "worst_case_statistic_proxy",
-    "CentralizedCollisionTester",
-    "ThresholdRuleTester",
-    "AndRuleTester",
-    "PairwiseHashTester",
-    "SimulationTester",
-    "ClosenessTester",
-    "IndependenceTester",
-    "correlated_joint",
-    "joint_from_matrix",
-    "MultibitThresholdTester",
-    "UniqueElementsTester",
-    "EmpiricalDistanceTester",
-    "HitCountingLearner",
-    "FrequencyDitheringLearner",
-    "AsymmetricRateTester",
-    "IdentityTester",
-    "IdentityTestingReduction",
-    "NetworkUniformityTester",
-    "theorem_1_1_q_lower",
-    "theorem_1_2_q_lower",
-    "theorem_1_3_q_lower",
-    "theorem_1_4_k_lower",
-    "centralized_q_lower",
-    "empirical_sample_complexity",
-    "empirical_player_complexity",
-    "fit_power_law",
-    "power_curve",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, _EXPORTS, _SUBMODULES)

@@ -47,24 +47,13 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import List, Optional
+from typing import TYPE_CHECKING, List, Optional
 
-from .core.testers import (
-    AndRuleTester,
-    CentralizedCollisionTester,
-    ThresholdRuleTester,
-    UniformityTester,
-)
-from .distributions.discrete import DiscreteDistribution, uniform
-from .distributions.generators import (
-    bimodal_distribution,
-    two_level_distribution,
-    zipf_distribution,
-)
-from .distributions.families import PaninskiFamily
 from .exceptions import ReproError
-from .lowerbounds import theorems
-from .stats.complexity import empirical_sample_complexity
+
+if TYPE_CHECKING:
+    from .core.testers import UniformityTester
+    from .distributions.discrete import DiscreteDistribution
 
 TESTER_CHOICES = ("centralized", "threshold", "and")
 INPUT_CHOICES = ("uniform", "two_level", "paninski", "zipf", "heavy_hitter")
@@ -158,6 +147,8 @@ def _apply_engine_options(args: argparse.Namespace):
 
 
 def _build_tester(name: str, n: int, epsilon: float, k: int, q: Optional[int]) -> UniformityTester:
+    from .core.testers import AndRuleTester, CentralizedCollisionTester, ThresholdRuleTester
+
     if name == "centralized":
         return CentralizedCollisionTester(n, epsilon, q=q)
     if name == "threshold":
@@ -168,6 +159,14 @@ def _build_tester(name: str, n: int, epsilon: float, k: int, q: Optional[int]) -
 
 
 def _build_input(name: str, n: int, epsilon: float, seed: int) -> DiscreteDistribution:
+    from .distributions.discrete import uniform
+    from .distributions.families import PaninskiFamily
+    from .distributions.generators import (
+        bimodal_distribution,
+        two_level_distribution,
+        zipf_distribution,
+    )
+
     if name == "uniform":
         return uniform(n)
     if name == "two_level":
@@ -199,6 +198,10 @@ def _cmd_test(args: argparse.Namespace) -> int:
 
 
 def _cmd_complexity(args: argparse.Namespace) -> int:
+    from .lowerbounds import theorems
+    from .stats.ascii import success_curve_plot
+    from .stats.complexity import empirical_sample_complexity
+
     config = _apply_engine_options(args)
     result = empirical_sample_complexity(
         lambda q: _build_tester(args.tester, args.n, args.eps, args.k, q),
@@ -219,8 +222,6 @@ def _cmd_complexity(args: argparse.Namespace) -> int:
     print(f"empirical q* = {result.resource_star}")
     bound = theorems.theorem_1_1_q_lower(args.n, args.k, args.eps)
     print(f"Theorem 1.1 lower bound: {bound:.2f}")
-    from .stats.ascii import success_curve_plot
-
     levels = sorted(result.curve)
     print(success_curve_plot(levels, [result.curve[q] for q in levels]))
     print(f"engine: backend={config.backend.name} {config.metrics.summary_line()}")
@@ -316,6 +317,8 @@ def _cmd_battery(args: argparse.Namespace) -> int:
 
 
 def _cmd_bounds(args: argparse.Namespace) -> int:
+    from .lowerbounds import theorems
+
     n, k, eps = args.n, args.k, args.eps
     print(f"paper lower bounds at n={n}, k={k}, eps={eps}:")
     print(f"  centralized (k=1):      q >= {theorems.centralized_q_lower(n, eps):.2f}")

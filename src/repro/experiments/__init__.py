@@ -8,22 +8,21 @@ claim's empirical counterpart.  Every experiment module declares one
 fold step — and the harness executes it through the parallel engine with
 checkpoint/resume support and a provenance stamp on every result.
 
+This package's public names are imported on first access, so importing a leaf such
+as :mod:`repro.experiments.timing` loads neither the harness nor numpy.
+
 >>> from repro.experiments import run_experiment
 >>> result = run_experiment("e05", scale="small")   # doctest: +SKIP
 >>> print(result.render())                          # doctest: +SKIP
 """
 
-from .harness import ExperimentSpec, SweepCheckpoint, run_spec
-from .records import ExperimentResult
-from .registry import SPECS, experiment_ids, get_spec, run_experiment
+from .._lazy import lazy_exports
 
-__all__ = [
-    "ExperimentResult",
-    "ExperimentSpec",
-    "SweepCheckpoint",
-    "run_spec",
-    "SPECS",
-    "experiment_ids",
-    "get_spec",
-    "run_experiment",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "records": ("ExperimentResult",),
+        "harness": ("ExperimentSpec", "SweepCheckpoint", "run_spec"),
+        "registry": ("SPECS", "experiment_ids", "get_spec", "run_experiment"),
+    },
+)

@@ -32,7 +32,7 @@ from typing import List, Optional
 from .cache import DEFAULT_CACHE_DIR, CacheStats
 from .registry import rule_classes
 from .runner import LintUsageError, lint_paths
-from ..engine.metrics import monotonic_clock
+from ..experiments.timing import default_clock
 
 #: Exit codes (linter convention).
 EXIT_CLEAN = 0
@@ -114,7 +114,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         _print_rule_catalog()
         return EXIT_CLEAN
     stats = CacheStats()
-    started = monotonic_clock()
+    started = default_clock()
     try:
         diagnostics = lint_paths(
             args.paths,
@@ -126,7 +126,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     except LintUsageError as error:
         print(f"repro.lint: error: {error}", file=sys.stderr)
         return EXIT_USAGE
-    stats.elapsed_seconds = monotonic_clock() - started
+    stats.elapsed_seconds = default_clock() - started
     if args.stats:
         if args.no_cache:
             print(

@@ -18,7 +18,6 @@ a ``# lint-path: src/repro/...`` marker comment in the first few lines.
 from __future__ import annotations
 
 import ast
-import doctest
 import re
 from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional, Tuple, Union
@@ -214,6 +213,8 @@ class ModuleContext:
         """
         if self._doctests is not None:
             return self._doctests
+        import doctest  # ~50 ms of imports that --list-rules and warm runs skip
+
         parser = doctest.DocTestParser()
         blocks: List[DoctestBlock] = []
         for _node, docstring, first_line in self.docstring_owners():
