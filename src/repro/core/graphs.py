@@ -622,6 +622,8 @@ class GraphStatisticPlayer(PlayerStrategy):
     distributed protocol's alarm bits.
     """
 
+    relabel_invariant = True
+
     def __init__(self, graph: ComparisonGraph, threshold: float, mode: str = "edges"):
         if threshold < 0:
             raise InvalidParameterError(f"threshold must be >= 0, got {threshold}")
@@ -660,11 +662,15 @@ class ComparisonGraphTester(UniformityTester):
     The tester is a native :class:`~repro.engine.kernels.AcceptKernel`:
     it carries its own ``cache_token`` (the graph's token, mode, cut and
     per-class ``kernel_version``) so cached acceptance curves
-    can never collide across graphs that share ``(n, q)``.
+    can never collide across graphs that share ``(n, q)``.  Both
+    statistics see only which slots hold equal values, so the verdicts
+    are relabel-invariant.
     """
 
     #: Bumped when the kernel's draw order or statistic changes.
     kernel_version = 1
+
+    relabel_invariant = True
 
     def __init__(
         self,

@@ -19,7 +19,7 @@ collision-count law with the two-level proxy; see
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Any, Dict, Optional
 
 import numpy as np
 
@@ -60,6 +60,13 @@ class MultibitThresholdTester(UniformityTester):
         ``Θ(√(n/k)/ε²)`` (the point of the experiment is how much r lets
         q shrink below that).
     """
+
+    #: v2: the cache token carries the quantile ``boundaries``, which the
+    #: fingerprint (primitive attributes only) left out.
+    kernel_version = 2
+
+    #: Messages quantise collision counts, which see only equal samples.
+    relabel_invariant = True
 
     def __init__(
         self,
@@ -116,6 +123,10 @@ class MultibitThresholdTester(UniformityTester):
         levels = np.searchsorted(self.boundaries, counts, side="right")
         sums = levels.reshape(trials, self.k).sum(axis=1)
         return sums <= self.sum_threshold
+
+    @property
+    def cache_token(self) -> Dict[str, Any]:
+        return {**super().cache_token, "boundaries": self.boundaries.tolist()}
 
     @property
     def resources(self) -> TesterResources:

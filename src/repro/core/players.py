@@ -156,7 +156,17 @@ class PlayerStrategy(ABC):
     ``respond_batch`` returns one bit per row (1 = accept).  Strategies that
     need private randomness take an ``rng`` argument; deterministic
     strategies ignore it.
+
+    ``relabel_invariant`` states that the response depends on which
+    samples are equal, never on their values (see
+    :attr:`~repro.engine.estimate.KernelBase.relabel_invariant`); a
+    protocol whose players all declare it is invariant itself.
     """
+
+    relabel_invariant = False
+
+    #: RNG elements ``respond_batch`` draws per row, beyond the samples.
+    draws_per_response = 0
 
     @abstractmethod
     def respond_batch(self, samples: np.ndarray, rng: RngLike = None) -> np.ndarray:
@@ -181,6 +191,9 @@ class DitheredCollisionBitPlayer(PlayerStrategy):
     set of alarm rates — the dither interpolates between them, which the
     forced-T threshold tester needs for exact completeness calibration.
     """
+
+    relabel_invariant = True
+    draws_per_response = 1  # the boundary coin
 
     def __init__(self, threshold: int, boundary_probability: float):
         if threshold < 0:
@@ -233,6 +246,8 @@ class UniqueElementsPlayer(PlayerStrategy):
 class ConstantPlayer(PlayerStrategy):
     """Always send the same bit (degenerate baseline for sanity checks)."""
 
+    relabel_invariant = True
+
     def __init__(self, bit: int):
         if bit not in (0, 1):
             raise InvalidParameterError(f"bit must be 0 or 1, got {bit}")
@@ -250,6 +265,8 @@ class RandomBitPlayer(PlayerStrategy):
     The information-less baseline: no referee rule can distinguish anything
     from these bits, which the integration tests verify.
     """
+
+    draws_per_response = 1
 
     def __init__(self, bias: float = 0.5):
         if not 0.0 <= bias <= 1.0:

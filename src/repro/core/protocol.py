@@ -165,6 +165,11 @@ class SimultaneousProtocol(KernelBase):
         return sum(player.num_samples for player in self.players)
 
     @property
+    def relabel_invariant(self) -> bool:
+        """Invariant iff every player is: the referee sees only bits."""
+        return all(player.strategy.relabel_invariant for player in self.players)
+
+    @property
     def is_homogeneous(self) -> bool:
         """Whether all players share a strategy object and sample count."""
         first = self.players[0]
@@ -180,7 +185,10 @@ class SimultaneousProtocol(KernelBase):
 
     @property
     def elements_per_trial(self) -> int:
-        return self.total_samples
+        return sum(
+            player.num_samples + player.strategy.draws_per_response
+            for player in self.players
+        )
 
     # ------------------------------------------------------------------ #
     # execution                                                          #
@@ -276,9 +284,13 @@ class ProtocolTester(UniformityTester):
         return _protocol_accepts(self._protocol, distribution, trials, rng)
 
     @property
+    def relabel_invariant(self) -> bool:
+        return self._protocol.relabel_invariant
+
+    @property
     def cache_token(self) -> Dict[str, Any]:
         return _protocol_token(self)
 
     @property
     def elements_per_trial(self) -> int:
-        return self._protocol.total_samples
+        return self._protocol.elements_per_trial

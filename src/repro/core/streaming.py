@@ -437,6 +437,11 @@ class StreamingCollisionTester(StreamingTester):
     def state_bytes(self) -> int:
         return 8 * (self._buckets + 1) + STATE_SLACK_BYTES
 
+    @property
+    def relabel_invariant(self) -> bool:
+        # The fixed fmix64 hash sends relabelled values to other buckets.
+        return self.num_buckets is None
+
     def _token_extra(self) -> Dict[str, Any]:
         return {
             "buckets": self._buckets,
@@ -529,6 +534,11 @@ class StreamingDistinctTester(StreamingTester):
     def state_bytes(self) -> int:
         return 8 * self._buckets + STATE_SLACK_BYTES
 
+    @property
+    def relabel_invariant(self) -> bool:
+        # The fixed fmix64 hash sends relabelled values to other buckets.
+        return self.num_buckets is None
+
     def _token_extra(self) -> Dict[str, Any]:
         return {
             "buckets": self._buckets,
@@ -559,6 +569,8 @@ class StreamingGraphTester(StreamingTester):
     """
 
     kernel_version = 1
+
+    relabel_invariant = True
 
     def __init__(
         self,

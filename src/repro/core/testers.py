@@ -121,6 +121,10 @@ class AmplifiedTester(UniformityTester):
         return votes * 2 > self.repetitions
 
     @property
+    def relabel_invariant(self) -> bool:
+        return self.base.relabel_invariant
+
+    @property
     def cache_token(self) -> Dict[str, Any]:
         return {**super().cache_token, "base": self.base.cache_token}
 

@@ -284,6 +284,14 @@ class KernelBase:
     #: stale cached acceptance curves cannot be read.
     kernel_version: int
 
+    #: Whether the accept vector is unchanged, bit for bit under the same
+    #: seed, when every draw is relabelled by a fixed permutation of the
+    #: domain.  Such a kernel accepts equally often, in law, on any two
+    #: distributions with the same sorted pmf, so a q* search probes one
+    #: alternative per class.  The kernel contract test checks every
+    #: ``True`` exactly; undeclared means not invariant.
+    relabel_invariant: bool = False
+
     def _token_header(self, kind: str) -> Dict[str, Any]:
         """The ``{schema, kind, class, kernel_version}`` head of a token."""
         return {

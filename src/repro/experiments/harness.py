@@ -32,6 +32,7 @@ import json
 import os
 import shutil
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence
 
 from ..engine import get_engine, map_sweep_points
@@ -142,8 +143,14 @@ class ExperimentSpec:
         Covers the id, title, scale tables, and the *source code* of the
         sweep/point/fold callables, so edited experiment logic
         invalidates old checkpoints instead of silently mixing payloads
-        from two different programs.
+        from two different programs.  The source is read once per spec
+        instance, so a later edit of the file on disk does not change the
+        hash of the code already loaded.
         """
+        return self._spec_hash
+
+    @cached_property
+    def _spec_hash(self) -> str:
         material = {
             "harness_version": HARNESS_VERSION,
             "experiment_id": self.experiment_id,

@@ -37,6 +37,9 @@ if TYPE_CHECKING:
 #: A factory mapping a resource level (q or k) to a ready-to-run tester.
 TesterFactory = Callable[[int], "object"]
 
+#: One probe of a level: its side index and the distribution it samples.
+Side = Tuple[int, DiscreteDistribution]
+
 
 @dataclass
 class SampleComplexityResult:
@@ -45,7 +48,9 @@ class SampleComplexityResult:
     resource_star: int
     target: float
     #: Each probed level's success rate: ``min(completeness, soundness)``
-    #: over every side for a passing level, and over the sides probed up
+    #: over every probed side for a passing level (one alternative per
+    #: sorted-pmf class for a relabel-invariant tester, see
+    #: :func:`probe_sides`), and over the sides probed up
     #: to the first failing one for a failed level, since both modes stop
     #: there (see :func:`_seeded_classify`).  The CLI curve plot and the
     #: ``SearchDivergedError`` "best" figure read these rates.
@@ -74,16 +79,62 @@ def success_at(
     trials: int,
     rng: RngLike = None,
 ) -> float:
-    """min(completeness, min-over-alternatives soundness) for one tester."""
+    """min(completeness, min-over-alternatives soundness) for one tester.
+
+    The alternatives probed are those :func:`probe_sides` picks: one per
+    sorted-pmf class for a relabel-invariant tester, all of them otherwise.
+    """
     if trials < 1:
         raise InvalidParameterError(f"trials must be >= 1, got {trials}")
     if not far_distributions:
         raise InvalidParameterError("need at least one far distribution")
     generator = ensure_rng(rng)
-    success = tester.acceptance_probability(uniform(tester.n), trials, generator)
-    for far in far_distributions:
-        success = min(success, 1.0 - tester.acceptance_probability(far, trials, generator))
+    success = 1.0
+    for side, distribution in probe_sides(tester.n, far_distributions)(tester):
+        rate = tester.acceptance_probability(distribution, trials, generator)
+        success = min(success, rate if side == 0 else 1.0 - rate)
     return success
+
+
+def probe_sides(
+    n: int, alternatives: Sequence[DiscreteDistribution]
+) -> Callable[[Any], List[Side]]:
+    """The ``(side, distribution)`` pairs a tester's level probes.
+
+    Side 0 is ``uniform(n)`` and side ``i`` the i-th alternative.  A
+    tester whose verdicts do not change when the domain is relabelled
+    (``relabel_invariant``) accepts equally often, in law, on every
+    alternative with the same sorted pmf, so it probes only the first
+    alternative of each such class; any other tester probes every side.
+    Sorted pmfs are compared to a relative ``1e-12``, since normalising
+    by an order-dependent sum leaves equal multisets a few ulps apart.
+    Kept alternatives keep their side index, hence their
+    :func:`_probe_seed` and cache key.
+
+    The classes and ``uniform(n)`` are built here, once per search; the
+    returned function picks the list for the tester built at a level.
+    """
+    base = uniform(n)
+    every: List[Side] = [(0, base), *enumerate(alternatives, start=1)]
+    classes: List[Side] = [(0, base)]
+    keys: List[np.ndarray] = []
+    for side, distribution in every[1:]:
+        key = np.sort(distribution.pmf)
+        if not any(
+            seen.size == key.size and np.allclose(seen, key, rtol=1e-12, atol=0.0)
+            for seen in keys
+        ):
+            keys.append(key)
+            classes.append((side, distribution))
+
+    def sides(tester: Any) -> List[Side]:
+        if tester.n != n:
+            raise InvalidParameterError(
+                f"tester domain {tester.n} differs from the search domain {n}"
+            )
+        return classes if getattr(tester, "relabel_invariant", False) else every
+
+    return sides
 
 
 def adversarial_domain(n: int) -> int:
@@ -138,7 +189,7 @@ def _probe_seed(root_entropy: int, level: int, side: int) -> np.random.SeedSeque
 
 def _seeded_classify(
     tester,
-    alternatives: Sequence[DiscreteDistribution],
+    sides: Sequence[Side],
     threshold: float,
     trials: int,
     sprt: Optional[SprtSpec],
@@ -147,11 +198,11 @@ def _seeded_classify(
 ) -> Tuple[bool, float]:
     """(passed, empirical success rate) for one resource level.
 
-    Probes the uniform distribution, then each alternative, in that
-    order and each under its :func:`_probe_seed`, and stops at the first
-    side that fails the level; a level where no side fails passes.  With
-    a fixed budget (``sprt=None``) every probed side runs ``trials``
-    executions and a side fails once the running
+    Probes ``sides`` (from :func:`probe_sides`: uniform first, then the
+    alternatives), in that order and each under its :func:`_probe_seed`,
+    and stops at the first side that fails the level; a level where no
+    side fails passes.  With a fixed budget (``sprt=None``) every probed
+    side runs ``trials`` executions and a side fails once the running
     ``min(completeness, soundness)`` drops below ``threshold`` — the
     sides after it cannot lift that minimum, so the verdict is that of
     ``min(completeness, worst-case soundness) >= threshold``.
@@ -174,7 +225,7 @@ def _seeded_classify(
     from ..engine import estimate_acceptance
 
     success = 1.0
-    for side, distribution in enumerate([uniform(tester.n), *alternatives]):
+    for side, distribution in sides:
         seed = _probe_seed(root_entropy, level, side)
         if sprt is None:
             estimate = estimate_acceptance(tester, distribution, trials=trials, rng=seed)
@@ -278,7 +329,8 @@ def _resource_complexity(
     entropy (``spawn_key=(0,)``), so the whole search — alternatives
     included — is a deterministic function of one integer.  Each probed
     level builds one tester, classifies it with :func:`_seeded_classify`
-    and records its rate in the curve under the probed level.
+    on the sides :func:`probe_sides` picks for it, and records its rate
+    in the curve under the probed level.
     """
     from ..engine import SprtSpec, derive_root_entropy
 
@@ -290,6 +342,7 @@ def _resource_complexity(
             np.random.SeedSequence(entropy=root_entropy, spawn_key=(0,))
         )
         alternatives = default_far_distributions(n, epsilon, alt_rng)
+    sides_for = probe_sides(n, alternatives)
     threshold = target + margin
     spec = None
     if sprt:
@@ -302,9 +355,10 @@ def _resource_complexity(
     curve: Dict[int, float] = {}
 
     def passes(level: int) -> bool:
+        tester = tester_factory(level)
         passed, rate = _seeded_classify(
-            tester_factory(level),
-            alternatives,
+            tester,
+            sides_for(tester),
             threshold,
             trials,
             spec,

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import copy
 import json
 import os
 import shutil
@@ -612,3 +613,10 @@ class TestProbeKeyInjectivity:
         first, second = (_multibit_tester(p, seed) for seed in sorted(seeds))
         calibrated = [(t.boundaries.tolist(), t.sum_threshold) for t in (first, second)]
         assert _probe_key(first) != _probe_key(second) or calibrated[0] == calibrated[1]
+
+    def test_multibit_key_carries_its_boundaries(self):
+        # Level means and sum_threshold alone do not name the quantiler.
+        tester = MultibitThresholdTester(64, 0.5, 4, calibration_trials=300)
+        shifted = copy.copy(tester)
+        shifted.boundaries = tester.boundaries + 0.5
+        assert _probe_key(shifted) != _probe_key(tester)

@@ -8,6 +8,9 @@ elements (``plan_tiles`` sizes trial blocks from that footprint), it
 draws from the generator it was handed (the per-block stream the
 executor derives from the root seed), and the same seed gives the same
 verdicts (the acceptance cache replays them as a function of the seed).
+A kernel that declares ``relabel_invariant`` must also give the same
+verdicts when every draw is relabelled by a fixed permutation of the
+domain: the q* search then probes one alternative per sorted-pmf class.
 The table below runs each kernel at three sizes and two trial counts
 under a :class:`CountingRng` that counts the elements it hands out.
 Every entry is a native kernel: the engine adapts nothing.
@@ -18,10 +21,11 @@ be the class (or a base class) of an entry, and every registered
 streaming plugin must have one.  :func:`test_cache_tokens_are_pinned`
 holds each entry's ``cache_token`` to ``kernel_tokens.json``, so a
 change that moves a token (and orphans cached curves) must say so.  The kernels of
-the ``shapes_violations.py`` lint fixture, plus :class:`EntropyKernel`
-and :class:`ForkedLineageKernel` below, each break the contract in one
-way, and :func:`test_contract_checker_fails_broken_kernels` pins that
-the checker catches all of them.
+the ``shapes_violations.py`` lint fixture, plus :class:`EntropyKernel`,
+:class:`ForkedLineageKernel` and :class:`FalselyInvariantKernel` below,
+each break the contract in one way, and
+:func:`test_contract_checker_fails_broken_kernels` pins that the checker
+catches all of them.
 """
 
 from __future__ import annotations
@@ -39,10 +43,11 @@ from repro.core.closeness import UniformityViaCloseness
 from repro.core.independence import IndependenceTester
 from repro.core.learning import LearningSuccessKernel
 from repro.core.plugins import get_plugin, registered_plugins
-from repro.distributions.discrete import uniform
+from repro.distributions.discrete import DiscreteDistribution, uniform
 from repro.engine import KernelBase, estimate_acceptance, require_kernel
 from repro.network.local_model import LocalUniformityTester
 from repro.rng import ensure_rng
+from repro.stats.complexity import default_far_distributions
 from tests.oracles import BernoulliKernel
 
 nx = pytest.importorskip("networkx")
@@ -105,6 +110,30 @@ class CountingRng(np.random.Generator):
     def shuffle(self, x, *args, **kwargs):
         self.elements += int(np.size(x))
         return super().shuffle(x, *args, **kwargs)
+
+
+class RelabelledDistribution(DiscreteDistribution):
+    """``base`` with every draw mapped through ``permutation``.
+
+    Its pmf is ``base.permute(permutation)``'s, and its draws are exactly
+    ``permutation[base.sample(...)]``: the same uniforms, other labels.
+    """
+
+    __slots__ = ("_base", "_permutation")
+
+    def __init__(self, base, permutation):
+        super().__init__(base.permute(permutation).pmf)
+        self._base = base
+        self._permutation = np.asarray(permutation, dtype=np.int64)
+
+    def sample(self, size, rng=None):
+        return self._permutation[self._base.sample(size, rng)]
+
+
+def relabelled(distribution, seed=2027):
+    """``distribution`` under a fixed random relabelling of its domain."""
+    permutation = np.random.default_rng(seed).permutation(distribution.n)
+    return RelabelledDistribution(distribution, permutation)
 
 
 def _plugin(name):
@@ -191,19 +220,32 @@ def contract_violations(kernel, distribution, trials, seed=2026):
     """Every way ``accept_block`` breaks the kernel contract at one seed.
 
     Returns a list of messages, each starting with the broken clause
-    (``raised``, ``shape``, ``dtype``, ``budget``, ``lineage`` or
-    ``determinism``); empty when the kernel honours the contract.
+    (``raised``, ``shape``, ``dtype``, ``budget``, ``lineage``,
+    ``determinism`` or ``relabel``); empty when the kernel honours the
+    contract.
     """
     rng = CountingRng(seed=seed)
     untouched = rng.bit_generator.state
+    invariant = getattr(kernel, "relabel_invariant", False)
     try:
         accepts = np.asarray(kernel.accept_block(distribution, trials, rng))
         again = np.asarray(
             kernel.accept_block(distribution, trials, CountingRng(seed=seed))
         )
+        if invariant:
+            moved = np.asarray(
+                kernel.accept_block(
+                    relabelled(distribution), trials, CountingRng(seed=seed)
+                )
+            )
     except Exception as error:  # any exception breaks the contract
         return [f"raised {type(error).__name__}: {error}"]
     problems = []
+    if invariant and not np.array_equal(accepts, moved):
+        problems.append(
+            "relabel: declares relabel_invariant but relabelled draws "
+            "changed the accept vector"
+        )
     if rng.bit_generator.state == untouched:
         problems.append("lineage: drew nothing from the generator it was handed")
     if not np.array_equal(accepts, again):
@@ -230,10 +272,63 @@ def test_elements_per_trial_covers_actual_draws(name):
         kernel = factory(n, k)
         require_kernel(kernel)
         assert int(kernel.elements_per_trial) >= 1
-        distribution = uniform(n)
-        for trials in TRIALS:
-            problems = contract_violations(kernel, distribution, trials)
-            assert problems == [], f"{name} at (n={n}, k={k}): {problems}"
+        # A far input too, where draws collide often (the relabel clause).
+        far = default_far_distributions(n, EPS, rng=n)[0]
+        for distribution in (uniform(n), far):
+            for trials in TRIALS:
+                problems = contract_violations(kernel, distribution, trials)
+                assert problems == [], f"{name} at (n={n}, k={k}): {problems}"
+
+
+#: The table entries whose verdicts ignore the labels of the domain.
+#: Sketched streaming testers hash values with a fixed mixer and the
+#: pairwise-hash tester indexes its public hashes by value, so neither is
+#: invariant, though each accepts equally often on relabelled inputs.
+RELABEL_INVARIANT = frozenset(
+    {
+        "amplified",
+        "and-rule",
+        "asymmetric-rate",
+        "centralized",
+        "graph-cycle",
+        "graph-matching-distinct",
+        "multibit",
+        "plugin:collision-exact",
+        "plugin:distinct-exact",
+        "plugin:graph-bipartite-distinct",
+        "plugin:graph-cycle",
+        "plugin:graph-matching",
+        "protocol",
+        "threshold-rule",
+        "unique-elements",
+    }
+)
+
+
+def test_relabel_invariant_flags_are_pinned():
+    flagged = {
+        name
+        for name, factory in KERNEL_FACTORIES.items()
+        if getattr(factory(*SIZES[0]), "relabel_invariant", False)
+    }
+    assert flagged == RELABEL_INVARIANT
+
+
+def test_players_that_draw_coins_honour_the_contract():
+    """Forced-T threshold testers send the dithered collision bit, and
+    both it and the random-bit player draw one coin per response."""
+    from repro.core.players import RandomBitPlayer
+
+    for n, k in SIZES:
+        dithered = repro.ThresholdRuleTester(n, EPS, k=k, forced_T=2)
+        coin = repro.SimultaneousProtocol.homogeneous(
+            RandomBitPlayer(0.5), k, 4, repro.ThresholdRule(2, num_players=k)
+        )
+        assert dithered.relabel_invariant and not coin.relabel_invariant
+        far = default_far_distributions(n, EPS, rng=n)[0]
+        for kernel in (dithered, coin):
+            for distribution in (uniform(n), far):
+                assert contract_violations(kernel, distribution, 16) == []
 
 
 def _accept_block_classes():
@@ -343,6 +438,16 @@ class ForkedLineageKernel:
         return np.random.default_rng(self.salt).random(trials) < 0.5
 
 
+class FalselyInvariantKernel:
+    """Claims relabel invariance but accepts iff its draw is a low label."""
+
+    elements_per_trial = 1
+    relabel_invariant = True
+
+    def accept_block(self, distribution, trials, rng):
+        return distribution.sample(trials, rng) < distribution.n // 2
+
+
 def _broken_kernels():
     spec = importlib.util.spec_from_file_location(
         "shapes_violations_fixture", GOLDEN_VIOLATIONS
@@ -365,6 +470,7 @@ def _broken_kernels():
         "Misaligned": ("raised", module.MisalignedKernel()),
         "Entropy": ("determinism", EntropyKernel()),
         "ForkedLineage": ("lineage", ForkedLineageKernel(salt=5)),
+        "FalselyInvariant": ("relabel", FalselyInvariantKernel()),
     }
 
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import inspect
 import json
 import os
 
@@ -82,6 +83,21 @@ class TestSpecHash:
 
     def test_hash_sees_scale_changes(self):
         assert make_spec(factor=2).spec_hash() != make_spec(factor=3).spec_hash()
+
+    def test_source_is_read_once_per_spec(self, monkeypatch):
+        reads = []
+        real = inspect.getsource
+
+        def counted(fn):
+            reads.append(fn)
+            return real(fn)
+
+        spec = make_spec()
+        monkeypatch.setattr(inspect, "getsource", counted)
+        first = spec.spec_hash()
+        assert len(reads) == 3  # sweep, point, fold
+        assert spec.spec_hash() == first and len(reads) == 3
+        assert make_spec().spec_hash() == first and len(reads) == 6
 
 
 class TestPointSeeds:

@@ -6,6 +6,7 @@ import itertools
 import os
 from dataclasses import replace
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -29,6 +30,7 @@ from repro.stats.complexity import (
     _search,
     _seeded_classify,
     default_far_distributions,
+    probe_sides,
     success_at,
 )
 
@@ -368,18 +370,18 @@ class TestGraphFamilySweep:
 #
 # ``_seeded_classify`` stops probing a level at its first failing side.  The
 # oracle below is the classifier as it was before fixed-budget levels
-# short-circuited: it probes every side of a fixed-budget level (an SPRT
-# level already stopped at its first wrong decision).  Verdicts, q* and
-# passing-level rates must not depend on which of the two runs.
+# short-circuited: it probes every side it is given of a fixed-budget level
+# (an SPRT level already stopped at its first wrong decision).  Verdicts, q*
+# and passing-level rates must not depend on which of the two runs.
 
 THRESHOLD = 2.0 / 3.0 + 0.04  # the searches' default target + margin
 
 
-def _probe_every_side(tester, alternatives, threshold, trials, sprt, root_entropy, level):
+def _probe_every_side(tester, sides, threshold, trials, sprt, root_entropy, level):
     from repro.engine import estimate_acceptance
 
     success = 1.0
-    for side, distribution in enumerate([uniform(tester.n), *alternatives]):
+    for side, distribution in sides:
         seed = _probe_seed(root_entropy, level, side)
         if sprt is None:
             estimate = estimate_acceptance(tester, distribution, trials=trials, rng=seed)
@@ -450,9 +452,10 @@ class _ScriptedTester:
     returns — its acceptance rate on a fixed budget, its
     ``decided_above`` under an SPRT."""
 
-    def __init__(self, n, script):
+    def __init__(self, n, script, relabel_invariant=False):
         self.n = n
         self.script = script
+        self.relabel_invariant = relabel_invariant
 
 
 ROOT, LEVEL, TRIALS = 1234, 7, 100
@@ -466,7 +469,7 @@ def probes(monkeypatch):
     calls = []
 
     def scripted(tester, distribution, *, trials=None, sprt=None, rng=None):
-        side = 0 if not calls else calls[-1]["side"] + 1
+        side = rng.spawn_key[2]  # _probe_seed's (1, level, side)
         calls.append(
             {
                 "side": side,
@@ -485,9 +488,10 @@ def probes(monkeypatch):
     return calls
 
 
-def _classify(classifier, script, sprt=None):
-    tester = _ScriptedTester(16, script)
-    return classifier(tester, ALTERNATIVES, THRESHOLD, TRIALS, sprt, ROOT, LEVEL)
+def _classify(classifier, script, sprt=None, alternatives=ALTERNATIVES, invariant=False):
+    tester = _ScriptedTester(16, script, invariant)
+    sides = probe_sides(16, alternatives)(tester)
+    return classifier(tester, sides, THRESHOLD, TRIALS, sprt, ROOT, LEVEL)
 
 
 def _expected_seed(side):
@@ -531,6 +535,70 @@ class TestProbeCount:
         assert all(
             call["sprt"] == replace(SPEC, target=1.0 - THRESHOLD) for call in short[1:]
         )
+
+
+# --- One alternative per sorted-pmf class --------------------------------
+#
+# Two random Paninski members and the two-level distribution share one
+# probability multiset, {0.5/16, 1.5/16}; a relabel-invariant tester has
+# the same acceptance law on all three.
+
+SAME_LAW = default_far_distributions(16, 0.5, rng=3)
+
+
+class TestAlternativeClasses:
+    def test_invariant_passing_level_probes_uniform_and_one_alternative(self, probes):
+        verdict = _classify(
+            _seeded_classify, TestProbeCount.PASS, alternatives=SAME_LAW, invariant=True
+        )
+        assert verdict == (True, 0.8)
+        assert [call["side"] for call in probes] == [0, 1]
+        assert probes[1]["distribution"] is SAME_LAW[0]
+        assert [call["seed"] for call in probes] == [_expected_seed(0), _expected_seed(1)]
+
+    def test_non_invariant_tester_probes_every_side(self, probes):
+        verdict = _classify(_seeded_classify, TestProbeCount.PASS, alternatives=SAME_LAW)
+        assert verdict == (True, 0.75)
+        assert [call["side"] for call in probes] == [0, 1, 2, 3]
+        assert [call["seed"] for call in probes] == [_expected_seed(s) for s in range(4)]
+
+    def test_distinct_multisets_are_all_kept(self, probes):
+        verdict = _classify(_seeded_classify, TestProbeCount.PASS, invariant=True)
+        assert verdict == (True, 0.75)
+        assert [call["side"] for call in probes] == [0, 1, 2, 3]
+
+    def test_class_members_keep_their_side_index(self):
+        alternatives = [SAME_LAW[0], ALTERNATIVES[2], SAME_LAW[1], ALTERNATIVES[0]]
+        tester = _ScriptedTester(16, None, relabel_invariant=True)
+        sides = probe_sides(16, alternatives)(tester)
+        assert [side for side, _ in sides] == [0, 1, 2]
+        assert sides[2][1] is ALTERNATIVES[2]
+
+    def test_ulp_drift_collapses_to_one_class(self):
+        far = default_far_distributions(1000, 0.3, rng=0)
+        # Normalising by an order-dependent sum leaves the sorted pmfs a
+        # few ulps apart: not byte-equal, yet one multiset.
+        assert len({np.sort(d.pmf).tobytes() for d in far}) > 1
+        tester = _ScriptedTester(1000, None, relabel_invariant=True)
+        assert [side for side, _ in probe_sides(1000, far)(tester)] == [0, 1]
+
+    def test_tester_on_another_domain_is_rejected(self):
+        with pytest.raises(InvalidParameterError, match="search domain"):
+            probe_sides(16, SAME_LAW)(_ScriptedTester(32, None, True))
+
+    def test_invariant_search_probes_one_alternative_per_level(self, monkeypatch):
+        sides = []
+        real = complexity._seeded_classify
+
+        def recorded(tester, probed, *args):
+            sides.append([side for side, _ in probed])
+            return real(tester, probed, *args)
+
+        monkeypatch.setattr(complexity, "_seeded_classify", recorded)
+        empirical_sample_complexity(
+            lambda q: CentralizedCollisionTester(64, 0.6, q=q), 64, 0.6, trials=60, rng=2
+        )
+        assert sides and all(probed == [0, 1] for probed in sides)
 
 
 def _e01_smoke(cache_dir, capsys, monkeypatch):
@@ -584,3 +652,44 @@ class TestShortCircuitReplay:
         assert short_estimates < full_estimates == _estimate_entries(tmp_path)
         assert metrics["cache_misses"] == 0
         assert metrics["samples_drawn"] == 0
+
+
+def _every_side(n, alternatives):
+    """The side list before alternatives were grouped into classes."""
+    sides = [(0, uniform(n)), *enumerate(alternatives, start=1)]
+    return lambda tester: sides
+
+
+def _recording_seeds(record):
+    """``_probe_seed``, noting each ``(root, level, side)`` it names."""
+    real = complexity._probe_seed
+
+    def seed(root_entropy, level, side):
+        record((root_entropy, level, side))
+        return real(root_entropy, level, side)
+
+    return seed
+
+
+class TestAlternativeClassReplay:
+    def test_cache_written_by_every_side_classifier_serves_every_kept_probe(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        # Grouping moves q*, so the grouped search may visit levels the
+        # every-side search never did; every probe at a level both visit
+        # has the same seed and key, and must be a hit.
+        old, new = set(), []
+        with monkeypatch.context() as patch:
+            patch.setattr(complexity, "probe_sides", _every_side)
+            patch.setattr(complexity, "_probe_seed", _recording_seeds(old.add))
+            _e01_smoke(tmp_path, capsys, monkeypatch)
+        with monkeypatch.context() as patch:
+            patch.setattr(complexity, "_probe_seed", _recording_seeds(new.append))
+            _, metrics, estimates = _e01_smoke(tmp_path, capsys, monkeypatch)
+        old_levels = {(root, level) for root, level, _ in old}
+        fresh = [probe for probe in new if probe not in old]
+        assert len(new) == estimates and len(new) < len(old)
+        assert all((root, level) not in old_levels for root, level, _ in fresh)
+        assert metrics["cache_misses"] == len(fresh)
+        assert metrics["cache_hits"] == len(new) - len(fresh) > 0
+        assert (metrics["samples_drawn"] == 0) == (not fresh)

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -82,16 +81,17 @@ def test_wilson_interval_properties(successes, extra):
     assert high >= point - 1e-12
 
 
-@given(seed=st.integers(min_value=0, max_value=10_000))
-@settings(max_examples=20, deadline=None)
-def test_wilson_coverage_statistically(seed):
-    """The 95% interval should cover the true parameter most of the time."""
-    rng = np.random.default_rng(seed)
-    true_p = 0.3
-    covered = 0
-    repetitions = 40
-    for _ in range(repetitions):
-        successes = rng.binomial(120, true_p)
-        low, high = wilson_interval(int(successes), 120)
-        covered += low <= true_p <= high
-    assert covered >= repetitions * 0.8
+def test_wilson_coverage_statistically():
+    """The 95% interval's exact coverage at several p: the Binomial(120, p)
+    mass of the success counts whose interval contains p (0.942-0.954)."""
+    from scipy.stats import binom
+
+    trials = 120
+    intervals = [wilson_interval(successes, trials) for successes in range(trials + 1)]
+    for true_p in (0.05, 0.3, 0.5, 0.9):
+        coverage = sum(
+            binom.pmf(successes, trials, true_p)
+            for successes, (low, high) in enumerate(intervals)
+            if low <= true_p <= high
+        )
+        assert coverage >= 0.93, (true_p, coverage)
