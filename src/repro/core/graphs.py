@@ -35,6 +35,7 @@ Monte-Carlo calibrators are memoised in the engine's acceptance cache
 
 from __future__ import annotations
 
+import functools
 import hashlib
 from typing import Any, Callable, Dict, Optional, Tuple
 
@@ -486,13 +487,10 @@ def statistic_alarm_probabilities(
         raise InvalidParameterError(f"trials must be >= 100, got {trials}")
     q = graph.num_vertices
     generator = ensure_rng(rng)
-    uniform_stats = graph_statistic_block(
-        graph, uniform(n).sample_matrix(trials, q, generator)
-    )
+    statistic = functools.partial(graph_statistic_block, graph)
+    uniform_stats = uniform(n).sample_statistic(trials, q, statistic, generator)
     far = worst_case_statistic_proxy(graph, n, epsilon)
-    far_stats = graph_statistic_block(
-        graph, far.sample_matrix(trials, q, generator)
-    )
+    far_stats = far.sample_statistic(trials, q, statistic, generator)
     p_uniform = float((uniform_stats > threshold).mean())
     p_far = float((far_stats > threshold).mean())
     return p_uniform, p_far
@@ -528,9 +526,8 @@ def calibrate_statistic_threshold(
         if exact_alarm <= max_reject_probability:
             return 0, exact_alarm
 
-    generator = ensure_rng(rng)
-    counts = graph_statistic_block(
-        graph, uniform(n).sample_matrix(trials, graph.num_vertices, generator)
+    counts = uniform(n).sample_statistic(
+        trials, graph.num_vertices, functools.partial(graph_statistic_block, graph), rng
     )
     maximum = int(counts.max())
     for t in range(0, maximum + 1):
@@ -564,9 +561,8 @@ def calibrate_dithered_statistic(
         )
     if trials < 100:
         raise InvalidParameterError(f"trials must be >= 100, got {trials}")
-    generator = ensure_rng(rng)
-    counts = graph_statistic_block(
-        graph, uniform(n).sample_matrix(trials, graph.num_vertices, generator)
+    counts = uniform(n).sample_statistic(
+        trials, graph.num_vertices, functools.partial(graph_statistic_block, graph), rng
     )
     maximum = int(counts.max())
     for t in range(0, maximum + 2):
@@ -601,13 +597,10 @@ def calibrate_distinct_threshold(
         raise InvalidParameterError(f"trials must be >= 100, got {trials}")
     q = graph.num_vertices
     generator = ensure_rng(rng)
-    uniform_distinct = graph_statistic_block(
-        graph, uniform(n).sample_matrix(trials, q, generator), mode="distinct"
-    )
+    statistic = functools.partial(graph_statistic_block, graph, mode="distinct")
+    uniform_distinct = uniform(n).sample_statistic(trials, q, statistic, generator)
     far = worst_case_statistic_proxy(graph, n, epsilon)
-    far_distinct = graph_statistic_block(
-        graph, far.sample_matrix(trials, q, generator), mode="distinct"
-    )
+    far_distinct = far.sample_statistic(trials, q, statistic, generator)
     return 0.5 * (float(uniform_distinct.mean()) + float(far_distinct.mean()))
 
 

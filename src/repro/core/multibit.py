@@ -93,15 +93,15 @@ class MultibitThresholdTester(UniformityTester):
             raise InvalidParameterError(f"q must be >= 2, got {self.q}")
 
         generator = ensure_rng(calibration_rng)
-        uniform_counts = collision_counts(
-            uniform(n).sample_matrix(calibration_trials, self.q, generator)
+        uniform_counts = uniform(n).sample_statistic(
+            calibration_trials, self.q, collision_counts, generator
         )
         # Degenerate quantiles (all counts equal) are legal: every message
         # is then the same level and the tester is uninformative but valid.
         self.boundaries = quantile_boundaries(uniform_counts, self.num_levels)
         far = worst_case_statistic_proxy(complete_graph(2), n, epsilon)
-        far_counts = collision_counts(
-            far.sample_matrix(calibration_trials, self.q, generator)
+        far_counts = far.sample_statistic(
+            calibration_trials, self.q, collision_counts, generator
         )
         uniform_levels = np.searchsorted(
             self.boundaries, uniform_counts, side="right"

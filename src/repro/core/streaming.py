@@ -179,9 +179,9 @@ def calibrate_sketch_threshold(
     if trials < 100:
         raise InvalidParameterError(f"trials must be >= 100, got {trials}")
     generator = ensure_rng(rng)
-    uniform_stats = statistic(uniform(n).sample_matrix(trials, q, generator))
+    uniform_stats = uniform(n).sample_statistic(trials, q, statistic, generator)
     far = _far_proxy(n, epsilon)
-    far_stats = statistic(far.sample_matrix(trials, q, generator))
+    far_stats = far.sample_statistic(trials, q, statistic, generator)
     return 0.5 * (float(uniform_stats.mean()) + float(far_stats.mean()))
 
 

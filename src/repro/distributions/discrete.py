@@ -16,7 +16,7 @@ hashable on their bytes and safe to share across players.
 
 from __future__ import annotations
 
-from typing import Iterable, Optional, Sequence, Union
+from typing import Callable, Iterable, Optional, Sequence, Union
 
 import numpy as np
 
@@ -29,6 +29,11 @@ from ..rng import RngLike, ensure_rng
 
 #: Tolerance used when validating that a pmf sums to one.
 PMF_SUM_ATOL = 1e-9
+
+#: Elements per row block when a sample matrix is drawn or reduced in
+#: pieces: a block's int64 array (512 KiB) stays cache-resident, where
+#: one array for the whole matrix would be fresh memory on every call.
+ROW_BLOCK_ELEMENTS = 1 << 16
 
 
 class DiscreteDistribution:
@@ -193,6 +198,11 @@ class DiscreteDistribution:
         stored answer.  Only draws landing in the at most ``n - 1``
         straddling buckets reach ``searchsorted``, so the result is
         bit-identical to a plain binary search over the same uniforms.
+
+        The uniforms are scaled to bucket units in place and the table is
+        gathered into the bucket-index array, so a draw holds two
+        full-size arrays.  Scaling by the power of two ``m`` is exact, and
+        the straddle fallback divides ``u`` back out unchanged.
         """
         if size < 0:
             raise InvalidParameterError(f"size must be >= 0, got {size}")
@@ -211,12 +221,16 @@ class DiscreteDistribution:
             guide = np.where(low == high, low, -1).astype(np.int64)
             guide.setflags(write=False)
             self._cumulative, self._guide = cumulative, guide
-        uniforms = generator.random(size)
-        draws = guide[(uniforms * guide.size).astype(np.int64)]
+        scaled = generator.random(size)
+        scaled *= guide.size
+        draws = scaled.astype(np.int64)
+        # Every index lies in [0, m), so "clip" never clips; unlike the
+        # default "raise" it gathers straight into ``out`` without a copy.
+        np.take(guide, draws, out=draws, mode="clip")
         straddle = np.flatnonzero(draws < 0)
         if straddle.size:
             draws[straddle] = np.searchsorted(
-                cumulative, uniforms[straddle], side="right"
+                cumulative, scaled[straddle] / guide.size, side="right"
             )
         return draws
 
@@ -228,6 +242,36 @@ class DiscreteDistribution:
             )
         flat = self.sample(rows * cols, rng)
         return flat.reshape(rows, cols)
+
+    def sample_statistic(
+        self,
+        rows: int,
+        cols: int,
+        statistic: Callable[[np.ndarray], np.ndarray],
+        rng: RngLike = None,
+    ) -> np.ndarray:
+        """``statistic(self.sample_matrix(rows, cols, rng))``, drawn and
+        reduced in row blocks of about :data:`ROW_BLOCK_ELEMENTS` samples.
+
+        ``statistic`` maps a ``(block × cols)`` sample matrix to one value
+        per row.  Each block is one ``sample_matrix`` call on the same
+        generator, and successive ``generator.random`` calls continue its
+        stream exactly, so the per-row values and the generator state
+        afterwards are those of the single whole-matrix draw, while no
+        sample array larger than one block (or one row, for rows wider
+        than a block) is allocated.  This is how the Monte-Carlo
+        calibrators sample.
+        """
+        generator = ensure_rng(rng)
+        step = max(1, ROW_BLOCK_ELEMENTS // max(cols, 1))
+        if rows <= step:
+            return statistic(self.sample_matrix(rows, cols, generator))
+        return np.concatenate(
+            [
+                statistic(self.sample_matrix(min(step, rows - start), cols, generator))
+                for start in range(0, rows, step)
+            ]
+        )
 
     # ------------------------------------------------------------------ #
     # exact arithmetic                                                   #

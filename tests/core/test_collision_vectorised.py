@@ -1,5 +1,5 @@
-"""Differential tests for the vectorised collision kernel and the
-log-space birthday bound."""
+"""Differential tests for the vectorised collision and distinct-value
+kernels and the log-space birthday bound."""
 
 from __future__ import annotations
 
@@ -10,9 +10,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.players import birthday_no_collision_probability, collision_counts
+from repro.core.players import (
+    birthday_no_collision_probability,
+    collision_counts,
+    unique_counts,
+)
 from repro.exceptions import InvalidParameterError
-from tests.oracles import collision_counts_reference
+from tests.oracles import collision_counts_reference, unique_counts_reference
 
 
 def _exact_counts(matrix: np.ndarray) -> np.ndarray:
@@ -97,27 +101,58 @@ class TestCollisionCountsVectorised:
 
 _INT64 = np.iinfo(np.int64)
 
+#: Spans at the int16 boundary of the narrowed row sort: ``value − min``
+#: fits int16 up to 2**15, and 2**15 + 1 takes the int64 sort.  From
+#: 2**16 + 1 on, two values of one row would alias in any 16-bit copy.
+_NARROW_EDGE = [2**15 - 1, 2**15, 2**15 + 1, 2**16 + 1]
 
-@given(
-    rows=st.integers(min_value=0, max_value=6),
-    q=st.one_of(st.integers(min_value=0, max_value=2), st.integers(3, 40)),
-    span=st.integers(min_value=1, max_value=120),
-    low=st.one_of(
-        st.integers(min_value=-50, max_value=50),
-        st.sampled_from([_INT64.min, _INT64.max - 119]),
-    ),
-    seed=st.integers(min_value=0, max_value=2**32 - 1),
-)
+
+@st.composite
+def _sample_matrices(draw):
+    """(rows × q) int64 matrices spanning exactly ``span`` values from
+    ``low``: small spans, the int16 sort boundary, negative values and
+    the int64 extremes, including empty batches and q ∈ {0, 1, 2}."""
+    rows = draw(st.integers(min_value=0, max_value=6))
+    q = draw(st.one_of(st.integers(min_value=0, max_value=2), st.integers(3, 40)))
+    span = draw(
+        st.one_of(st.integers(min_value=1, max_value=120), st.sampled_from(_NARROW_EDGE))
+    )
+    low = draw(
+        st.one_of(
+            st.integers(min_value=-50, max_value=50),
+            st.sampled_from([_INT64.min, _INT64.max - span + 1]),
+        )
+    )
+    seed = draw(st.integers(min_value=0, max_value=2**32 - 1))
+    offsets = np.random.default_rng(seed).integers(0, span, size=(rows, q))
+    if offsets.size:
+        # Pin both ends in the first row so the matrix's span is the
+        # drawn one and a row holds both extremes.
+        offsets[0, 0] = 0
+        offsets[0, -1] = span - 1
+    return offsets + np.int64(low)
+
+
+@given(matrix=_sample_matrices())
 @settings(max_examples=300, deadline=None)
-def test_collision_counts_matches_reference(rows, q, span, low, seed):
-    """Both methods (span <= q histogram, span > q sorted walk) equal the
+def test_collision_counts_matches_reference(matrix):
+    """Both methods (span <= q histogram, span > q sorted walk, the
+    latter in int16 up to span 2**15 and in int64 beyond) equal the
     per-column oracle, including empty batches, negative values and
     values at the int64 extremes."""
-    offsets = np.random.default_rng(seed).integers(0, span, size=(rows, q))
-    matrix = offsets + np.int64(low)
     fast = collision_counts(matrix)
     assert fast.dtype == np.int64
     assert np.array_equal(fast, collision_counts_reference(matrix))
+
+
+@given(matrix=_sample_matrices())
+@settings(max_examples=300, deadline=None)
+def test_unique_counts_matches_reference(matrix):
+    """The int16 and int64 row sorts of ``unique_counts`` equal a
+    per-row ``set`` on the same matrices."""
+    fast = unique_counts(matrix)
+    assert fast.dtype == np.int64
+    assert np.array_equal(fast, unique_counts_reference(matrix))
 
 
 class TestBirthdayLogSpace:

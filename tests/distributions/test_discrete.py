@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import pickle
 
 import numpy as np
@@ -9,7 +10,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.graphs import complete_graph, cycle_graph, graph_statistic_block
+from repro.core.players import collision_counts, unique_counts
 from repro.distributions import DiscreteDistribution, point_mass, uniform
+from repro.distributions.discrete import ROW_BLOCK_ELEMENTS
 from repro.exceptions import (
     DimensionMismatchError,
     InvalidDistributionError,
@@ -237,6 +241,13 @@ def _binary_search_draws(dist, size, seed):
     return np.searchsorted(cdf, uniforms, side="right")
 
 
+def _state_after_uniforms(size, seed):
+    """The generator state after ``size`` plain uniforms from ``seed``."""
+    generator = np.random.default_rng(seed)
+    generator.random(size)
+    return generator.bit_generator.state
+
+
 def _zero_runs(draw, weights):
     """Zero out one run of ``weights`` at its start, middle or end."""
     n = len(weights)
@@ -283,10 +294,28 @@ def _pmfs(draw):
 )
 @settings(max_examples=200, deadline=None)
 def test_sample_is_bit_identical_to_binary_search(dist, size, seed):
-    """The guide table changes the cost of a draw, never its value."""
-    draws = dist.sample(size, seed)
+    """The guide table changes the cost of a draw, never its value, and a
+    draw consumes exactly one uniform per sample."""
+    generator = np.random.default_rng(seed)
+    draws = dist.sample(size, generator)
     assert draws.dtype == np.int64
     assert np.array_equal(draws, _binary_search_draws(dist, size, seed))
+    assert generator.bit_generator.state == _state_after_uniforms(size, seed)
+
+
+def test_straddling_buckets_match_binary_search():
+    """A non-dyadic pmf on n = 1000 has cdf points strictly inside
+    buckets; those draws take the searchsorted fallback on ``u`` divided
+    back out of bucket units, and still equal the binary search."""
+    dist = DiscreteDistribution(1.0 / np.arange(1, 1001) ** 0.7, normalize=True)
+    generator = np.random.default_rng(5)
+    draws = dist.sample(200_000, generator)
+    straddling = np.flatnonzero(dist._guide < 0)
+    assert 0 < straddling.size <= dist.n - 1
+    buckets = (np.random.default_rng(5).random(200_000) * dist._guide.size).astype(int)
+    assert np.isin(buckets, straddling).sum() > 1000  # the fallback really ran
+    assert np.array_equal(draws, _binary_search_draws(dist, 200_000, 5))
+    assert generator.bit_generator.state == _state_after_uniforms(200_000, 5)
 
 
 def test_sample_matches_binary_search_when_cumsum_drifts_above_one():
@@ -303,3 +332,61 @@ def test_pickled_distribution_keeps_its_draws():
     assert clone == dist
     assert np.array_equal(clone.sample(5000, 1), first)
     assert np.array_equal(clone.sample(7000, 2), _binary_search_draws(dist, 7000, 2))
+
+
+class TestSampleStatistic:
+    """``sample_statistic`` draws and reduces in row blocks; rows and the
+    generator state afterwards equal one ``sample_matrix`` call followed
+    by the statistic."""
+
+    @staticmethod
+    def _pin(dist, rows, cols, statistic, seed=3):
+        blocked_rng = np.random.default_rng(seed)
+        blocked = dist.sample_statistic(rows, cols, statistic, blocked_rng)
+        whole_rng = np.random.default_rng(seed)
+        whole = statistic(dist.sample_matrix(rows, cols, whole_rng))
+        assert blocked.dtype == whole.dtype
+        assert np.array_equal(blocked, whole)
+        assert blocked_rng.bit_generator.state == whole_rng.bit_generator.state
+        return blocked
+
+    def test_rows_not_a_multiple_of_the_block(self):
+        cols = 100
+        step = ROW_BLOCK_ELEMENTS // cols
+        rows = 3 * step + 17
+        counts = self._pin(uniform(1024), rows, cols, collision_counts)
+        assert counts.shape == (rows,)
+
+    def test_rows_wider_than_the_block_are_one_row_per_block(self):
+        cols = ROW_BLOCK_ELEMENTS + 3
+        calls = []
+
+        def statistic(samples):
+            calls.append(samples.shape)
+            return collision_counts(samples)
+
+        self._pin(uniform(1 << 20), 3, cols, statistic)
+        assert calls[:3] == [(1, cols)] * 3  # blocked draw, then the whole one
+
+    @pytest.mark.parametrize("mode", ["edges", "distinct"])
+    @pytest.mark.parametrize("graph", [complete_graph(40), cycle_graph(40)], ids=repr)
+    def test_graph_statistics_in_both_modes(self, graph, mode):
+        far = DiscreteDistribution(1.0 / np.arange(1, 65) ** 0.5, normalize=True)
+        for dist in (uniform(64), far):
+            self._pin(dist, 4000, 40, functools.partial(graph_statistic_block, graph, mode=mode))
+
+    def test_a_small_draw_is_one_call(self):
+        calls = []
+
+        def statistic(samples):
+            calls.append(samples.shape)
+            return unique_counts(samples)
+
+        self._pin(uniform(16), 10, 8, statistic)
+        assert calls == [(10, 8), (10, 8)]
+
+    def test_empty_and_invalid_sizes(self):
+        counts = uniform(8).sample_statistic(0, 5, collision_counts, 0)
+        assert counts.shape == (0,)
+        with pytest.raises(InvalidParameterError):
+            uniform(8).sample_statistic(-1, 5, collision_counts, 0)

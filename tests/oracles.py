@@ -392,3 +392,10 @@ def collision_counts_reference(samples: np.ndarray) -> np.ndarray:
         previous = (previous + 1) * equal_prev[:, column]
         run_position[:, column] = previous
     return run_position.sum(axis=1)
+
+
+def unique_counts_reference(samples: np.ndarray) -> np.ndarray:
+    """Reference oracle for :func:`~repro.core.players.unique_counts`:
+    the size of each row's Python ``set``."""
+    matrix = _validate_sample_matrix(samples)
+    return np.array([len(set(row.tolist())) for row in matrix], dtype=np.int64)
