@@ -35,12 +35,11 @@ from .players import (
     PlayerStrategy,
     UniqueElementsPlayer,
     ConstantPlayer,
-    RandomBitPlayer,
     SubsetMembershipPlayer,
     collision_counts,
     birthday_no_collision_probability,
 )
-from .protocol import Player, SimultaneousProtocol, ProtocolOutcome
+from .protocol import Player, SimultaneousProtocol
 from .graphs import (
     ComparisonGraph,
     ComparisonGraphTester,
@@ -56,8 +55,6 @@ from .graphs import (
     snap_family_size,
     graph_statistic_block,
     graph_tester_factory,
-    uniform_statistic_moments,
-    far_statistic_mean_bound,
     midpoint_threshold,
     worst_case_statistic_proxy,
     calibrate_statistic_threshold,
@@ -99,8 +96,6 @@ from .plugins import (
     StreamingPlugin,
     register_plugin,
     registered_plugins,
-    plugin_names,
-    get_plugin,
 )
 from .battery import BatteryRow, render_battery, run_battery
 
@@ -115,13 +110,11 @@ __all__ = [
     "PlayerStrategy",
     "UniqueElementsPlayer",
     "ConstantPlayer",
-    "RandomBitPlayer",
     "SubsetMembershipPlayer",
     "collision_counts",
     "birthday_no_collision_probability",
     "Player",
     "SimultaneousProtocol",
-    "ProtocolOutcome",
     "ComparisonGraph",
     "ComparisonGraphTester",
     "GraphStatisticPlayer",
@@ -136,8 +129,6 @@ __all__ = [
     "snap_family_size",
     "graph_statistic_block",
     "graph_tester_factory",
-    "uniform_statistic_moments",
-    "far_statistic_mean_bound",
     "midpoint_threshold",
     "worst_case_statistic_proxy",
     "calibrate_statistic_threshold",
@@ -178,8 +169,6 @@ __all__ = [
     "StreamingPlugin",
     "register_plugin",
     "registered_plugins",
-    "plugin_names",
-    "get_plugin",
     "BatteryRow",
     "render_battery",
     "run_battery",

@@ -73,18 +73,6 @@ class UniqueElementsTester(ComparisonGraphTester):
             calibration_trials=calibration_trials,
         )
 
-    @property
-    def distinct_threshold(self) -> float:
-        """Legacy name for the graph layer's ``statistic_threshold``."""
-        return self.statistic_threshold
-
-    @staticmethod
-    def expected_distinct_uniform(n: int, q: int) -> float:
-        """E[#distinct] under U_n: ``n·(1 − (1 − 1/n)^q)`` exactly."""
-        if n < 1 or q < 0:
-            raise InvalidParameterError("need n >= 1 and q >= 0")
-        return n * (1.0 - (1.0 - 1.0 / n) ** q)
-
 
 class EmpiricalDistanceTester(UniformityTester):
     """The plug-in (learn-then-decide) baseline: accept iff the empirical

@@ -31,30 +31,6 @@ from ..exceptions import InvalidParameterError
 from ..rng import RngLike, ensure_rng
 
 
-def poissonized_counts(
-    distribution: DiscreteDistribution, rate: float, rng: RngLike = None
-) -> np.ndarray:
-    """Counts of Poisson(rate) i.i.d. samples, per domain element.
-
-    Poissonization: with a Poisson total, the per-element counts are
-    independent ``Poisson(rate · p_v)`` — drawn directly.
-    """
-    if rate <= 0:
-        raise InvalidParameterError(f"rate must be > 0, got {rate}")
-    generator = ensure_rng(rng)
-    return generator.poisson(rate * distribution.pmf)
-
-
-def closeness_statistic(counts_a: np.ndarray, counts_b: np.ndarray) -> float:
-    """The CDVV statistic Z = Σ_v [(A_v − B_v)² − A_v − B_v]."""
-    a = np.asarray(counts_a, dtype=np.float64)
-    b = np.asarray(counts_b, dtype=np.float64)
-    if a.shape != b.shape or a.ndim != 1:
-        raise InvalidParameterError("count vectors must be 1-d and equal length")
-    difference = a - b
-    return float((difference * difference - a - b).sum())
-
-
 class ClosenessTester:
     """Two-sample closeness tester (accept ⟺ "p = r").
 

@@ -40,9 +40,7 @@ class StuckAtPlayer(PlayerStrategy):
         self.stuck_bit = int(stuck_bit)
 
     def respond_batch(self, samples: np.ndarray, rng: RngLike = None) -> np.ndarray:
-        matrix = np.asarray(samples)
-        rows = matrix.shape[0] if matrix.ndim == 2 else 1
-        return np.full(rows, self.stuck_bit, dtype=np.int64)
+        return np.full(np.shape(samples)[0], self.stuck_bit, dtype=np.int64)
 
     @property
     def name(self) -> str:

@@ -374,39 +374,6 @@ def graph_statistic_block(
     return (graph.num_vertices - covered.sum(axis=1)).astype(np.int64)
 
 
-def uniform_statistic_moments(graph: ComparisonGraph, n: int) -> Tuple[float, float]:
-    """Exact ``(mean, variance)`` of the edge statistic under ``U_n``.
-
-    ``E[Y_G] = m/n``.  Under the uniform distribution any two distinct
-    edges are *uncorrelated* — sharing a vertex or not, both endpoints
-    coincide with probability ``1/n²`` — so the variance is the sum of
-    the per-edge Bernoulli variances, ``m·(1/n)(1 − 1/n)``, independent
-    of the graph's shape.  (Far distributions break this: adjacent edge
-    pairs pick up covariance ``‖P‖₃³ − ‖P‖₂⁴``, scaled by
-    :attr:`ComparisonGraph.num_cherries` — which is why graph families
-    with equal ``m`` can have very different sample complexities.)
-    """
-    if n < 2:
-        raise InvalidParameterError(f"n must be >= 2, got {n}")
-    m = graph.num_edges
-    p = 1.0 / n
-    return m * p, m * p * (1.0 - p)
-
-
-def far_statistic_mean_bound(
-    graph: ComparisonGraph, n: int, epsilon: float
-) -> float:
-    """The least possible ``E[Y_G]`` over ε-far distributions.
-
-    An ε-far distribution has ``‖P‖₂² >= (1+ε²)/n``, and the statistic's
-    mean is ``m·‖P‖₂²`` for every comparison graph, so the bound is
-    ``m(1+ε²)/n`` — attained by the two-level proxy.
-    """
-    if n < 2:
-        raise InvalidParameterError(f"n must be >= 2, got {n}")
-    return graph.num_edges * (1.0 + epsilon**2) / n
-
-
 def midpoint_threshold(graph: ComparisonGraph, n: int, epsilon: float) -> float:
     """The analytic accept/reject cut: midway between the uniform mean
     ``m/n`` and the minimum ε-far mean ``m(1+ε²)/n``.

@@ -135,8 +135,3 @@ class MultibitThresholdTester(UniformityTester):
             samples_per_player=self.q,
             message_bits=self.message_bits,
         )
-
-    @property
-    def calibration_gap(self) -> float:
-        """Mean level shift between uniform and worst-case-far inputs."""
-        return self._far_level_mean - self._uniform_level_mean

@@ -191,10 +191,6 @@ class PlayerStrategy(ABC):
     def respond_batch(self, samples: np.ndarray, rng: RngLike = None) -> np.ndarray:
         """(rows × q) sample matrix → length-rows 0/1 vector."""
 
-    def respond(self, samples: Sequence[int], rng: RngLike = None) -> int:
-        """Single-shot response to one sample vector."""
-        return int(self.respond_batch(np.asarray(samples, dtype=np.int64), rng)[0])
-
     @property
     def name(self) -> str:
         """Human-readable strategy name (used in experiment reports)."""
@@ -273,30 +269,7 @@ class ConstantPlayer(PlayerStrategy):
         self.bit = int(bit)
 
     def respond_batch(self, samples: np.ndarray, rng: RngLike = None) -> np.ndarray:
-        matrix = np.asarray(samples)
-        rows = matrix.shape[0] if matrix.ndim == 2 else 1
-        return np.full(rows, self.bit, dtype=np.int64)
-
-
-class RandomBitPlayer(PlayerStrategy):
-    """Send 1 with probability ``bias``, ignoring the samples entirely.
-
-    The information-less baseline: no referee rule can distinguish anything
-    from these bits, which the integration tests verify.
-    """
-
-    draws_per_response = 1
-
-    def __init__(self, bias: float = 0.5):
-        if not 0.0 <= bias <= 1.0:
-            raise InvalidParameterError(f"bias must be in [0,1], got {bias}")
-        self.bias = float(bias)
-
-    def respond_batch(self, samples: np.ndarray, rng: RngLike = None) -> np.ndarray:
-        generator = ensure_rng(rng)
-        matrix = np.asarray(samples)
-        rows = matrix.shape[0] if matrix.ndim == 2 else 1
-        return (generator.random(rows) < self.bias).astype(np.int64)
+        return np.full(np.shape(samples)[0], self.bit, dtype=np.int64)
 
 
 class SubsetMembershipPlayer(PlayerStrategy):
@@ -318,8 +291,6 @@ class SubsetMembershipPlayer(PlayerStrategy):
 
     def respond_batch(self, samples: np.ndarray, rng: RngLike = None) -> np.ndarray:
         matrix = np.asarray(samples, dtype=np.int64)
-        if matrix.ndim == 1:
-            matrix = matrix[np.newaxis, :]
         if matrix.size and (matrix.min() < 0 or matrix.max() >= self.indicator.size):
             raise InvalidParameterError(
                 "sample outside the subset indicator's domain"

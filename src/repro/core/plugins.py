@@ -12,7 +12,7 @@ must be constructible through at least one registered plugin.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List
+from typing import Callable, Dict
 
 from ..exceptions import InvalidParameterError
 from .graphs import build_family_graph, snap_family_size
@@ -74,21 +74,6 @@ def register_plugin(
 def registered_plugins() -> Dict[str, StreamingPlugin]:
     """All registered plugins, name-sorted."""
     return dict(sorted(_REGISTRY.items()))
-
-
-def plugin_names() -> List[str]:
-    """Sorted registered plugin names."""
-    return list(registered_plugins())
-
-
-def get_plugin(name: str) -> StreamingPlugin:
-    """Look one plugin up by name."""
-    plugins = registered_plugins()
-    if name not in plugins:
-        raise InvalidParameterError(
-            f"unknown streaming plugin {name!r}; registered: {list(plugins)}"
-        )
-    return plugins[name]
 
 
 def _graph_q(n: int, epsilon: float, family: str) -> int:

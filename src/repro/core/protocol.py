@@ -5,8 +5,6 @@ samples from the unknown distribution, apply their strategy to produce one
 bit, and a referee applies a decision rule to the k bits.  The simulator
 supports:
 
-* exact per-run transcripts (:class:`ProtocolOutcome`) for debugging and
-  unit tests;
 * a fully vectorised Monte Carlo path: a protocol is an
   :class:`~repro.engine.kernels.AcceptKernel` whose ``accept_block``
   simulates one RNG block of executions as a single (trials·k × q)
@@ -25,7 +23,6 @@ from typing import Any, Dict, Sequence
 import numpy as np
 
 from ..distributions.discrete import DiscreteDistribution
-from ..distributions.sampling import SampleOracle
 from ..engine import (
     KernelBase,
     block_seed,
@@ -33,7 +30,7 @@ from ..engine import (
     plan_blocks,
     tester_fingerprint,
 )
-from ..exceptions import DimensionMismatchError, InvalidParameterError, ProtocolError
+from ..exceptions import DimensionMismatchError, InvalidParameterError
 from ..rng import RngLike, ensure_rng
 from .base import UniformityTester
 from .players import PlayerStrategy
@@ -52,22 +49,6 @@ class Player:
             raise InvalidParameterError(
                 f"num_samples must be >= 0, got {self.num_samples}"
             )
-
-
-@dataclass
-class ProtocolOutcome:
-    """Transcript of a single protocol execution."""
-
-    accepted: bool
-    bits: np.ndarray
-    samples_drawn: int
-
-    def __repr__(self) -> str:
-        verdict = "accept" if self.accepted else "reject"
-        return (
-            f"ProtocolOutcome({verdict}, bits={self.bits.tolist()}, "
-            f"samples_drawn={self.samples_drawn})"
-        )
 
 
 def protocol_bits(
@@ -199,40 +180,6 @@ class SimultaneousProtocol(KernelBase):
     ) -> np.ndarray:
         """Boolean accept vector for one RNG block of executions."""
         return _protocol_accepts(self, distribution, trials, rng)
-
-    def run_once(
-        self, distribution: DiscreteDistribution, rng: RngLike = None
-    ) -> ProtocolOutcome:
-        """Execute the protocol once against a live distribution."""
-        generator = ensure_rng(rng)
-        bits = np.empty(self.num_players, dtype=np.int64)
-        drawn = 0
-        for index, player in enumerate(self.players):
-            samples = distribution.sample(player.num_samples, generator)
-            drawn += player.num_samples
-            bits[index] = player.strategy.respond(samples, generator)
-        return ProtocolOutcome(
-            accepted=self.referee.decide(bits), bits=bits, samples_drawn=drawn
-        )
-
-    def run_with_oracles(
-        self, oracles: Sequence[SampleOracle], rng: RngLike = None
-    ) -> ProtocolOutcome:
-        """Execute against explicit per-player oracles (budget-metered)."""
-        if len(oracles) != self.num_players:
-            raise ProtocolError(
-                f"need {self.num_players} oracles, got {len(oracles)}"
-            )
-        generator = ensure_rng(rng)
-        bits = np.empty(self.num_players, dtype=np.int64)
-        drawn = 0
-        for index, (player, oracle) in enumerate(zip(self.players, oracles)):
-            samples = oracle.draw(player.num_samples)
-            drawn += player.num_samples
-            bits[index] = player.strategy.respond(samples, generator)
-        return ProtocolOutcome(
-            accepted=self.referee.decide(bits), bits=bits, samples_drawn=drawn
-        )
 
     def bit_distribution(
         self, distribution: DiscreteDistribution, trials: int, rng: RngLike = None

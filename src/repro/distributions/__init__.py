@@ -4,13 +4,12 @@ Everything the distributed testers consume lives here:
 
 * :mod:`repro.distributions.discrete` — the :class:`DiscreteDistribution`
   value type (validated pmf vector + vectorised sampling).
-* :mod:`repro.distributions.distances` — ℓ1/ℓ2/TV/Hellinger/KL/χ² metrics.
+* :mod:`repro.distributions.distances` — ℓ1/ℓ2/TV/KL/χ² metrics.
 * :mod:`repro.distributions.families` — the paper's hard instance family
   ν_z (Section 3) on the paired boolean-cube domain.
 * :mod:`repro.distributions.generators` — natural far-from-uniform workload
   generators (Zipf, two-level, sparse, Dirichlet, ...).
-* :mod:`repro.distributions.sampling` — per-player sample oracles and
-  shared-randomness sampling contexts.
+* :mod:`repro.distributions.sampling` — metered per-player sample oracles.
 """
 
 from .discrete import DiscreteDistribution, uniform, point_mass
@@ -18,10 +17,8 @@ from .distances import (
     l1_distance,
     l2_distance,
     total_variation,
-    hellinger_distance,
     kl_divergence,
     chi_squared_divergence,
-    jensen_shannon_divergence,
     distance_to_uniform,
     is_epsilon_far_from_uniform,
 )
@@ -34,7 +31,7 @@ from .generators import (
     bimodal_distribution,
     far_from_uniform_suite,
 )
-from .sampling import SampleOracle, FixedSampleOracle, oracle_for
+from .sampling import SampleOracle, oracle_for
 
 __all__ = [
     "DiscreteDistribution",
@@ -43,10 +40,8 @@ __all__ = [
     "l1_distance",
     "l2_distance",
     "total_variation",
-    "hellinger_distance",
     "kl_divergence",
     "chi_squared_divergence",
-    "jensen_shannon_divergence",
     "distance_to_uniform",
     "is_epsilon_far_from_uniform",
     "PaninskiFamily",
@@ -58,6 +53,5 @@ __all__ = [
     "bimodal_distribution",
     "far_from_uniform_suite",
     "SampleOracle",
-    "FixedSampleOracle",
     "oracle_for",
 ]

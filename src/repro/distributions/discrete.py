@@ -5,8 +5,8 @@ validated, immutable probability vector.  The class offers:
 
 * vectorised sampling through a caller-supplied numpy generator (so every
   player in a simulated network can hold an independent stream);
-* exact arithmetic (mixtures, conditioning, permutation, tensor powers) used
-  by the hard-instance constructions;
+* exact arithmetic (zero-mass padding, tensor powers) used by the
+  hard-instance constructions;
 * moment/collision statistics (``l2_norm_squared`` drives the collision
   testers of Fischer–Meir–Oshman).
 
@@ -16,7 +16,7 @@ hashable on their bytes and safe to share across players.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Optional, Sequence, Union
+from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
@@ -87,42 +87,6 @@ class DiscreteDistribution:
         self._cumulative: Optional[np.ndarray] = None
         self._guide: Optional[np.ndarray] = None
 
-    @classmethod
-    def from_samples(
-        cls,
-        samples: Union[Sequence[int], np.ndarray],
-        domain_size: int,
-        smoothing: float = 0.0,
-    ) -> "DiscreteDistribution":
-        """The empirical distribution of a sample vector.
-
-        Parameters
-        ----------
-        samples:
-            Observed outcomes in ``[0, domain_size)``.
-        domain_size:
-            Size of the underlying domain (unseen elements get zero mass
-            unless smoothed).
-        smoothing:
-            Additive (Laplace) pseudo-count per element.
-        """
-        if domain_size < 1:
-            raise InvalidParameterError(
-                f"domain_size must be >= 1, got {domain_size}"
-            )
-        if smoothing < 0:
-            raise InvalidParameterError(f"smoothing must be >= 0, got {smoothing}")
-        values = np.asarray(samples, dtype=np.int64).ravel()
-        if values.size == 0 and smoothing == 0.0:
-            raise InvalidParameterError(
-                "cannot build an empirical distribution from zero samples "
-                "without smoothing"
-            )
-        if values.size and (values.min() < 0 or values.max() >= domain_size):
-            raise InvalidParameterError("samples fall outside the stated domain")
-        counts = np.bincount(values, minlength=domain_size).astype(np.float64)
-        return cls(counts + smoothing, normalize=True)
-
     # ------------------------------------------------------------------ #
     # basic accessors                                                    #
     # ------------------------------------------------------------------ #
@@ -147,10 +111,6 @@ class DiscreteDistribution:
         """Indices with strictly positive mass."""
         return np.flatnonzero(self._pmf > 0.0)
 
-    def is_uniform(self, atol: float = 1e-12) -> bool:
-        """Whether this is exactly (up to ``atol``) the uniform distribution."""
-        return bool(np.allclose(self._pmf, 1.0 / self.n, atol=atol))
-
     # ------------------------------------------------------------------ #
     # moments and norms                                                  #
     # ------------------------------------------------------------------ #
@@ -168,10 +128,6 @@ class DiscreteDistribution:
         """Shannon entropy in the given base."""
         positive = self._pmf[self._pmf > 0]
         return float(-(positive * (np.log(positive) / np.log(base))).sum())
-
-    def min_entropy(self, base: float = 2.0) -> float:
-        """Min-entropy ``-log(max_i p_i)``."""
-        return float(-np.log(self._pmf.max()) / np.log(base))
 
     def expectation(self, values: Sequence[float]) -> float:
         """Expected value of ``values[X]`` for ``X ~ self``."""
@@ -276,37 +232,6 @@ class DiscreteDistribution:
     # ------------------------------------------------------------------ #
     # exact arithmetic                                                   #
     # ------------------------------------------------------------------ #
-
-    def mix(self, other: "DiscreteDistribution", weight: float = 0.5) -> "DiscreteDistribution":
-        """Convex mixture ``weight*self + (1-weight)*other``."""
-        if not 0.0 <= weight <= 1.0:
-            raise InvalidParameterError(f"weight must be in [0,1], got {weight}")
-        if other.n != self.n:
-            raise DimensionMismatchError(
-                f"cannot mix distributions on domains of size {self.n} and {other.n}"
-            )
-        return DiscreteDistribution(weight * self._pmf + (1.0 - weight) * other._pmf)
-
-    def permute(self, permutation: Sequence[int]) -> "DiscreteDistribution":
-        """Relabel the domain by ``permutation`` (outcome i -> permutation[i])."""
-        perm = np.asarray(permutation, dtype=np.int64)
-        if perm.shape != (self.n,) or sorted(perm.tolist()) != list(range(self.n)):
-            raise InvalidParameterError("permutation must be a permutation of range(n)")
-        out = np.empty_like(self._pmf)
-        out[perm] = self._pmf
-        return DiscreteDistribution(out)
-
-    def condition_on(self, subset: Iterable[int]) -> "DiscreteDistribution":
-        """Condition on the outcome lying in ``subset`` (renormalised)."""
-        mask = np.zeros(self.n, dtype=bool)
-        for index in subset:
-            if not 0 <= index < self.n:
-                raise InvalidParameterError(f"subset element {index} outside domain")
-            mask[index] = True
-        restricted = np.where(mask, self._pmf, 0.0)
-        if restricted.sum() <= 0.0:
-            raise InvalidDistributionError("conditioning event has probability zero")
-        return DiscreteDistribution(restricted, normalize=True)
 
     def padded_to(self, n: int) -> "DiscreteDistribution":
         """Embed into the larger domain ``{0, ..., n-1}`` with zero mass.

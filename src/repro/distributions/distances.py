@@ -51,13 +51,6 @@ def total_variation(p: PmfLike, q: PmfLike) -> float:
     return 0.5 * l1_distance(p, q)
 
 
-def hellinger_distance(p: PmfLike, q: PmfLike) -> float:
-    """Hellinger distance ``sqrt(1 - sum_i sqrt(p_i q_i))`` (in [0, 1])."""
-    p_arr, q_arr = _paired(p, q)
-    bhattacharyya = float(np.sqrt(p_arr * q_arr).sum())
-    return float(np.sqrt(max(0.0, 1.0 - bhattacharyya)))
-
-
 def kl_divergence(p: PmfLike, q: PmfLike, base: float = 2.0) -> float:
     """KL divergence ``D(p || q) = sum_i p_i log(p_i/q_i)``.
 
@@ -81,13 +74,6 @@ def chi_squared_divergence(p: PmfLike, q: PmfLike) -> float:
     support = q_arr > 0
     diff = p_arr[support] - q_arr[support]
     return float((diff * diff / q_arr[support]).sum())
-
-
-def jensen_shannon_divergence(p: PmfLike, q: PmfLike, base: float = 2.0) -> float:
-    """Jensen–Shannon divergence (symmetrised, bounded KL)."""
-    p_arr, q_arr = _paired(p, q)
-    mid = 0.5 * (p_arr + q_arr)
-    return 0.5 * kl_divergence(p_arr, mid, base) + 0.5 * kl_divergence(q_arr, mid, base)
 
 
 def bernoulli_kl(alpha: float, beta: float, base: float = 2.0) -> float:

@@ -1,15 +1,15 @@
 """Sample oracles: the interface between distributions and protocols.
 
-A :class:`SampleOracle` is what a simulated player actually touches — it
-hides whether samples come from a live distribution, a pre-recorded trace,
-or an adversarially chosen stream, and it meters consumption so experiments
-can report the *exact* number of samples drawn (the resource the paper's
-lower bounds count).
+A :class:`SampleOracle` draws from a live distribution and meters
+consumption, so a caller can count the *exact* number of samples drawn
+(the resource the paper's lower bounds count) and cap it with a budget.
+The Monte-Carlo kernels draw whole sample matrices instead
+(:meth:`~repro.distributions.discrete.DiscreteDistribution.sample_matrix`).
 """
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -28,9 +28,8 @@ class SampleOracle:
     rng:
         Seed/generator for this oracle's private stream.
     budget:
-        Optional hard cap; drawing past it raises :class:`ProtocolError`.
-        Lower-bound experiments set this to enforce the per-player sample
-        complexity being measured.
+        Optional hard cap; drawing past it raises :class:`ProtocolError`,
+        which enforces a per-player sample complexity.
     """
 
     def __init__(
@@ -74,72 +73,11 @@ class SampleOracle:
         self._drawn += count
         return samples
 
-    def draw_one(self) -> int:
-        """Draw a single sample (convenience for single-sample protocols)."""
-        return int(self.draw(1)[0])
-
-    def fork(self, count: int) -> Sequence["SampleOracle"]:
-        """Split into ``count`` independent oracles over the same distribution.
-
-        Each fork gets its own independent stream (spawned from this
-        oracle's generator) and its own copy of the remaining budget — used
-        to hand one oracle to each player of a protocol.
-        """
-        if count < 0:
-            raise InvalidParameterError(f"count must be >= 0, got {count}")
-        streams = self._rng.spawn(count)
-        return [
-            SampleOracle(self._distribution, stream, self._budget)
-            for stream in streams
-        ]
-
     def __repr__(self) -> str:
         return (
             f"SampleOracle(n={self.domain_size}, drawn={self._drawn}, "
             f"budget={self._budget})"
         )
-
-
-class FixedSampleOracle(SampleOracle):
-    """An oracle replaying a pre-recorded sample trace.
-
-    Useful for deterministic unit tests and for feeding the *same* samples
-    to two different player strategies (paired comparisons).
-    """
-
-    def __init__(self, samples: Sequence[int], domain_size: int):
-        trace = np.asarray(samples, dtype=np.int64)
-        if trace.ndim != 1:
-            raise InvalidParameterError("samples must be a 1-d sequence")
-        if domain_size < 1:
-            raise InvalidParameterError(f"domain_size must be >= 1, got {domain_size}")
-        if trace.size and (trace.min() < 0 or trace.max() >= domain_size):
-            raise InvalidParameterError("samples fall outside the stated domain")
-        self._trace = trace
-        self._domain_size = int(domain_size)
-        self._cursor = 0
-        self._drawn = 0
-        self._budget = int(trace.size)
-
-    @property
-    def domain_size(self) -> int:
-        return self._domain_size
-
-    def draw(self, count: int) -> np.ndarray:
-        if count < 0:
-            raise InvalidParameterError(f"count must be >= 0, got {count}")
-        if self._cursor + count > self._trace.size:
-            raise ProtocolError(
-                f"trace exhausted: {self._trace.size - self._cursor} samples left, "
-                f"{count} requested"
-            )
-        window = self._trace[self._cursor : self._cursor + count]
-        self._cursor += count
-        self._drawn += count
-        return window.copy()
-
-    def fork(self, count: int) -> Sequence["SampleOracle"]:
-        raise ProtocolError("a fixed trace cannot be forked into independent streams")
 
 
 def oracle_for(

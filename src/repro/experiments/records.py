@@ -9,12 +9,9 @@ from typing import Any, Dict, List, Sequence
 from ..exceptions import InvalidParameterError
 
 #: Version of the on-disk JSON schema written by :meth:`ExperimentResult.
-#: to_json`.  Version 1 predates the harness and carries no
-#: ``schema_version``/``provenance`` fields; version 2 adds both.
+#: to_json` and the only one :meth:`ExperimentResult.from_json` reads.
+#: Version 2 added the ``schema_version`` and ``provenance`` fields.
 SCHEMA_VERSION = 2
-
-#: Schema versions :meth:`ExperimentResult.from_json` can rebuild.
-SUPPORTED_SCHEMA_VERSIONS = (1, 2)
 
 
 @dataclass
@@ -84,19 +81,18 @@ class ExperimentResult:
     def from_json(cls, text: str) -> "ExperimentResult":
         """Rebuild a result from :meth:`to_json` output.
 
-        Accepts every version in :data:`SUPPORTED_SCHEMA_VERSIONS`;
-        version-1 documents (pre-harness, no ``schema_version`` key)
-        load with an empty provenance block.
+        A document whose ``schema_version`` is not :data:`SCHEMA_VERSION`
+        raises :class:`InvalidParameterError`.
         """
         try:
             payload = json.loads(text)
         except json.JSONDecodeError as error:
             raise InvalidParameterError(f"invalid result JSON: {error}") from error
-        version = payload.get("schema_version", 1)
-        if version not in SUPPORTED_SCHEMA_VERSIONS:
+        version = payload.get("schema_version")
+        if version != SCHEMA_VERSION:
             raise InvalidParameterError(
                 f"unsupported result schema_version {version!r}; "
-                f"supported: {list(SUPPORTED_SCHEMA_VERSIONS)}"
+                f"supported: {SCHEMA_VERSION}"
             )
         for key in ("experiment_id", "title"):
             if key not in payload:

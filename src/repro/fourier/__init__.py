@@ -33,7 +33,6 @@ from .evenly_covered import (
     a_r,
     a_r_expectation_exact,
     a_r_moment_exact,
-    a_r_moment_monte_carlo,
     lemma_5_5_bound,
 )
 
@@ -61,6 +60,5 @@ __all__ = [
     "a_r",
     "a_r_expectation_exact",
     "a_r_moment_exact",
-    "a_r_moment_monte_carlo",
     "lemma_5_5_bound",
 ]

@@ -28,7 +28,6 @@ from typing import Sequence, Union
 import numpy as np
 
 from ..exceptions import InvalidParameterError
-from ..rng import RngLike, ensure_rng
 from .characters import subsets_of_size
 
 
@@ -173,23 +172,6 @@ def a_r_moment_exact(q: int, r: int, half: int, moment: int) -> float:
         total += float(a_r(x, r)) ** moment
         count += 1
     return total / count
-
-
-def a_r_moment_monte_carlo(
-    q: int, r: int, half: int, moment: int, trials: int = 2000, rng: RngLike = None
-) -> float:
-    """Monte-Carlo estimate of the Lemma 5.5 moment E_x[a_r(x)^moment]
-    for parameters too large to enumerate."""
-    if trials < 1:
-        raise InvalidParameterError(f"trials must be >= 1, got {trials}")
-    generator = ensure_rng(rng)
-    draws = generator.integers(0, half, size=(trials, q))
-    values = np.fromiter(
-        (float(a_r(row, r)) ** moment for row in draws),
-        dtype=np.float64,
-        count=trials,
-    )
-    return float(values.mean())
 
 
 def lemma_5_5_bound(q: int, r: int, half: int, moment: int) -> float:

@@ -21,7 +21,6 @@ This package provides that realisation:
 
 from .topology import (
     line_topology,
-    ring_topology,
     star_topology,
     grid_topology,
     random_tree_topology,
@@ -36,7 +35,6 @@ from .local_model import LocalUniformityTester, LocalRunReport
 
 __all__ = [
     "line_topology",
-    "ring_topology",
     "star_topology",
     "grid_topology",
     "random_tree_topology",

@@ -30,7 +30,7 @@ from ..engine import KernelBase
 from ..exceptions import InvalidParameterError
 from ..rng import RngLike, ensure_rng
 from .aggregation import broadcast_value, convergecast_sum
-from .spanning_tree import build_bfs_tree, tree_depth
+from .spanning_tree import build_bfs_tree
 from .topology import validate_topology
 
 if TYPE_CHECKING:
@@ -181,13 +181,3 @@ class LocalUniformityTester(KernelBase):
             )
             alarm_totals += 1 - bits
         return alarm_totals < self._alarm_threshold
-
-    def time_decomposition(self) -> dict:
-        """The §6.2 trade-off: sampling time vs aggregation rounds."""
-        depth = tree_depth(self.levels)
-        return {
-            "sampling_tau": self.tau,
-            "tree_depth": depth,
-            "aggregation_bound": self.k + 2 * (depth + 2),
-            "diameter_dominated": depth > self.tau,
-        }

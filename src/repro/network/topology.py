@@ -39,15 +39,6 @@ def line_topology(k: int) -> nx.Graph:
     return networkx.path_graph(k)
 
 
-def ring_topology(k: int) -> nx.Graph:
-    """A cycle on k nodes (k >= 3)."""
-    import networkx
-
-    if k < 3:
-        raise InvalidParameterError(f"ring needs k >= 3, got {k}")
-    return networkx.cycle_graph(k)
-
-
 def star_topology(k: int) -> nx.Graph:
     """A star with centre 0 — the closest analogue of the referee model."""
     import networkx

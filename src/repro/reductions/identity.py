@@ -6,8 +6,8 @@ that if μ = t the output is **exactly uniform** on a larger "grain"
 domain, while if μ is ε-far from t the output stays Ω(ε)-far from
 uniform.  The reduction is sample-preserving (one output grain per input
 sample), so it composes with every tester in :mod:`repro.core`, including
-the distributed ones — each player simply filters its own samples using
-shared randomness.
+the distributed ones — each player simply filters its own samples with
+its own coins (the filter draws independently per sample).
 
 The construction (following [11], simplified):
 

@@ -18,7 +18,7 @@ Example
 
 from __future__ import annotations
 
-from typing import List, Sequence, Union
+from typing import List, Union
 
 import numpy as np
 
@@ -60,33 +60,3 @@ def spawn_streams(rng: RngLike, count: int) -> List[np.random.Generator]:
     if count == 0:
         return []
     return list(generator.spawn(count))
-
-
-def stream_for_player(root_seed: int, player_index: int) -> np.random.Generator:
-    """A deterministic per-player generator from ``(root_seed, player_index)``.
-
-    Unlike :func:`spawn_streams` this does not require materialising all
-    streams up front, which matters when simulating very wide networks.
-    """
-    if player_index < 0:
-        raise InvalidParameterError(f"player_index must be >= 0, got {player_index}")
-    return np.random.default_rng(np.random.SeedSequence(entropy=root_seed, spawn_key=(player_index,)))
-
-
-def shared_randomness(rng: RngLike, num_players: int) -> List[np.random.Generator]:
-    """Model *shared* randomness: every player sees the same stream.
-
-    Returns ``num_players`` generators seeded identically, so each player can
-    consume the common random string independently of simulation order.
-    """
-    if num_players < 0:
-        raise InvalidParameterError(f"num_players must be >= 0, got {num_players}")
-    base = ensure_rng(rng)
-    common = int(base.integers(0, 2**63 - 1))
-    return [np.random.default_rng(common) for _ in range(num_players)]
-
-
-def random_seed_array(rng: RngLike, count: int) -> Sequence[int]:
-    """Draw ``count`` independent 63-bit integer seeds (for nested harnesses)."""
-    generator = ensure_rng(rng)
-    return [int(s) for s in generator.integers(0, 2**63 - 1, size=count)]

@@ -1,7 +1,5 @@
-"""Statistical harness: estimation, empirical complexity search, fitting.
+"""Statistical harness: empirical complexity search, fitting, power curves.
 
-* :mod:`repro.stats.estimation` — Bernoulli success-probability estimation
-  with Wilson confidence intervals.
 * :mod:`repro.stats.complexity` — the empirical resource-complexity
   search: q*(tester; n, k, ε) or k* via one exponential-bracketing +
   binary-search skeleton, with each level classified either on a fixed
@@ -12,7 +10,6 @@
 * :mod:`repro.stats.power` — success-probability power curves.
 """
 
-from .estimation import BernoulliEstimate, estimate_probability, wilson_interval
 from .complexity import (
     SampleComplexityResult,
     empirical_sample_complexity,
@@ -23,12 +20,9 @@ from .complexity import (
 )
 from .fitting import PowerLawFit, fit_power_law
 from .power import PowerCurve, power_curve
-from .ascii import sparkline, horizontal_bar_chart, success_curve_plot
+from .ascii import sparkline, success_curve_plot
 
 __all__ = [
-    "BernoulliEstimate",
-    "estimate_probability",
-    "wilson_interval",
     "SampleComplexityResult",
     "empirical_sample_complexity",
     "empirical_player_complexity",
@@ -40,6 +34,5 @@ __all__ = [
     "PowerCurve",
     "power_curve",
     "sparkline",
-    "horizontal_bar_chart",
     "success_curve_plot",
 ]

@@ -39,29 +39,6 @@ def sparkline(values: Sequence[float], minimum: Optional[float] = None, maximum:
     return "".join(characters)
 
 
-def horizontal_bar_chart(
-    labels: Sequence[str],
-    values: Sequence[float],
-    width: int = 40,
-    unit: str = "",
-) -> str:
-    """Aligned horizontal bars, one per labelled value."""
-    if len(labels) != len(values) or not labels:
-        raise InvalidParameterError("labels and values must be non-empty and equal length")
-    if width < 1:
-        raise InvalidParameterError(f"width must be >= 1, got {width}")
-    numeric = [float(v) for v in values]
-    if any(v < 0 for v in numeric):
-        raise InvalidParameterError("bar chart values must be non-negative")
-    peak = max(numeric) or 1.0
-    label_width = max(len(label) for label in labels)
-    lines = []
-    for label, value in zip(labels, numeric):
-        bar = "█" * max(1 if value > 0 else 0, round(value / peak * width))
-        lines.append(f"{label.rjust(label_width)} | {bar} {value:g}{unit}")
-    return "\n".join(lines)
-
-
 def success_curve_plot(
     levels: Sequence[int],
     successes: Sequence[float],

@@ -65,15 +65,3 @@ def fit_power_law(xs: Sequence[float], ys: Sequence[float]) -> PowerLawFit:
         r_squared=r_squared,
         num_points=int(x_arr.size),
     )
-
-
-def exponent_matches(
-    fit: PowerLawFit, expected: float, tolerance: float = 0.25
-) -> bool:
-    """Whether a fitted exponent is within ``tolerance`` of the prediction.
-
-    Scaling experiments on modest universes carry discreteness and Monte
-    Carlo noise; a quarter-exponent tolerance cleanly separates the
-    hypotheses the paper distinguishes (e.g. exponent -1/2 vs 0 in k).
-    """
-    return abs(fit.exponent - expected) <= tolerance

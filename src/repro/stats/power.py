@@ -9,7 +9,7 @@ threshold-rule tester overtakes the AND-rule tester).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 from ..distributions.discrete import DiscreteDistribution
 from ..exceptions import InvalidParameterError
@@ -31,13 +31,6 @@ class PowerCurve:
             if success >= target:
                 return level
         return None
-
-    def as_rows(self) -> List[Dict[str, float]]:
-        """Row dictionaries for table rendering."""
-        return [
-            {"level": level, "success": success}
-            for level, success in zip(self.levels, self.successes)
-        ]
 
 
 def power_curve(

@@ -7,6 +7,7 @@ import pytest
 import repro
 from repro.core.baselines import EmpiricalDistanceTester, UniqueElementsTester
 from repro.exceptions import InvalidParameterError
+from tests.oracles import expected_distinct_uniform
 
 N, EPS = 256, 0.5
 FAR = repro.two_level_distribution(N, EPS)
@@ -15,8 +16,8 @@ FAR = repro.two_level_distribution(N, EPS)
 class TestUniqueElements:
     def test_expected_distinct_formula(self):
         # q = 1 → exactly 1 distinct; q → ∞ → n distinct.
-        assert UniqueElementsTester.expected_distinct_uniform(16, 1) == pytest.approx(1.0)
-        assert UniqueElementsTester.expected_distinct_uniform(16, 10_000) == pytest.approx(
+        assert expected_distinct_uniform(16, 1) == pytest.approx(1.0)
+        assert expected_distinct_uniform(16, 10_000) == pytest.approx(
             16.0, abs=1e-6
         )
 
@@ -26,7 +27,7 @@ class TestUniqueElements:
         n, q = 64, 24
         counts = unique_counts(repro.uniform(n).sample_matrix(8000, q, rng))
         assert counts.mean() == pytest.approx(
-            UniqueElementsTester.expected_distinct_uniform(n, q), abs=0.1
+            expected_distinct_uniform(n, q), abs=0.1
         )
 
     def test_completeness_and_soundness(self):

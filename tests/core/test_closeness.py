@@ -8,12 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro
-from repro.core.closeness import (
-    ClosenessTester,
-    closeness_statistic,
-    poissonized_counts,
-)
+from repro.core.closeness import ClosenessTester
 from repro.exceptions import InvalidParameterError
+from tests.oracles import closeness_statistic, poissonized_counts
 
 N, EPS = 64, 0.5
 U = repro.uniform(N)

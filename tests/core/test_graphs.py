@@ -32,14 +32,12 @@ from repro.core.graphs import (
     complete_graph,
     cycle_graph,
     exact_no_collision_probability,
-    far_statistic_mean_bound,
     graph_statistic_block,
     graph_tester_factory,
     matching_graph,
     random_regular_graph,
     snap_family_size,
     star_graph,
-    uniform_statistic_moments,
     worst_case_statistic_proxy,
 )
 from repro.core.players import collision_counts, unique_counts
@@ -234,7 +232,7 @@ class TestMoments:
     @pytest.mark.parametrize("name", sorted(GRAPHS))
     def test_uniform_moments_match_monte_carlo(self, name):
         graph = GRAPHS[name]
-        mean, variance = uniform_statistic_moments(graph, N)
+        mean, variance = oracles.uniform_statistic_moments(graph, N)
         stats = graph_statistic_block(
             graph, UNIFORM.sample_matrix(20_000, graph.num_vertices, default_rng(7))
         )
@@ -245,12 +243,12 @@ class TestMoments:
     @pytest.mark.parametrize("name", sorted(GRAPHS))
     def test_far_mean_bound_attained_by_two_level_proxy(self, name):
         graph = GRAPHS[name]
-        bound = far_statistic_mean_bound(graph, N, EPS)
+        bound = oracles.far_statistic_mean_bound(graph, N, EPS)
         proxy = worst_case_statistic_proxy(graph, N, EPS)
         stats = graph_statistic_block(
             graph, proxy.sample_matrix(20_000, graph.num_vertices, default_rng(8))
         )
-        _, variance = uniform_statistic_moments(graph, N)
+        _, variance = oracles.uniform_statistic_moments(graph, N)
         slack = 6.0 * np.sqrt((1 + EPS) * variance / 20_000)
         assert float(stats.mean()) >= bound - slack
 
@@ -304,7 +302,7 @@ class TestLegacyEquivalence:
                 3000, 12, generator
             )
         ).mean()
-        assert tester.distinct_threshold == 0.5 * (
+        assert tester.statistic_threshold == 0.5 * (
             float(uniform_mean) + float(far_mean)
         )
 
@@ -314,7 +312,7 @@ class TestLegacyEquivalence:
         for dist in (UNIFORM, FAR):
             verdicts = tester.accept_block(dist, 300, default_rng(seed))
             samples = dist.sample_matrix(300, 12, default_rng(seed))
-            legacy = unique_counts(samples) >= tester.distinct_threshold
+            legacy = unique_counts(samples) >= tester.statistic_threshold
             assert np.array_equal(verdicts, legacy)
 
     def test_graph_tester_equals_subclass_wiring(self):

@@ -7,9 +7,6 @@ import pytest
 from repro.core.battery import BatteryRow, render_battery, run_battery
 from repro.core.plugins import (
     SKETCH_BUCKETS,
-    StreamingPlugin,
-    get_plugin,
-    plugin_names,
     register_plugin,
     registered_plugins,
 )
@@ -27,7 +24,7 @@ N, EPS = 64, 0.5
 
 class TestRegistry:
     def test_builtin_plugins_present(self):
-        names = plugin_names()
+        names = list(registered_plugins())
         for expected in (
             "collision-exact",
             "collision-sketch64",
@@ -40,16 +37,9 @@ class TestRegistry:
             assert expected in names
 
     def test_names_sorted_and_unique(self):
-        names = plugin_names()
+        names = list(registered_plugins())
         assert names == sorted(names)
         assert len(names) == len(set(names))
-
-    def test_get_plugin_and_unknown(self):
-        plugin = get_plugin("collision-exact")
-        assert isinstance(plugin, StreamingPlugin)
-        assert plugin.exact
-        with pytest.raises(InvalidParameterError):
-            get_plugin("no-such-plugin")
 
     def test_duplicate_registration_rejected(self):
         with pytest.raises(InvalidParameterError):
@@ -58,13 +48,14 @@ class TestRegistry:
             )
 
     def test_sketched_plugins_flagged_inexact(self):
-        assert not get_plugin("collision-sketch64").exact
-        assert not get_plugin("distinct-sketch64").exact
+        assert registered_plugins()["collision-exact"].exact
+        assert not registered_plugins()["collision-sketch64"].exact
+        assert not registered_plugins()["distinct-sketch64"].exact
 
     def test_factories_build_testers_with_sketch_buckets(self):
-        sketched = get_plugin("collision-sketch64").factory(N, EPS)
+        sketched = registered_plugins()["collision-sketch64"].factory(N, EPS)
         assert sketched.num_buckets == SKETCH_BUCKETS
-        exact = get_plugin("collision-exact").factory(N, EPS)
+        exact = registered_plugins()["collision-exact"].factory(N, EPS)
         assert exact.num_buckets is None
 
 
@@ -95,7 +86,7 @@ class TestDiscoveryMetaTest:
 class TestBattery:
     def test_shared_stream_all_plugins_healthy(self):
         rows = run_battery(N, EPS, trials=150, rng=3)
-        assert sorted(row.name for row in rows) == plugin_names()
+        assert sorted(row.name for row in rows) == list(registered_plugins())
         for row in rows:
             assert isinstance(row, BatteryRow)
             assert row.trials == 150

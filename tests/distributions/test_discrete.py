@@ -62,7 +62,7 @@ class TestConstruction:
 
     def test_uniform_factory(self):
         dist = uniform(10)
-        assert dist.is_uniform()
+        assert np.allclose(dist.pmf, 1.0 / 10)
         assert dist.n == 10
 
     def test_uniform_rejects_nonpositive_n(self):
@@ -91,9 +91,6 @@ class TestMoments:
 
     def test_entropy_point_mass(self):
         assert point_mass(8, 2).entropy() == pytest.approx(0.0)
-
-    def test_min_entropy(self):
-        assert uniform(16).min_entropy() == pytest.approx(4.0)
 
     def test_expectation(self):
         dist = DiscreteDistribution([0.5, 0.5])
@@ -150,42 +147,10 @@ class TestSampling:
 
 
 class TestArithmetic:
-    def test_mix_midpoint(self):
-        mixed = point_mass(2, 0).mix(point_mass(2, 1), weight=0.5)
-        assert mixed.pmf.tolist() == [0.5, 0.5]
-
-    def test_mix_rejects_dimension_mismatch(self):
-        with pytest.raises(DimensionMismatchError):
-            uniform(2).mix(uniform(3))
-
-    def test_mix_rejects_bad_weight(self):
-        with pytest.raises(InvalidParameterError):
-            uniform(2).mix(uniform(2), weight=1.5)
-
-    def test_permute(self):
-        dist = DiscreteDistribution([0.6, 0.3, 0.1])
-        permuted = dist.permute([2, 0, 1])
-        assert permuted.probability(2) == pytest.approx(0.6)
-        assert permuted.probability(0) == pytest.approx(0.3)
-
-    def test_permute_rejects_non_permutation(self):
-        with pytest.raises(InvalidParameterError):
-            uniform(3).permute([0, 0, 1])
-
-    def test_condition_on(self):
-        dist = DiscreteDistribution([0.5, 0.25, 0.25])
-        conditioned = dist.condition_on([1, 2])
-        assert conditioned.probability(1) == pytest.approx(0.5)
-        assert conditioned.probability(0) == 0.0
-
-    def test_condition_on_zero_mass_event(self):
-        with pytest.raises(InvalidDistributionError):
-            point_mass(3, 0).condition_on([1, 2])
-
     def test_tensor_power_uniform(self):
         squared = uniform(3).tensor_power(2)
         assert squared.n == 9
-        assert squared.is_uniform()
+        assert np.allclose(squared.pmf, 1.0 / 9)
 
     def test_tensor_power_encoding_order(self):
         dist = DiscreteDistribution([0.9, 0.1])

@@ -21,7 +21,7 @@ from repro.exceptions import InvalidParameterError
 
 class TestZipf:
     def test_exponent_zero_is_uniform(self):
-        assert zipf_distribution(16, 0.0).is_uniform()
+        assert np.allclose(zipf_distribution(16, 0.0).pmf, 1.0 / 16)
 
     def test_monotone_decreasing_pmf(self):
         dist = zipf_distribution(16, 1.0)
@@ -60,7 +60,7 @@ class TestTwoLevel:
 
 class TestSparse:
     def test_full_support_is_uniform(self):
-        assert sparse_support_distribution(16, 1.0).is_uniform()
+        assert np.allclose(sparse_support_distribution(16, 1.0).pmf, 1.0 / 16)
 
     def test_farness_formula(self):
         dist = sparse_support_distribution(100, 0.5)

@@ -2,10 +2,9 @@
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 
-from repro.distributions import FixedSampleOracle, SampleOracle, oracle_for, uniform
+from repro.distributions import SampleOracle, oracle_for, uniform
 from repro.exceptions import InvalidParameterError, ProtocolError
 
 
@@ -25,60 +24,11 @@ class TestSampleOracle:
         assert oracle.samples_drawn == 7
         oracle.draw(3)
 
-    def test_draw_one(self, rng):
-        oracle = SampleOracle(uniform(8), rng)
-        value = oracle.draw_one()
-        assert 0 <= value < 8
-        assert oracle.samples_drawn == 1
-
     def test_negative_count_rejected(self, rng):
         with pytest.raises(InvalidParameterError):
             SampleOracle(uniform(8), rng).draw(-1)
-
-    def test_fork_independence(self):
-        oracle = SampleOracle(uniform(1000), rng=0)
-        forks = oracle.fork(2)
-        a = forks[0].draw(50)
-        b = forks[1].draw(50)
-        assert not np.array_equal(a, b)
-
-    def test_fork_preserves_budget(self):
-        oracle = SampleOracle(uniform(8), rng=0, budget=5)
-        fork = oracle.fork(1)[0]
-        fork.draw(5)
-        with pytest.raises(ProtocolError):
-            fork.draw(1)
 
     def test_oracle_for_helper(self):
         oracle = oracle_for(uniform(4), rng=0, budget=2)
         assert oracle.domain_size == 4
         assert oracle.budget == 2
-
-
-class TestFixedSampleOracle:
-    def test_replays_trace(self):
-        oracle = FixedSampleOracle([3, 1, 4, 1, 5], domain_size=8)
-        assert oracle.draw(3).tolist() == [3, 1, 4]
-        assert oracle.draw(2).tolist() == [1, 5]
-
-    def test_exhaustion(self):
-        oracle = FixedSampleOracle([0, 1], domain_size=4)
-        oracle.draw(2)
-        with pytest.raises(ProtocolError):
-            oracle.draw(1)
-
-    def test_rejects_out_of_domain_trace(self):
-        with pytest.raises(InvalidParameterError):
-            FixedSampleOracle([0, 9], domain_size=4)
-
-    def test_cannot_fork(self):
-        oracle = FixedSampleOracle([0, 1], domain_size=4)
-        with pytest.raises(ProtocolError):
-            oracle.fork(2)
-
-    def test_draw_returns_copy(self):
-        oracle = FixedSampleOracle([5, 6], domain_size=8)
-        window = oracle.draw(2)
-        window[0] = 0
-        replay = FixedSampleOracle([5, 6], domain_size=8)
-        assert replay.draw(2).tolist() == [5, 6]

@@ -9,7 +9,7 @@ import os
 import numpy as np
 import pytest
 
-from repro.engine import engine_context, get_engine
+from repro.engine import collect_metrics, engine_context, get_engine
 from repro.engine.backend import ProcessPoolBackend
 from repro.engine.sweep import map_sweep_points, point_seed, run_sweep_point
 from repro.exceptions import InvalidParameterError
@@ -155,15 +155,21 @@ class TestRunSpec:
         assert prov["engine"]["workers"] == 1
 
     def test_backend_invariance(self):
-        serial = run_spec(make_spec(), scale="small", seed=4)
+        with collect_metrics() as serial_metrics:
+            serial = run_spec(make_spec(), scale="small", seed=4)
         backend = ProcessPoolBackend(max_workers=2)
         try:
-            with engine_context(backend=backend):
+            with engine_context(backend=backend), collect_metrics() as parallel_metrics:
                 parallel = run_spec(make_spec(), scale="small", seed=4)
         finally:
             backend.close()
         assert serial.rows == parallel.rows
         assert serial.summary == parallel.summary
+        assert (
+            serial_metrics.snapshot()["sweep_points"]
+            == parallel_metrics.snapshot()["sweep_points"]
+            > 0
+        )
 
 
 class TestSweepCheckpoint:

@@ -10,7 +10,7 @@ import pytest
 
 from repro.exceptions import InvalidParameterError
 from repro.experiments import ExperimentResult
-from repro.experiments.records import SCHEMA_VERSION, SUPPORTED_SCHEMA_VERSIONS
+from repro.experiments.records import SCHEMA_VERSION
 
 FIXTURE_V2 = os.path.join(os.path.dirname(__file__), "data", "result_v2.json")
 
@@ -70,18 +70,17 @@ class TestJsonRoundTrip:
 
     def test_missing_fields_rejected(self):
         with pytest.raises(InvalidParameterError):
-            ExperimentResult.from_json('{"title": "no id"}')
+            ExperimentResult.from_json('{"schema_version": 2, "title": "no id"}')
 
 
 class TestSchemaVersioning:
-    def test_current_version_is_supported(self):
-        assert SCHEMA_VERSION in SUPPORTED_SCHEMA_VERSIONS
-
     def test_to_json_stamps_current_version(self):
         document = json.loads(ExperimentResult("e01", "t").to_json())
         assert document["schema_version"] == SCHEMA_VERSION
 
-    def test_v1_document_loads_with_empty_provenance(self):
+    def test_v1_document_rejected(self):
+        """A version-1 document (pre-harness, no ``schema_version``) no
+        longer loads: only the current schema is read back."""
         legacy = json.dumps(
             {
                 "experiment_id": "e01",
@@ -91,9 +90,8 @@ class TestSchemaVersioning:
                 "notes": [],
             }
         )
-        restored = ExperimentResult.from_json(legacy)
-        assert restored.rows == [{"n": 8}]
-        assert restored.provenance == {}
+        with pytest.raises(InvalidParameterError, match="schema_version"):
+            ExperimentResult.from_json(legacy)
 
     def test_unsupported_version_rejected(self):
         document = json.dumps(

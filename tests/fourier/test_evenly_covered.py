@@ -15,7 +15,6 @@ from repro.fourier.evenly_covered import (
     a_r_expectation_bound,
     a_r_expectation_exact,
     a_r_moment_exact,
-    a_r_moment_monte_carlo,
     count_evenly_covered_x,
     double_factorial,
     evenly_covered_tuple_count,
@@ -153,11 +152,6 @@ class TestAr:
         assert a_r_moment_exact(3, 1, 2, 1) == pytest.approx(
             a_r_expectation_exact(3, 1, 2)
         )
-
-    def test_monte_carlo_close_to_exact(self):
-        exact = a_r_moment_exact(4, 1, 3, 2)
-        estimate = a_r_moment_monte_carlo(4, 1, 3, 2, trials=4000, rng=0)
-        assert estimate == pytest.approx(exact, rel=0.2)
 
     @pytest.mark.parametrize("half", [2, 3, 4])
     @pytest.mark.parametrize("q", [2, 3, 4])

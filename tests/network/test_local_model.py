@@ -50,18 +50,3 @@ class TestTimeDecomposition:
         report = tester.run(repro.uniform(N), rng=0)
         assert report.total_time == report.sampling_time + report.aggregation_rounds
         assert report.aggregation_rounds >= 2 * 9  # line depth dominates
-
-    def test_diameter_domination_flag(self):
-        """With very fast samplers the diameter becomes the bottleneck."""
-        fast = LocalUniformityTester(
-            line_topology(30), N, EPS, rates=300.0 * np.ones(30)
-        )
-        decomposition = fast.time_decomposition()
-        assert decomposition["tree_depth"] == 29
-        assert decomposition["diameter_dominated"]
-
-    def test_sampling_domination(self):
-        slow = LocalUniformityTester(
-            star_topology(16), N, EPS, rates=0.5 * np.ones(16)
-        )
-        assert not slow.time_decomposition()["diameter_dominated"]

@@ -17,7 +17,6 @@ from repro.network import (
     grid_topology,
     line_topology,
     random_tree_topology,
-    ring_topology,
     star_topology,
 )
 from repro.network.spanning_tree import children_of, tree_depth
@@ -77,7 +76,7 @@ class TestBfs:
         "factory",
         [
             lambda: line_topology(7),
-            lambda: ring_topology(8),
+            lambda: nx.cycle_graph(8),
             lambda: star_topology(9),
             lambda: grid_topology(3, 5),
             lambda: random_tree_topology(12, 3),

@@ -12,7 +12,6 @@ from repro.network.topology import (
     grid_topology,
     line_topology,
     random_tree_topology,
-    ring_topology,
     star_topology,
     validate_topology,
 )
@@ -23,15 +22,6 @@ class TestConstructors:
         graph = line_topology(5)
         validate_topology(graph)
         assert diameter(graph) == 4
-
-    def test_ring(self):
-        graph = ring_topology(8)
-        validate_topology(graph)
-        assert diameter(graph) == 4
-
-    def test_ring_minimum_size(self):
-        with pytest.raises(InvalidParameterError):
-            ring_topology(2)
 
     def test_star(self):
         graph = star_topology(9)

@@ -19,7 +19,12 @@ Three flavours live here:
   bit-identical under a same-seeded generator; elsewhere it matches in
   law and differential tests compare acceptance rates statistically;
 * :func:`collision_counts_reference` — the original per-column loop
-  behind :func:`~repro.core.players.collision_counts`.
+  behind :func:`~repro.core.players.collision_counts`;
+* closed forms and plain statistics the testers' calibrations are
+  checked against: :func:`uniform_statistic_moments`,
+  :func:`far_statistic_mean_bound`, :func:`expected_distinct_uniform`,
+  and the CDVV :func:`closeness_statistic` on
+  :func:`poissonized_counts`.
 
 :class:`BernoulliKernel` is the ground truth of the engine's own tests: a
 kernel whose acceptance probability is known exactly.
@@ -27,9 +32,11 @@ kernel whose acceptance probability is known exactly.
 
 from __future__ import annotations
 
+from typing import Tuple
+
 import numpy as np
 
-from repro.core.closeness import closeness_statistic
+from repro.core.graphs import ComparisonGraph
 from repro.core.players import _validate_sample_matrix, collision_counts
 from repro.distributions.discrete import DiscreteDistribution
 from repro.engine import KERNEL_SCHEMA_VERSION
@@ -399,3 +406,68 @@ def unique_counts_reference(samples: np.ndarray) -> np.ndarray:
     the size of each row's Python ``set``."""
     matrix = _validate_sample_matrix(samples)
     return np.array([len(set(row.tolist())) for row in matrix], dtype=np.int64)
+
+
+def uniform_statistic_moments(graph: ComparisonGraph, n: int) -> Tuple[float, float]:
+    """Exact ``(mean, variance)`` of the edge statistic under ``U_n``.
+
+    ``E[Y_G] = m/n``.  Under the uniform distribution any two distinct
+    edges are *uncorrelated* — sharing a vertex or not, both endpoints
+    coincide with probability ``1/n²`` — so the variance is the sum of
+    the per-edge Bernoulli variances, ``m·(1/n)(1 − 1/n)``, independent
+    of the graph's shape.  (Far distributions break this: adjacent edge
+    pairs pick up covariance ``‖P‖₃³ − ‖P‖₂⁴``, scaled by
+    :attr:`~repro.core.graphs.ComparisonGraph.num_cherries` — which is
+    why graph families with equal ``m`` can have very different sample
+    complexities.)
+    """
+    if n < 2:
+        raise InvalidParameterError(f"n must be >= 2, got {n}")
+    m = graph.num_edges
+    p = 1.0 / n
+    return m * p, m * p * (1.0 - p)
+
+
+def far_statistic_mean_bound(
+    graph: ComparisonGraph, n: int, epsilon: float
+) -> float:
+    """The least possible ``E[Y_G]`` over ε-far distributions.
+
+    An ε-far distribution has ``‖P‖₂² >= (1+ε²)/n``, and the statistic's
+    mean is ``m·‖P‖₂²`` for every comparison graph, so the bound is
+    ``m(1+ε²)/n`` — attained by the two-level proxy.
+    """
+    if n < 2:
+        raise InvalidParameterError(f"n must be >= 2, got {n}")
+    return graph.num_edges * (1.0 + epsilon**2) / n
+
+
+def expected_distinct_uniform(n: int, q: int) -> float:
+    """E[#distinct] among q samples of U_n: ``n·(1 − (1 − 1/n)^q)`` exactly."""
+    if n < 1 or q < 0:
+        raise InvalidParameterError("need n >= 1 and q >= 0")
+    return n * (1.0 - (1.0 - 1.0 / n) ** q)
+
+
+def poissonized_counts(
+    distribution: DiscreteDistribution, rate: float, rng: RngLike = None
+) -> np.ndarray:
+    """Counts of Poisson(rate) i.i.d. samples, per domain element.
+
+    Poissonization: with a Poisson total, the per-element counts are
+    independent ``Poisson(rate · p_v)`` — drawn directly.
+    """
+    if rate <= 0:
+        raise InvalidParameterError(f"rate must be > 0, got {rate}")
+    generator = ensure_rng(rng)
+    return generator.poisson(rate * distribution.pmf)
+
+
+def closeness_statistic(counts_a: np.ndarray, counts_b: np.ndarray) -> float:
+    """The CDVV statistic Z = Σ_v [(A_v − B_v)² − A_v − B_v]."""
+    a = np.asarray(counts_a, dtype=np.float64)
+    b = np.asarray(counts_b, dtype=np.float64)
+    if a.shape != b.shape or a.ndim != 1:
+        raise InvalidParameterError("count vectors must be 1-d and equal length")
+    difference = a - b
+    return float((difference * difference - a - b).sum())

@@ -7,7 +7,6 @@ import pytest
 from repro.exceptions import InvalidParameterError
 from repro.stats.ascii import (
     SPARK_LEVELS,
-    horizontal_bar_chart,
     sparkline,
     success_curve_plot,
 )
@@ -32,27 +31,6 @@ class TestSparkline:
             sparkline([])
         with pytest.raises(InvalidParameterError):
             sparkline([1.0], minimum=2.0, maximum=1.0)
-
-
-class TestBarChart:
-    def test_alignment_and_peak(self):
-        chart = horizontal_bar_chart(["a", "bb"], [1.0, 2.0], width=10)
-        lines = chart.splitlines()
-        assert len(lines) == 2
-        assert lines[1].count("█") == 10
-        assert lines[0].count("█") == 5
-
-    def test_zero_values_allowed(self):
-        chart = horizontal_bar_chart(["x"], [0.0])
-        assert "0" in chart
-
-    def test_validation(self):
-        with pytest.raises(InvalidParameterError):
-            horizontal_bar_chart([], [])
-        with pytest.raises(InvalidParameterError):
-            horizontal_bar_chart(["a"], [-1.0])
-        with pytest.raises(InvalidParameterError):
-            horizontal_bar_chart(["a"], [1.0], width=0)
 
 
 class TestSuccessCurve:

@@ -256,21 +256,6 @@ class TestPowerCurve:
                 epsilon=EPS,
             )
 
-    def test_as_rows(self):
-        curve = power_curve(
-            lambda q: CentralizedCollisionTester(N, EPS, q=q),
-            levels=[8],
-            n=N,
-            epsilon=EPS,
-            trials=50,
-            rng=0,
-            label="demo",
-        )
-        rows = curve.as_rows()
-        assert rows[0]["level"] == 8
-        assert 0.0 <= rows[0]["success"] <= 1.0
-
-
 class TestSprtMode:
     def test_sprt_agrees_with_fixed_budget(self):
         factory = lambda q: CentralizedCollisionTester(N, EPS, q=q)  # noqa: E731

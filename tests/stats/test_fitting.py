@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from repro.exceptions import InvalidParameterError
 from repro.stats import fit_power_law
-from repro.stats.fitting import exponent_matches
 
 
 class TestFit:
@@ -54,12 +53,6 @@ class TestFit:
             fit_power_law([2.0, 2.0], [1.0, 3.0])
         with pytest.raises(InvalidParameterError):
             fit_power_law([1.0, 2.0], [1.0, 2.0, 3.0])
-
-    def test_exponent_matches_helper(self):
-        fit = fit_power_law([1.0, 2.0, 4.0], [1.0, 2.0, 4.0])
-        assert exponent_matches(fit, 1.0)
-        assert not exponent_matches(fit, 0.5, tolerance=0.2)
-
 
 @given(
     exponent=st.floats(min_value=-3.0, max_value=3.0),

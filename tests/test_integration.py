@@ -107,18 +107,6 @@ class TestEndToEndTesting:
 
 
 class TestBudgetedProtocols:
-    def test_protocol_respects_oracle_budgets(self):
-        protocol = repro.SimultaneousProtocol.homogeneous(
-            repro.GraphStatisticPlayer(repro.complete_graph(10), 0), 4, 10, repro.AndRule()
-        )
-        oracles = [
-            repro.oracle_for(repro.uniform(64), rng=i, budget=10) for i in range(4)
-        ]
-        outcome = protocol.run_with_oracles(oracles)
-        assert outcome.samples_drawn == 40
-        for oracle in oracles:
-            assert oracle.samples_drawn == 10
-
     def test_metered_totals_match_resources(self):
         tester = repro.ThresholdRuleTester(256, 0.5, k=8, q=24)
         assert tester.resources.total_samples == 8 * 24

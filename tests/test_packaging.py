@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import ast
 import json
 import os
 import re
+from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -215,3 +218,122 @@ class TestImportCost:
     def test_unknown_attribute_raises_attribute_error(self):
         with pytest.raises(AttributeError, match="no_such_name"):
             repro.no_such_name
+
+
+_FOURIER = "Fourier toolkit of Sections 2-5 (DESIGN.md §1)"
+_SECTION_6 = "Section 6 formula (lowerbounds/divergence.py)"
+
+#: Public ``src`` names that nothing below reaches, and why each stays.
+KEPT = {
+    "lazy_exports": "builds the lazy namespaces; only package __init__ modules call it",
+    "ComparisonGraph.num_cherries": "the adjacent-edge count behind a graph statistic's variance (docs/architecture.md)",
+    "HitCountingLearner.expected_error_scale": "examples/learn_distribution.py prints it",
+    "FrequencyDitheringLearner.expected_error_scale": "examples/learn_distribution.py prints it",
+    "LearningSuccessKernel": "the learners' accept kernel (docs/architecture.md)",
+    "UniqueElementsPlayer": "a player strategy of the model (docs/model.md)",
+    "SubsetMembershipPlayer": "a player strategy of the model (docs/model.md)",
+    "TruthTableRule.from_callable": "builds the arbitrary-f referee docs/api.md lists",
+    "calibrate_sketch_threshold": "Monte-Carlo cross-check of the closed-form sketch cut; benchmarks/e2e traces it",
+    "encode_pair": "Section 3's paired-domain labels (repro.distributions.families)",
+    "decode_pair": "Section 3's paired-domain labels (repro.distributions.families)",
+    "PaninskiFamily.single_sample_mixture": "E_z[ν_z] = U_n (docs/glossary.md)",
+    "ExperimentResult.from_json": "reads back the schema-v2 documents to_json writes",
+    "LocalUniformityTester": "the network form of §6.2 (docs/glossary.md)",
+    "IdentityTester.samples_needed": "examples/identity_testing.py prints it",
+    "PowerLawFit.predict": "evaluates the law fit_power_law returns (docs/api.md)",
+    "PowerCurve.crossing": "reads the crossover off the curve power_curve returns (docs/api.md)",
+    "spectral_variance": _FOURIER,
+    "level_weight": _FOURIER,
+    "influences": _FOURIER,
+    "total_influence": _FOURIER,
+    "noise_stability": _FOURIER,
+    "plancherel_inner_product": _FOURIER,
+    "direct_inner_product": _FOURIER,
+    "all_subsets": _FOURIER,
+    "character_value": _FOURIER,
+    "character_vector": _FOURIER,
+    "masks_by_level": _FOURIER,
+    "inverse_walsh_hadamard_transform": _FOURIER,
+    "BooleanFunction.from_callable": _FOURIER,
+    "BooleanFunction.parity": _FOURIER,
+    "BooleanFunction.coefficient": _FOURIER,
+    "BooleanFunction.evaluate_vector": _FOURIER,
+    "BooleanFunction.restrict_prefix": _FOURIER,
+    "required_divergence": _SECTION_6,
+    "asymmetric_required_divergence": _SECTION_6,
+    "asymmetric_q_lower_bound": _SECTION_6,
+}
+
+
+def _identifiers(node):
+    """Every name ``node`` mentions: names, attributes, imports and
+    identifier-shaped strings (``getattr`` targets, registry keys)."""
+    counts = Counter()
+    for child in ast.walk(node):
+        if isinstance(child, ast.Name):
+            counts[child.id] += 1
+        elif isinstance(child, ast.Attribute):
+            counts[child.attr] += 1
+        elif isinstance(child, ast.alias):
+            counts[child.name.split(".")[-1]] += 1
+        elif isinstance(child, ast.Constant) and isinstance(child.value, str):
+            if child.value.isidentifier():
+                counts[child.value] += 1
+    return counts
+
+
+def _public_definitions(tree):
+    """``(qualified name, name, node)`` of each public top-level function
+    or class and each public method of a top-level class."""
+    for node in tree.body:
+        if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            continue
+        if node.name.startswith("_"):
+            continue
+        yield node.name, node.name, node
+        if isinstance(node, ast.ClassDef):
+            for member in node.body:
+                if isinstance(member, ast.FunctionDef) and not member.name.startswith("_"):
+                    yield f"{node.name}.{member.name}", member.name, member
+
+
+def unreached_public_names():
+    """Public names outside ``repro.lint`` that only tests can reach.
+
+    A name is reached when a non-``__init__`` module under ``src/repro``
+    names it anywhere but inside its own definition, when ``docs/api.md``
+    mentions it, or when ``repro.__all__`` exports it.
+    """
+    package = Path(REPO_ROOT, "src", "repro")
+    trees = {path: ast.parse(path.read_text()) for path in sorted(package.rglob("*.py"))}
+    mentions = Counter()
+    for path, tree in trees.items():
+        if path.name != "__init__.py":
+            mentions.update(_identifiers(tree))
+    documented = set(re.findall(r"\w+", Path(REPO_ROOT, "docs", "api.md").read_text()))
+    exported = set(repro.__all__)
+    unreached = []
+    for path, tree in trees.items():
+        if path.relative_to(package).parts[0] == "lint":
+            continue
+        for qualified, name, node in _public_definitions(tree):
+            own = _identifiers(node)[name] if path.name != "__init__.py" else 0
+            if mentions[name] > own or name in documented or name in exported:
+                continue
+            unreached.append(qualified)
+    return unreached
+
+
+class TestPublicSurface:
+    """No public ``src`` name exists only for the tests."""
+
+    def test_every_public_name_is_reached_or_kept(self):
+        unreached = [name for name in unreached_public_names() if name not in KEPT]
+        assert unreached == [], (
+            "public names nothing in src, docs/api.md or repro.__all__ reaches "
+            f"(delete them, move test oracles to tests/oracles.py, or list them in KEPT): {unreached}"
+        )
+
+    def test_kept_names_are_still_unreached(self):
+        """A KEPT entry whose name is gone or now reached is stale."""
+        assert sorted(set(KEPT) - set(unreached_public_names())) == []

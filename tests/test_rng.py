@@ -6,13 +6,7 @@ import numpy as np
 import pytest
 
 from repro.exceptions import InvalidParameterError
-from repro.rng import (
-    ensure_rng,
-    random_seed_array,
-    shared_randomness,
-    spawn_streams,
-    stream_for_player,
-)
+from repro.rng import ensure_rng, spawn_streams
 
 
 class TestEnsureRng:
@@ -57,36 +51,3 @@ class TestStreams:
         a = spawn_streams(123, 3)[2].random(4)
         b = spawn_streams(123, 3)[2].random(4)
         assert np.array_equal(a, b)
-
-    def test_stream_for_player_deterministic(self):
-        a = stream_for_player(9, 4).random(3)
-        b = stream_for_player(9, 4).random(3)
-        assert np.array_equal(a, b)
-
-    def test_stream_for_player_distinct(self):
-        a = stream_for_player(9, 0).random(10)
-        b = stream_for_player(9, 1).random(10)
-        assert not np.array_equal(a, b)
-
-    def test_stream_for_player_rejects_negative(self):
-        with pytest.raises(InvalidParameterError):
-            stream_for_player(9, -1)
-
-
-class TestSharedRandomness:
-    def test_all_players_see_same_stream(self):
-        streams = shared_randomness(0, 4)
-        draws = [stream.random(8) for stream in streams]
-        for other in draws[1:]:
-            assert np.array_equal(draws[0], other)
-
-    def test_rejects_negative(self):
-        with pytest.raises(InvalidParameterError):
-            shared_randomness(0, -2)
-
-
-class TestSeedArray:
-    def test_count_and_range(self):
-        seeds = random_seed_array(0, 10)
-        assert len(seeds) == 10
-        assert all(0 <= s < 2**63 for s in seeds)
