@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
@@ -12,6 +14,7 @@ from repro.core import (
     Player,
     SimultaneousProtocol,
     ThresholdRule,
+    birthday_no_collision_probability,
     complete_graph,
 )
 from repro.distributions import point_mass, uniform
@@ -76,6 +79,27 @@ class TestExecution:
         rates = protocol.bit_distribution(point_mass(8, 0), trials=200, rng=0)
         assert rates.shape == (3,)
         assert np.allclose(rates, 0.0)  # point mass always collides
+
+    def test_uniform_input_mostly_accepts(self):
+        protocol = make_protocol(k=2, q=2)
+        rate = protocol.acceptance_probability(uniform(10_000), trials=500, rng=0)
+        assert rate > 0.99
+
+    @pytest.mark.parametrize("reject_threshold", [1, 2])
+    def test_acceptance_matches_the_birthday_formula(self, reject_threshold):
+        """k independent collision players: the referee's acceptance rate is
+        a binomial tail of the exact per-player no-collision probability."""
+        n, k, q, trials = 64, 3, 4, 20_000
+        protocol = make_protocol(k=k, q=q, referee=ThresholdRule(reject_threshold, k))
+        accept_bit = birthday_no_collision_probability(n, q)
+        exact = sum(
+            math.comb(k, r) * (1 - accept_bit) ** r * accept_bit ** (k - r)
+            for r in range(reject_threshold)
+        )
+        rate = protocol.acceptance_probability(uniform(n), trials=trials, rng=3)
+        assert rate == pytest.approx(exact, abs=5 * math.sqrt(exact * (1 - exact) / trials))
+        bits = protocol.bit_distribution(uniform(n), trials=trials, rng=4)
+        assert bits == pytest.approx(np.full(k, accept_bit), abs=0.02)
 
     def test_trials_must_be_positive(self):
         with pytest.raises(InvalidParameterError):

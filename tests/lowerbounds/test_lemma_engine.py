@@ -17,11 +17,13 @@ from repro.exceptions import InvalidParameterError
 from repro.lowerbounds.lemma_engine import (
     check_lemma_4_2,
     check_lemma_4_3,
+    check_lemma_4_4,
     check_lemma_5_1,
     collision_threshold_g,
     constant_g,
     lemma_4_1_identity_gap,
     lemma_4_1_spectral_diff,
+    lemma_4_4_required_constant,
     mu_of_g,
     no_collision_g,
     nu_z_of_g,
@@ -162,6 +164,32 @@ class TestLemmaBounds:
             check = check_lemma_4_3(g, family, 2, m)
             if check.condition_met:
                 assert check.holds, check
+
+    @pytest.mark.parametrize("m", [1, 2])
+    @pytest.mark.parametrize("q", [1, 2])
+    def test_lemma_4_4_holds_on_suite(self, q, m, rng):
+        family = PaninskiFamily(8, 0.25)
+        for label, g in standard_g_suite(family, q, rng):
+            check = check_lemma_4_4(g, family, q, m)
+            assert check.holds, (label, check)
+
+    def test_lemma_4_4_required_constant_suffices(self, rng):
+        """The searched constant makes the bound hold; a zero means the
+        interpolation term is not needed at all."""
+        family = PaninskiFamily(8, 0.5)
+        for q in (1, 2):
+            for label, g in standard_g_suite(family, q, rng):
+                needed = lemma_4_4_required_constant(g, family, q, 1)
+                assert needed >= 0.0, label
+                check = check_lemma_4_4(g, family, q, 1, constant=max(needed, 1e-300))
+                assert check.holds, (label, needed, check)
+
+    def test_lemma_4_4_rejects_bad_parameters(self, small_family):
+        g = constant_g(small_family, 2, 1)
+        with pytest.raises(InvalidParameterError):
+            check_lemma_4_4(g, small_family, 2, 0)
+        with pytest.raises(InvalidParameterError):
+            check_lemma_4_4(g, small_family, 2, 1, constant=0.0)
 
     def test_literal_constant_counterexample(self):
         """Reproduction finding: the paper's literal Lemma 4.2 constant

@@ -159,3 +159,26 @@ class TestAsymmetric:
     def test_rejects_zero_profile(self):
         with pytest.raises(InvalidParameterError):
             asymmetric_tau_lower(1024, 0.5, [0.0, 0.0])
+
+
+@pytest.mark.parametrize(
+    "bound, kwargs",
+    [
+        (theorem_1_1_q_lower, dict(n=64, k=0, epsilon=0.5)),
+        (theorem_1_2_q_lower, dict(n=64, k=0, epsilon=0.5)),
+        (theorem_1_3_q_lower, dict(n=64, k=0, epsilon=0.5, reject_threshold=1)),
+        (theorem_1_3_q_lower, dict(n=64, k=2, epsilon=0.5, reject_threshold=0)),
+        (theorem_6_4_q_lower, dict(n=64, k=0, epsilon=0.5, message_bits=1)),
+        (theorem_6_4_q_lower, dict(n=64, k=2, epsilon=0.5, message_bits=0)),
+        (single_sample_k_lower, dict(n=64, epsilon=0.5, message_bits=0)),
+        (theorem_6_4_q_lower, dict(n=1, k=2, epsilon=0.5, message_bits=1)),
+        (single_sample_k_lower, dict(n=64, epsilon=1.0)),
+    ],
+    ids=[
+        "1.1-k", "1.2-k", "1.3-k", "1.3-T", "6.4-k", "6.4-bits",
+        "single-sample-bits", "6.4-n", "single-sample-eps",
+    ],
+)
+def test_rejects_parameters_outside_the_statement(bound, kwargs):
+    with pytest.raises(InvalidParameterError):
+        bound(**kwargs)

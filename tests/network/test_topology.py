@@ -45,6 +45,11 @@ class TestConstructors:
         validate_topology(graph)
         assert nx.is_connected(graph)
 
+    def test_gnp_extremes(self, rng):
+        assert nx.is_tree(connected_gnp_topology(12, 0.0, rng))
+        complete = connected_gnp_topology(12, 1.0, rng)
+        assert complete.number_of_edges() == 12 * 11 // 2
+
     def test_single_node(self):
         graph = line_topology(1)
         validate_topology(graph)
@@ -67,3 +72,20 @@ class TestValidation:
     def test_rejects_empty(self):
         with pytest.raises(InvalidParameterError):
             validate_topology(nx.Graph())
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: line_topology(0),
+        lambda: star_topology(1),
+        lambda: grid_topology(0, 3),
+        lambda: random_tree_topology(0),
+        lambda: connected_gnp_topology(0, 0.5),
+        lambda: connected_gnp_topology(4, 1.5),
+    ],
+    ids=["line-k", "star-k", "grid-rows", "tree-k", "gnp-k", "gnp-p"],
+)
+def test_constructors_reject_bad_parameters(build):
+    with pytest.raises(InvalidParameterError):
+        build()

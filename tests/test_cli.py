@@ -150,3 +150,102 @@ class TestBoundsCommand:
         code = main(["bounds", "--n", "64", "--k", "32", "--eps", "0.5"])
         assert code == 0
         assert "outside regime" in capsys.readouterr().out
+
+
+class TestRunAllCommand:
+    def test_runs_the_selected_experiments(self, capsys):
+        previous = get_engine()
+        try:
+            code = main(["run-all", "--scale", "smoke", "--only", "e05", "E10"])
+        finally:
+            set_engine(previous)
+        assert code == 0
+        out = capsys.readouterr().out
+        assert "== E05:" in out
+        assert "== E10:" in out
+        assert "== E01:" not in out
+        assert out.rstrip().endswith("ran 2 experiments at scale 'smoke'")
+
+    def test_list_scales_prints_every_plan_size_and_runs_nothing(self, capsys):
+        from repro.experiments import experiment_ids, get_spec
+
+        assert main(["run-all", "--list-scales"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert [line.split(":")[0] for line in lines] == experiment_ids()
+        spec = get_spec("e01")
+        assert lines[0] == "e01: " + ", ".join(
+            f"{name} ({len(spec.plan(name))} points)" for name in spec.scale_names()
+        )
+
+    def test_experiment_list_scales(self, capsys):
+        assert main(["experiment", "e05", "--list-scales"]) == 0
+        out = capsys.readouterr().out
+        assert out.startswith("e05: smoke (")
+        assert len(out.splitlines()) == 1
+
+    def test_checkpointed_rerun_prints_the_same_tables(self, tmp_path, capsys):
+        argv = [
+            "run-all", "--scale", "smoke", "--only", "e10",
+            "--checkpoint-dir", str(tmp_path),
+        ]
+        previous = get_engine()
+        try:
+            assert main(argv) == 0
+            cold = capsys.readouterr().out
+            assert main(argv + ["--resume"]) == 0
+            resumed = capsys.readouterr().out
+        finally:
+            set_engine(previous)
+        assert (tmp_path / "e10" / "smoke-seed0" / "point-0001.json").exists()
+        marker = "-- engine metrics --"
+        assert "  sweep_points: 2\n" in cold
+        assert marker not in resumed  # both points restored, none computed
+        assert cold.split(marker)[0] == resumed.split("-- provenance")[0]
+
+
+class TestBatteryCommand:
+    def test_smoke_battery_reports_every_plugin_and_passes(self, capsys):
+        from repro.core.plugins import registered_plugins
+
+        assert main(["battery", "--scale", "smoke"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == (
+            "battery: scale=smoke n=64 eps=0.5 trials=200 input=uniform chunk=16"
+        )
+        names = [line.split()[0] for line in lines[3:]]
+        assert names == list(registered_plugins())
+
+    def test_flags_override_the_preset(self, capsys):
+        argv = [
+            "battery", "--n", "32", "--trials", "40", "--input", "two_level",
+            "--chunk", "3", "--only", "collision-exact",
+        ]
+        assert main(argv) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == (
+            "battery: scale=smoke n=32 eps=0.5 trials=40 input=two_level chunk=3"
+        )
+        assert [line.split()[0] for line in lines[3:]] == ["collision-exact"]
+
+    def test_unknown_plugin_is_a_clean_error(self, capsys):
+        assert main(["battery", "--only", "nope"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: unknown streaming plugins ['nope']")
+
+    def test_unhealthy_row_exits_one(self, capsys, monkeypatch):
+        import dataclasses
+
+        from repro.core import battery
+
+        real = battery.run_battery
+
+        def over_bound(*args, **kwargs):
+            rows = real(*args, **kwargs)
+            return [dataclasses.replace(rows[0], within_bound=False), *rows[1:]]
+
+        monkeypatch.setattr(battery, "run_battery", over_bound)
+        assert main(["battery", "--only", "collision-exact", "distinct-exact"]) == 1
+        captured = capsys.readouterr()
+        assert " OVER " in captured.out
+        assert "battery: FAILED" in captured.err
