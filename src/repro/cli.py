@@ -85,15 +85,6 @@ def _add_engine_options(parser: argparse.ArgumentParser) -> None:
         help="max sample-tensor elements per execution tile",
     )
     group.add_argument(
-        "--backend",
-        choices=("serial", "process", "shm"),
-        default=None,
-        help=(
-            "execution backend (default: serial when --workers <= 1, "
-            "shared-memory fork pool otherwise)"
-        ),
-    )
-    group.add_argument(
         "--cache-dir",
         default=None,
         help="directory for the on-disk acceptance-curve and calibration cache",
@@ -142,7 +133,6 @@ def _apply_engine_options(args: argparse.Namespace):
         workers=getattr(args, "workers", 0),
         max_elements=getattr(args, "chunk_elements", None),
         cache_dir=cache_dir,
-        backend=getattr(args, "backend", None),
     )
 
 

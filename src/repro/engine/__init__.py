@@ -1,6 +1,6 @@
 """The shared Monte Carlo execution engine.
 
-Backends (serial / process pool), chunked streaming, the on-disk
+Backends (serial / one shared-memory fork pool), chunked streaming, the on-disk
 acceptance-curve cache and per-run metrics — see ``docs/performance.md``
 for the architecture tour.
 """
@@ -10,7 +10,6 @@ from .backend import (
     ExecutionBackend,
     ProcessPoolBackend,
     SerialBackend,
-    SharedMemoryBackend,
     close_warm_backends,
     make_backend,
 )
@@ -59,7 +58,6 @@ __all__ = [
     "ExecutionBackend",
     "SerialBackend",
     "ProcessPoolBackend",
-    "SharedMemoryBackend",
     "BACKEND_KINDS",
     "close_warm_backends",
     "make_backend",

@@ -6,24 +6,24 @@ task carries its own :class:`numpy.random.SeedSequence`-derived seed, so a
 task's result is independent of which backend (or worker) executes it and
 of how tasks are interleaved.
 
-``SerialBackend`` runs tasks inline; ``ProcessPoolBackend`` fans them out
-over a lazily created :class:`concurrent.futures.ProcessPoolExecutor`;
-``SharedMemoryBackend`` adds one-shot kernel shipping over
-:mod:`multiprocessing.shared_memory` plus bit-packed result transport
-(see :mod:`repro.engine.shm`).  Every pool worker starts by installing a
-:class:`SerialBackend` as its active backend, keeping the rest of the
-engine configuration it starts with (under ``fork``, the parent's cache
-and ``max_elements``; otherwise the defaults) — so a nested engine call
-inside a worker, such as the estimates of a sweep point, runs inline and
-never submits to a pool.
+``SerialBackend`` runs tasks inline; ``ProcessPoolBackend``, the one
+pool, fans them out over a lazily created fork
+:class:`concurrent.futures.ProcessPoolExecutor`, ships each accept
+kernel once over :mod:`multiprocessing.shared_memory` and gets accepts
+back as packed bits (see :mod:`repro.engine.shm`).  Every pool worker
+starts by installing a :class:`SerialBackend` as its active backend,
+keeping the rest of the engine configuration it starts with (under
+``fork``, the parent's cache and ``max_elements``; otherwise the
+defaults) — so a nested engine call inside a worker, such as the
+estimates of a sweep point, runs inline and never submits to a pool.
 
 Beyond ``map_tasks`` every backend offers:
 
 * :meth:`~ExecutionBackend.map_accept_tiles` — the accept-kernel hook
   called by the executor's one accept-tile loop
   (:func:`~repro.engine.executor._dispatch`).  The default delegates to
-  ``map_tasks``; the shared-memory pool overrides it to avoid re-pickling
-  the kernel per tile.
+  ``map_tasks``; the pool overrides it to avoid re-pickling the kernel
+  per tile.
 * :meth:`~ExecutionBackend.warmup` — start any lazy workers now, so
   benchmarks can exclude pool start-up from measured wall time.
 * :meth:`~ExecutionBackend.dispatch_overhead_s` — the measured round-trip
@@ -42,6 +42,7 @@ from typing import (
     Callable,
     Dict,
     List,
+    NamedTuple,
     Optional,
     Sequence,
     Tuple,
@@ -160,8 +161,22 @@ def _serial_worker() -> None:
 _PARENT_ENGINE: Any = None
 
 
+class _Shipment(NamedTuple):
+    """Parent-side record of the live shared (kernel, distribution) blob.
+
+    Holding the shipped objects both identifies the pair on later calls
+    and keeps it alive while its segment is published.
+    """
+
+    token: str
+    segment: Any
+    blob_size: int
+    kernel: Any
+    distribution: Any
+
+
 class ProcessPoolBackend(ExecutionBackend):
-    """Fan tasks out over a process pool (stdlib ``concurrent.futures``).
+    """Fork pool with one-shot kernel shipping over shared memory.
 
     Parameters
     ----------
@@ -172,99 +187,8 @@ class ProcessPoolBackend(ExecutionBackend):
 
     Single-task calls short-circuit to inline execution — there is no
     point paying pickling latency for one tile.
-    """
 
-    name = "process"
-
-    def __init__(self, max_workers: Optional[int] = None):
-        if max_workers is not None and max_workers < 1:
-            raise InvalidParameterError(
-                f"max_workers must be >= 1, got {max_workers}"
-            )
-        self.max_workers: int = max_workers or os.cpu_count() or 1
-        self._executor: Optional["ProcessPoolExecutor"] = None
-
-    def _mp_context(self) -> Optional[Any]:
-        """Start-method override for the pool (``None`` = interpreter default)."""
-        return None
-
-    def _pool(self) -> "ProcessPoolExecutor":
-        if self._executor is None:
-            from concurrent.futures import ProcessPoolExecutor
-
-            self._executor = ProcessPoolExecutor(
-                max_workers=self.max_workers,
-                mp_context=self._mp_context(),
-                initializer=_serial_worker,
-            )
-        return self._executor
-
-    def map_tasks(
-        self, fn: Callable[..., Any], tasks: Sequence[TaskArgs]
-    ) -> List[Any]:
-        if len(tasks) <= 1:
-            return [fn(*args) for args in tasks]
-        futures = [self._pool().submit(fn, *args) for args in tasks]
-        return [future.result() for future in futures]
-
-    def warmup(self) -> None:
-        """Spin up every worker with one trivial task per pool slot.
-
-        Benchmarks call this before timing so measured wall time prices
-        dispatch, not interpreter start-up in the workers.
-        """
-        pool = self._pool()
-        futures = [
-            pool.submit(_noop_task, index) for index in range(self.max_workers)
-        ]
-        for future in futures:
-            future.result()
-
-    def close(self) -> None:
-        # getattr: __init__ may have raised before _executor was bound,
-        # and __del__ still runs on the half-constructed object.
-        if getattr(self, "_executor", None) is not None:
-            self._executor.shutdown(wait=True)
-            self._executor = None
-        self._dispatch_overhead = None
-
-    def __del__(self) -> None:  # best-effort cleanup; close() is the real API
-        try:
-            self.close()
-        except (OSError, RuntimeError, ImportError):
-            # Interpreter teardown can have already reaped the pool's
-            # machinery (dead pipes, a shut-down executor).  Anything
-            # else — above all a worker task's own exception — must
-            # surface, not vanish inside __del__.
-            pass
-
-    def __repr__(self) -> str:
-        return f"{type(self).__name__}(max_workers={self.max_workers})"
-
-
-class _Shipment:
-    """Parent-side record of one shared (kernel, distribution) blob.
-
-    Holding strong references to the shipped objects keeps their ``id``
-    values — which key the shipment table — stable while it is live.
-    """
-
-    __slots__ = ("token", "segment", "blob_size", "kernel", "distribution")
-
-    def __init__(
-        self, token: str, segment: Any, blob_size: int, kernel: Any, distribution: Any
-    ):
-        self.token = token
-        self.segment = segment
-        self.blob_size = blob_size
-        self.kernel = kernel
-        self.distribution = distribution
-
-
-class SharedMemoryBackend(ProcessPoolBackend):
-    """Process pool with one-shot kernel shipping over shared memory.
-
-    Lifecycle: the first ``map_accept_tiles`` call for a given
+    Shipping lifecycle: the first ``map_accept_tiles`` call for a given
     ``(kernel, distribution)`` pair pickles it once into a named
     :mod:`multiprocessing.shared_memory` segment and registers it in the
     parent's :mod:`repro.engine.shm` registry.  Tiles then travel as
@@ -277,57 +201,79 @@ class SharedMemoryBackend(ProcessPoolBackend):
     long search over fresh kernels holds one segment, not one per
     estimate.  ``close()`` unlinks it and shuts the pool down.
 
-    On POSIX the pool uses the ``fork`` start method so freshly forked
-    workers inherit already-registered shipments for free; elsewhere the
-    interpreter default applies and workers attach via the segment name.
+    The pool uses the ``fork`` start method where available, so freshly
+    forked workers inherit already-registered shipments for free;
+    elsewhere the interpreter default applies and workers attach via the
+    segment name.
     """
 
     name = "shm"
 
     def __init__(self, max_workers: Optional[int] = None):
-        super().__init__(max_workers)
-        self._shipments: Dict[Tuple[int, int], _Shipment] = {}
+        if max_workers is not None and max_workers < 1:
+            raise InvalidParameterError(
+                f"max_workers must be >= 1, got {max_workers}"
+            )
+        self.max_workers: int = max_workers or os.cpu_count() or 1
+        self._executor: Optional["ProcessPoolExecutor"] = None
+        self._shipment: Optional[_Shipment] = None
         self._shipped = 0
 
-    def _mp_context(self) -> Optional[Any]:
-        import multiprocessing
+    def _pool(self) -> "ProcessPoolExecutor":
+        if self._executor is None:
+            import multiprocessing
+            from concurrent.futures import ProcessPoolExecutor
 
-        try:
-            return multiprocessing.get_context("fork")
-        except ValueError:
-            return None
+            try:
+                context: Any = multiprocessing.get_context("fork")
+            except ValueError:
+                context = None
+            self._executor = ProcessPoolExecutor(
+                max_workers=self.max_workers,
+                mp_context=context,
+                initializer=_serial_worker,
+            )
+        return self._executor
+
+    def map_tasks(
+        self, fn: Callable[..., Any], tasks: Sequence[TaskArgs]
+    ) -> List[Any]:
+        if len(tasks) <= 1:
+            return [fn(*args) for args in tasks]
+        futures = [self._pool().submit(fn, *args) for args in tasks]
+        return [future.result() for future in futures]
 
     def _ship(self, kernel: Any, distribution: Any) -> _Shipment:
         """Publish ``(kernel, distribution)`` once; reuse on later calls."""
-        key = (id(kernel), id(distribution))
-        shipment = self._shipments.get(key)
-        if shipment is None:
-            from multiprocessing import shared_memory
+        shipment = self._shipment
+        if (
+            shipment is not None
+            and shipment.kernel is kernel
+            and shipment.distribution is distribution
+        ):
+            return shipment
+        from multiprocessing import shared_memory
 
-            self._release_shipments()
-            # A fresh token per shipment: workers may still hold a
-            # retired pair under an older one.
-            self._shipped += 1
-            token = f"{os.getpid()}-{id(self):x}-{self._shipped}"
-            blob = shm.serialize_shipment(kernel, distribution)
-            segment = shared_memory.SharedMemory(
-                create=True, size=max(1, len(blob))
-            )
-            try:
-                segment.buf[: len(blob)] = blob
-                # Fork-inheritance fast path: workers forked after this
-                # line see the pair without ever touching the segment.
-                shm.register_shipment(token, kernel, distribution)
-                shipment = _Shipment(
-                    token, segment, len(blob), kernel, distribution
-                )
-            except BaseException:
-                # Nothing owns the segment yet: without this it would
-                # linger in /dev/shm until the resource tracker exits.
-                segment.close()
-                segment.unlink()
-                raise
-            self._shipments[key] = shipment
+        self._release_shipment()
+        # A fresh token per shipment: workers may still hold a retired
+        # pair under an older one.
+        self._shipped += 1
+        token = f"{os.getpid()}-{id(self):x}-{self._shipped}"
+        blob = shm.serialize_shipment(kernel, distribution)
+        segment = shared_memory.SharedMemory(create=True, size=max(1, len(blob)))
+        try:
+            segment.buf[: len(blob)] = blob
+            # Fork-inheritance fast path: workers forked after this line
+            # see the pair without ever touching the segment.
+            shm.register_shipment(token, kernel, distribution)
+        except BaseException:
+            # Nothing owns the segment yet: without this it would linger
+            # in /dev/shm until the resource tracker exits.
+            segment.close()
+            segment.unlink()
+            raise
+        shipment = _Shipment(token, segment, len(blob), kernel, distribution)
+        self._shipment = shipment
         return shipment
 
     def map_accept_tiles(
@@ -356,29 +302,60 @@ class SharedMemoryBackend(ProcessPoolBackend):
             results.append(shm.unpack_accepts(trials, packed))
         return results
 
-    def _release_shipments(self) -> None:
-        """Unlink every held segment and forget its registry entry."""
-        shipments = getattr(self, "_shipments", None)
-        if shipments:
-            for shipment in shipments.values():
-                shm.forget_shipment(shipment.token)
-                try:
-                    shipment.segment.close()
-                    shipment.segment.unlink()
-                except (FileNotFoundError, OSError):
-                    pass
-            shipments.clear()
+    def warmup(self) -> None:
+        """Spin up every worker with one trivial task per pool slot.
+
+        Benchmarks call this before timing so measured wall time prices
+        dispatch, not interpreter start-up in the workers.
+        """
+        pool = self._pool()
+        futures = [
+            pool.submit(_noop_task, index) for index in range(self.max_workers)
+        ]
+        for future in futures:
+            future.result()
+
+    def _release_shipment(self) -> None:
+        """Unlink the held segment and forget its registry entry."""
+        # getattr: __init__ may have raised before _shipment was bound.
+        shipment = getattr(self, "_shipment", None)
+        if shipment is not None:
+            self._shipment = None
+            shm.forget_shipment(shipment.token)
+            try:
+                shipment.segment.close()
+                shipment.segment.unlink()
+            except (FileNotFoundError, OSError):
+                pass
 
     def close(self) -> None:
-        self._release_shipments()
-        super().close()
+        self._release_shipment()
+        # getattr: __init__ may have raised before _executor was bound,
+        # and __del__ still runs on the half-constructed object.
+        if getattr(self, "_executor", None) is not None:
+            self._executor.shutdown(wait=True)
+            self._executor = None
+        self._dispatch_overhead = None
+
+    def __del__(self) -> None:  # best-effort cleanup; close() is the real API
+        try:
+            self.close()
+        except (OSError, RuntimeError, ImportError):
+            # Interpreter teardown can have already reaped the pool's
+            # machinery (dead pipes, a shut-down executor).  Anything
+            # else — above all a worker task's own exception — must
+            # surface, not vanish inside __del__.
+            pass
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}(max_workers={self.max_workers})"
 
 
-#: Warm pools kept alive across make_backend calls: (kind, width) → backend.
-_WARM_BACKENDS: Dict[Tuple[str, int], ExecutionBackend] = {}
+#: Warm pools kept alive across make_backend calls: width → backend.
+_WARM_BACKENDS: Dict[int, ProcessPoolBackend] = {}
 
 #: Backend kinds make_backend understands.
-BACKEND_KINDS = ("serial", "process", "shm")
+BACKEND_KINDS = ("serial", "shm")
 
 
 def close_warm_backends() -> int:
@@ -392,9 +369,9 @@ def close_warm_backends() -> int:
 
 
 # Warm pools outlive every function scope, so interpreter exit is the
-# only release point: without this hook the shm segments of a warm
-# SharedMemoryBackend are reported as leaked by the resource tracker
-# and pool workers are reaped by the OS instead of shut down.
+# only release point: without this hook the shm segment of a warm pool
+# is reported as leaked by the resource tracker and pool workers are
+# reaped by the OS instead of shut down.
 atexit.register(close_warm_backends)
 
 
@@ -405,10 +382,11 @@ def make_backend(
 ) -> ExecutionBackend:
     """CLI-flag semantics: ``None``/``0``/``1`` → serial, else a pool.
 
-    ``kind`` forces a backend family (``"serial"``, ``"process"``,
-    ``"shm"``); left ``None`` it derives from ``workers`` as before, with
-    multi-worker runs getting the shared-memory pool.  Pool backends are
-    reused warm across calls (one pool per (kind, width) for the process
+    ``workers`` alone picks the backend.  ``kind`` (``"serial"`` or
+    ``"shm"``) forces one; it stays only because the benchmarks —
+    ``benchmarks/e2e/workload.py`` among them — call
+    ``make_backend(2, kind="shm", fresh=True)``.  Pool backends are
+    reused warm across calls (one pool per width for the process
     lifetime) so successive ``estimate_acceptance`` sweeps never churn
     worker start-up; pass ``fresh=True`` for a private instance the
     caller owns and closes.
@@ -422,12 +400,9 @@ def make_backend(
     if kind == "serial":
         return SerialBackend()
     width = workers if workers and workers >= 1 else (os.cpu_count() or 1)
-    cls = ProcessPoolBackend if kind == "process" else SharedMemoryBackend
     if fresh:
-        return cls(max_workers=width)
-    key = (kind, width)
-    backend = _WARM_BACKENDS.get(key)
+        return ProcessPoolBackend(max_workers=width)
+    backend = _WARM_BACKENDS.get(width)
     if backend is None:
-        backend = cls(max_workers=width)
-        _WARM_BACKENDS[key] = backend
+        backend = _WARM_BACKENDS[width] = ProcessPoolBackend(max_workers=width)
     return backend

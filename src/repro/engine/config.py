@@ -72,17 +72,15 @@ def configure_engine(
     workers: Optional[int] = None,
     max_elements: Optional[int] = None,
     cache_dir: Optional[str] = None,
-    backend: Optional[str] = None,
 ) -> EngineConfig:
     """Build and install a configuration from CLI-style scalars.
 
-    ``workers``: ``None``/``0``/``1`` → serial, else a warm pool (the
-    shared-memory backend unless ``backend`` names another kind).
-    ``backend``: force a backend family: "serial", "process" or "shm".
+    ``workers``: ``None``/``0``/``1`` → serial, else the warm pool of
+    that width.
     ``cache_dir``: ``None`` disables the acceptance cache.
     """
     config = EngineConfig(
-        backend=make_backend(workers, kind=backend),
+        backend=make_backend(workers),
         max_elements=max_elements or DEFAULT_MAX_ELEMENTS,
         cache=AcceptanceCache(cache_dir) if cache_dir else None,
     )

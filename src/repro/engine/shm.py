@@ -1,10 +1,9 @@
-"""Shared-memory kernel shipping for the pool backends.
+"""Shared-memory kernel shipping for the pool backend.
 
-The plain process-pool path pickles ``(kernel, distribution)`` into every
-tile task, so a sweep over heavy kernels (large pmfs, calibrated
-protocols) pays serialisation per dispatch.  This module implements the
-one-shot alternative used by
-:class:`~repro.engine.backend.SharedMemoryBackend`:
+Pickling ``(kernel, distribution)`` into every tile task would make a
+sweep over heavy kernels (large pmfs, calibrated protocols) pay
+serialisation per dispatch.  This module implements the one-shot
+transport used by :class:`~repro.engine.backend.ProcessPoolBackend`:
 
 * the parent pickles the pair **once** into a named
   :mod:`multiprocessing.shared_memory` segment and registers it under a

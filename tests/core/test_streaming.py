@@ -169,11 +169,10 @@ class TestPluginBatchEquivalence:
         for chunk in CHUNKS:
             assert np.array_equal(run_streaming(tester, matrix, chunk), batch)
 
-    @pytest.mark.parametrize("kind", ("serial", "process", "shm"))
-    @pytest.mark.parametrize("workers", (1, 2, 4))
-    def test_kernel_estimates_match_serial_reference(self, kind, workers):
-        if kind == "serial" and workers > 1:
-            pytest.skip("serial backend is single-worker")
+    @pytest.mark.parametrize(
+        "workers, kind", [(1, "serial"), (1, "shm"), (2, "shm"), (4, "shm")]
+    )
+    def test_kernel_estimates_match_serial_reference(self, workers, kind):
         references = {}
         for plugin in registered_plugins().values():
             kernel = plugin.factory(N, EPS)

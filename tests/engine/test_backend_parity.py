@@ -1,9 +1,9 @@
-"""Cross-backend parity: every backend × width × tile size, bit-identical.
+"""Cross-backend parity: the pool at every width × tile size, bit-identical.
 
 The determinism contract says the estimate is a pure function of
 ``(kernel, distribution, mode, root entropy)`` — never of the execution
 plan.  This module sweeps the plan axes the engine actually varies
-(backend family, worker width, ``max_elements`` retiling, cost-model
+(serial or pool, worker width, ``max_elements`` retiling, cost-model
 auto-tiling) and asserts verdicts, rates, successes AND ``trials_used``
 match the serial reference exactly.
 """
@@ -27,8 +27,8 @@ from repro.engine import (
 )
 from tests.oracles import BernoulliKernel
 
+#: Pool widths; ``kind="shm"`` keeps width 1 on a one-worker pool.
 WIDTHS = (1, 2, 4)
-KINDS = ("process", "shm")
 TILE_SIZES = (64, 192, 100_000)
 
 KERNEL = BernoulliKernel(0.7)
@@ -61,26 +61,23 @@ class TestEstimateParity:
     def test_every_plan_matches_serial_reference(self):
         reference_fixed, reference_sprt = _estimates(SerialBackend(), 100_000)
         for max_elements in TILE_SIZES:
-            for kind in KINDS:
-                for width in WIDTHS:
-                    backend = make_backend(width, kind=kind)
-                    fixed, sequential = _estimates(backend, max_elements)
-                    _assert_same(fixed, reference_fixed)
-                    _assert_same(sequential, reference_sprt)
+            for width in WIDTHS:
+                backend = make_backend(width, kind="shm")
+                fixed, sequential = _estimates(backend, max_elements)
+                _assert_same(fixed, reference_fixed)
+                _assert_same(sequential, reference_sprt)
 
     def test_auto_tiling_preserves_results(self):
         reference_fixed, reference_sprt = _estimates(SerialBackend(), 64)
-        for kind in KINDS:
-            backend = make_backend(2, kind=kind)
-            fixed, sequential = _estimates(backend, 64)
-            _assert_same(fixed, reference_fixed)
-            _assert_same(sequential, reference_sprt)
+        fixed, sequential = _estimates(make_backend(2), 64)
+        _assert_same(fixed, reference_fixed)
+        _assert_same(sequential, reference_sprt)
 
 
 class TestCurveParity:
     def test_accept_curves_bit_identical_for_graph_testers(self):
         """Comparison-graph kernels (explicit-edge statistic, distinct
-        mode, network deployment) across every backend × width."""
+        mode, network deployment) across every pool width."""
         testers = [
             repro.ComparisonGraphTester(64, 0.4, repro.bipartite_graph(24)),
             repro.ComparisonGraphTester(
@@ -97,32 +94,24 @@ class TestCurveParity:
         for tester in testers:
             with engine_context(backend=SerialBackend(), max_elements=100_000):
                 reference = chunked_accepts(tester, far, 320, rng=7)
-            for kind in KINDS:
-                for width in WIDTHS:
-                    backend = make_backend(width, kind=kind)
-                    with engine_context(backend=backend, max_elements=100_000):
-                        accepts = chunked_accepts(tester, far, 320, rng=7)
-                    assert np.array_equal(accepts, reference), (
-                        tester,
-                        kind,
-                        width,
-                    )
+            for width in WIDTHS:
+                backend = make_backend(width, kind="shm")
+                with engine_context(backend=backend, max_elements=100_000):
+                    accepts = chunked_accepts(tester, far, 320, rng=7)
+                assert np.array_equal(accepts, reference), (tester, width)
 
     def test_accept_curves_bit_identical_for_real_tester(self):
         tester = CentralizedCollisionTester(64, 0.4)
         far = repro.two_level_distribution(64, 0.4)
         with engine_context(backend=SerialBackend(), max_elements=100_000):
             reference = chunked_accepts(tester, far, 320, rng=7)
-        for kind in KINDS:
-            for width in (2, 4):
-                backend = make_backend(width, kind=kind)
-                for max_elements in (
-                    64 * tester.q,
-                    3 * 64 * tester.q,
-                    10**9,
-                ):
-                    with engine_context(
-                        backend=backend, max_elements=max_elements
-                    ):
-                        accepts = chunked_accepts(tester, far, 320, rng=7)
-                    assert np.array_equal(accepts, reference)
+        for width in (2, 4):
+            backend = make_backend(width)
+            for max_elements in (
+                64 * tester.q,
+                3 * 64 * tester.q,
+                10**9,
+            ):
+                with engine_context(backend=backend, max_elements=max_elements):
+                    accepts = chunked_accepts(tester, far, 320, rng=7)
+                assert np.array_equal(accepts, reference)

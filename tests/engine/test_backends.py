@@ -14,9 +14,11 @@ from repro.engine import (
     BACKEND_KINDS,
     ProcessPoolBackend,
     SerialBackend,
-    SharedMemoryBackend,
     close_warm_backends,
+    configure_engine,
+    get_engine,
     make_backend,
+    set_engine,
 )
 from repro.engine.backend import ExecutionBackend
 from repro.exceptions import InvalidParameterError
@@ -105,23 +107,14 @@ class TestProcessPoolBackend:
 
 
 class TestSharedMemoryBackend:
-    def test_is_a_process_pool(self):
-        backend = SharedMemoryBackend(max_workers=2)
-        try:
-            assert isinstance(backend, ProcessPoolBackend)
-            assert backend.name == "shm"
-        finally:
-            backend.close()
+    """The pool's one-shot kernel shipping over shared memory."""
 
-    def test_map_tasks_still_works(self):
-        backend = SharedMemoryBackend(max_workers=2)
+    def test_pool_is_named_shm_and_forks(self):
+        backend = ProcessPoolBackend(max_workers=2)
         try:
-            assert backend.map_tasks(_square, [(i,) for i in range(4)]) == [
-                0,
-                1,
-                4,
-                9,
-            ]
+            assert backend.name == "shm"
+            context = backend._pool()._mp_context
+            assert context.get_start_method() == "fork"
         finally:
             backend.close()
 
@@ -132,7 +125,7 @@ class TestSharedMemoryBackend:
             plan_tiles,
         )
 
-        backend = SharedMemoryBackend(max_workers=2)
+        backend = ProcessPoolBackend(max_workers=2)
         kernel = BernoulliKernel(0.5)
         from repro.distributions.discrete import uniform
 
@@ -143,9 +136,23 @@ class TestSharedMemoryBackend:
             kernel, distribution, tiles, derive_root_entropy(0)
         )
         assert sum(a.size for a in accepts) == 256
-        assert backend._shipments
+        name = backend._shipment.segment.name
+        assert _segment_exists(name)
         backend.close()
-        assert not backend._shipments
+        assert backend._shipment is None
+        assert not _segment_exists(name)
+
+    def test_same_pair_ships_once(self):
+        from repro.distributions.discrete import uniform
+
+        backend = ProcessPoolBackend(max_workers=2)
+        kernel, distribution = BernoulliKernel(0.5), uniform(8)
+        try:
+            first = backend._ship(kernel, distribution)
+            assert backend._ship(kernel, distribution) is first
+            assert backend._ship(kernel, uniform(8)) is not first
+        finally:
+            backend.close()
 
 
 class TestShipmentLifetime:
@@ -155,7 +162,7 @@ class TestShipmentLifetime:
         from repro.distributions.discrete import uniform
         from repro.engine import engine_context, estimate_acceptance
 
-        backend = SharedMemoryBackend(max_workers=2)
+        backend = ProcessPoolBackend(max_workers=2)
         names = set()
         try:
             with engine_context(backend=backend, max_elements=64):
@@ -166,12 +173,8 @@ class TestShipmentLifetime:
                         trials=512,
                         rng=index,
                     )
-                    names.update(
-                        shipment.segment.name
-                        for shipment in backend._shipments.values()
-                    )
+                    names.add(backend._shipment.segment.name)
             assert len(names) == 30  # every estimate shipped a new pair
-            assert len(backend._shipments) == 1
             assert sum(_segment_exists(name) for name in names) == 1
             prefix = f"{os.getpid()}-{id(backend):x}-"
             held = backend.map_tasks(_worker_shipments, [(prefix,)] * 8)
@@ -201,11 +204,11 @@ class TestShipmentLifetime:
 
         monkeypatch.setattr(shared_memory, "SharedMemory", recording)
         monkeypatch.setattr(shm, "register_shipment", refuse)
-        backend = SharedMemoryBackend(max_workers=2)
+        backend = ProcessPoolBackend(max_workers=2)
         try:
             with pytest.raises(RuntimeError, match="registry refused"):
                 backend._ship(BernoulliKernel(0.5), uniform(8))
-            assert not backend._shipments
+            assert backend._shipment is None
         finally:
             backend.close()
         monkeypatch.undo()
@@ -306,48 +309,80 @@ class TestMakeBackend:
 
     def test_kind_selects_backend_class(self):
         try:
-            assert isinstance(make_backend(2, kind="process"), ProcessPoolBackend)
-            assert isinstance(make_backend(2, kind="shm"), SharedMemoryBackend)
+            assert isinstance(make_backend(2, kind="shm"), ProcessPoolBackend)
             assert isinstance(make_backend(2, kind="serial"), SerialBackend)
         finally:
             close_warm_backends()
 
     def test_default_parallel_kind_is_shm(self):
         try:
-            assert isinstance(make_backend(2), SharedMemoryBackend)
+            assert make_backend(2).name == "shm"
         finally:
             close_warm_backends()
 
     def test_warm_pool_reused_across_calls(self):
         try:
-            first = make_backend(2, kind="process")
-            assert make_backend(2, kind="process") is first
-            assert make_backend(3, kind="process") is not first
+            first = make_backend(2)
+            assert make_backend(2, kind="shm") is first
+            assert make_backend(3) is not first
         finally:
             close_warm_backends()
 
     def test_fresh_bypasses_warm_pool(self):
         try:
-            warm = make_backend(2, kind="process")
-            fresh = make_backend(2, kind="process", fresh=True)
+            warm = make_backend(2)
+            fresh = make_backend(2, kind="shm", fresh=True)
             assert fresh is not warm
             fresh.close()
         finally:
             close_warm_backends()
 
-    def test_rejects_unknown_kind(self):
+    @pytest.mark.parametrize("kind", ["threads", "process"])
+    def test_rejects_unknown_kind(self, kind):
         with pytest.raises(InvalidParameterError):
-            make_backend(2, kind="threads")
+            make_backend(2, kind=kind)
 
     def test_backend_kinds_constant(self):
-        assert BACKEND_KINDS == ("serial", "process", "shm")
+        assert BACKEND_KINDS == ("serial", "shm")
+
+    def test_shm_kind_keeps_width_one_on_a_pool(self):
+        backend = make_backend(1, kind="shm", fresh=True)
+        try:
+            assert isinstance(backend, ProcessPoolBackend)
+            assert backend.max_workers == 1
+        finally:
+            backend.close()
+
+
+class TestConfigureEngine:
+    """``workers`` alone picks the installed backend."""
+
+    def test_workers_pick_serial_or_the_warm_pool(self):
+        previous = get_engine()
+        try:
+            assert isinstance(configure_engine(workers=1).backend, SerialBackend)
+            pool = configure_engine(workers=2).backend
+            assert pool is make_backend(2)
+            assert get_engine().backend is pool
+        finally:
+            set_engine(previous)
+            close_warm_backends()
+
+    def test_backend_keyword_is_gone(self):
+        previous = get_engine()
+        try:
+            with pytest.raises(TypeError):
+                configure_engine(workers=2, backend="shm")
+            assert get_engine() is previous
+        finally:
+            set_engine(previous)
 
 
 class TestWarmPoolAtexitTeardown:
     """Interpreter exit must not leak warm shm segments."""
 
     def test_exit_with_warm_shm_backend_leaves_no_tracker_warnings(self):
-        """A subprocess that uses a warm SharedMemoryBackend and exits
+        """A subprocess that uses a warm pool backend and exits
         without closing it must trigger the atexit hook: clean exit, no
         ``resource_tracker`` leak warnings on stderr."""
         script = textwrap.dedent(
@@ -368,7 +403,7 @@ class TestWarmPoolAtexitTeardown:
                     BernoulliKernel(0.7), uniform(8), trials=512, rng=7
                 )
             assert result.trials_used == 512
-            assert len(backend._shipments) == 1
+            assert backend._shipment is not None
             print("RAN", result.successes)
             # Deliberately no backend.close()/close_warm_backends():
             # the registered atexit hook owns warm-pool teardown.

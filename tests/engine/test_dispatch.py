@@ -25,7 +25,6 @@ from repro.engine import (
     AcceptanceCache,
     ProcessPoolBackend,
     SerialBackend,
-    SharedMemoryBackend,
     SprtSpec,
     block_seed,
     collect_metrics,
@@ -43,16 +42,11 @@ DISTRIBUTION = uniform(8)
 
 @pytest.fixture(scope="module")
 def backends():
-    """Serial plus warm 2-worker process and shared-memory pools."""
-    pools = {
-        "process": ProcessPoolBackend(max_workers=2),
-        "shm": SharedMemoryBackend(max_workers=2),
-    }
-    for pool in pools.values():
-        pool.warmup()
-    yield {"serial": SerialBackend(), **pools}
-    for pool in pools.values():
-        pool.close()
+    """Serial plus a warm 2-worker pool."""
+    pool = ProcessPoolBackend(max_workers=2)
+    pool.warmup()
+    yield {"serial": SerialBackend(), "shm": pool}
+    pool.close()
 
 
 def _estimate(kernel, mode, trials, seed):
@@ -70,7 +64,7 @@ def _estimate(kernel, mode, trials, seed):
 @given(
     trials=st.integers(1, 12 * RNG_BLOCK_TRIALS + 9),
     max_elements=st.integers(1, 8 * RNG_BLOCK_TRIALS),
-    kind=st.sampled_from(["serial", "process", "shm"]),
+    kind=st.sampled_from(["serial", "shm"]),
     mode=st.sampled_from(["fixed", "sprt"]),
     probability=st.sampled_from([0.4, 0.5, 0.55, 0.6]),
     clock_step=st.sampled_from([None, 1e-9, 1e-3, 1.0]),
@@ -135,7 +129,7 @@ def test_sweep_point_seeds_are_pairwise_distinct(root, points):
     assert not point_states & block_states
 
 
-@pytest.mark.parametrize("kind", ["serial", "process", "shm"])
+@pytest.mark.parametrize("kind", ["serial", "shm"])
 class TestConsume:
     TRIALS = 20 * RNG_BLOCK_TRIALS + 5
 

@@ -5,7 +5,12 @@ from __future__ import annotations
 import pytest
 
 from repro.cli import main
-from repro.engine import get_engine, set_engine
+from repro.engine import (
+    ProcessPoolBackend,
+    close_warm_backends,
+    get_engine,
+    set_engine,
+)
 
 
 class TestTestCommand:
@@ -86,6 +91,46 @@ class TestComplexityCommand:
         out = capsys.readouterr().out
         assert "empirical q* =" in out
         assert "Theorem 1.1 lower bound" in out
+
+
+class TestPoolComplexity:
+    ARGV = [
+        "complexity", "--tester", "threshold", "--n", "256", "--k", "8",
+        "--eps", "0.5", "--chunk-elements", "20000",
+    ]
+
+    def test_pool_run_ships_kernels_and_matches_serial(self, capsys, monkeypatch):
+        """At 20000 elements per tile each estimate spans several tiles,
+        so the pool run ships kernels to its workers."""
+        shipped = []
+        ship = ProcessPoolBackend.map_accept_tiles
+
+        def counting(self, *args):
+            shipped.append(len(args[2]))
+            return ship(self, *args)
+
+        monkeypatch.setattr(ProcessPoolBackend, "map_accept_tiles", counting)
+        previous = get_engine()
+        try:
+            outputs = []
+            for workers in ("1", "2"):
+                assert main(self.ARGV + ["--workers", workers]) == 0
+                outputs.append(capsys.readouterr().out.splitlines())
+        finally:
+            set_engine(previous)
+            close_warm_backends()
+        serial, pool = outputs
+        assert shipped
+        assert "empirical q* = 68" in serial
+        assert serial[-1].startswith("engine: backend=serial ")
+        assert pool[-1].startswith("engine: backend=shm ")
+        assert serial[:-1] == pool[:-1]
+
+    def test_backend_flag_is_rejected(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(self.ARGV + ["--backend", "shm"])
+        assert exit_info.value.code == 2
+        assert "--backend" in capsys.readouterr().err
 
 
 class TestSeedValidation:

@@ -240,6 +240,7 @@ KEPT = {
     "ExperimentResult.from_json": "reads back the schema-v2 documents to_json writes",
     "LocalUniformityTester": "the network form of §6.2 (docs/glossary.md)",
     "IdentityTester.samples_needed": "examples/identity_testing.py prints it",
+    "SampleOracle.samples_drawn": "the meter reading of SampleOracle's sample metering (docs/model.md)",
     "PowerLawFit.predict": "evaluates the law fit_power_law returns (docs/api.md)",
     "PowerCurve.crossing": "reads the crossover off the curve power_curve returns (docs/api.md)",
     "spectral_variance": _FOURIER,
@@ -255,6 +256,7 @@ KEPT = {
     "masks_by_level": _FOURIER,
     "inverse_walsh_hadamard_transform": _FOURIER,
     "BooleanFunction.from_callable": _FOURIER,
+    "BooleanFunction.dictator": _FOURIER,
     "BooleanFunction.parity": _FOURIER,
     "BooleanFunction.coefficient": _FOURIER,
     "BooleanFunction.evaluate_vector": _FOURIER,
@@ -265,9 +267,13 @@ KEPT = {
 }
 
 
+#: Builtins whose second argument names an attribute.
+_ATTRIBUTE_BY_NAME = {"getattr", "hasattr", "setattr"}
+
+
 def _identifiers(node):
-    """Every name ``node`` mentions: names, attributes, imports and
-    identifier-shaped strings (``getattr`` targets, registry keys)."""
+    """Every name ``node`` mentions: names, attributes, imports and the
+    string name argument of ``getattr``/``hasattr``/``setattr``."""
     counts = Counter()
     for child in ast.walk(node):
         if isinstance(child, ast.Name):
@@ -276,9 +282,15 @@ def _identifiers(node):
             counts[child.attr] += 1
         elif isinstance(child, ast.alias):
             counts[child.name.split(".")[-1]] += 1
-        elif isinstance(child, ast.Constant) and isinstance(child.value, str):
-            if child.value.isidentifier():
-                counts[child.value] += 1
+        elif (
+            isinstance(child, ast.Call)
+            and isinstance(child.func, ast.Name)
+            and child.func.id in _ATTRIBUTE_BY_NAME
+            and len(child.args) >= 2
+            and isinstance(child.args[1], ast.Constant)
+            and isinstance(child.args[1].value, str)
+        ):
+            counts[child.args[1].value] += 1
     return counts
 
 
@@ -337,3 +349,18 @@ class TestPublicSurface:
     def test_kept_names_are_still_unreached(self):
         """A KEPT entry whose name is gone or now reached is stale."""
         assert sorted(set(KEPT) - set(unreached_public_names())) == []
+
+    def test_only_attribute_lookup_strings_count_as_reaches(self):
+        """A name spelled only in a plain string (a label, a registry
+        key) is not reached; the name argument of getattr is."""
+        tree = ast.parse(
+            'LABELS = {"dictator": 1}\n'
+            'print("samples_drawn")\n'
+            'value = getattr(oracle, "budget")\n'
+            'hasattr(oracle, "domain_size")\n'
+        )
+        counts = _identifiers(tree)
+        assert counts["dictator"] == 0
+        assert counts["samples_drawn"] == 0
+        assert counts["budget"] == 1
+        assert counts["domain_size"] == 1
